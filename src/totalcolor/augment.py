@@ -10,12 +10,18 @@ None), since the input graphs are simple.
 Termination: every insertion adds 2 darts and 1 face, so the quantity
 (total darts) - 3*(faces) drops by 1 each step, and it is bounded below by
 0 because every face has size >= 3.
+
+Incrementality: whether a face is eligible depends only on its boundary
+darts, their owners and kinds, and degrees and adjacency in the fixed
+graph G.  An insertion changes only the face it splits, so every other
+face keeps its cached answer, and only the two child faces are tested.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .embedding import CROSSING, TRUE, EmbeddedGraph, EmbedError
+from .embedding import TRUE, EmbeddedGraph, EmbedError, seg_key
 from .graphs import SimpleGraph
 
 
@@ -106,23 +112,23 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph, join_adjacent: bool = True) 
     origins = dict(gd.segment_origin)
     owner = dict(gd.owner)
     kinds = gd.vertex_kind
-    faces = [list(f.boundary) for f in gd.faces()]
     next_dart = max(twin, default=-1) + 1
     log: list[InsertionRecord] = []
-    while True:
-        best = None
-        for fi, fb in enumerate(faces):
-            if len(fb) < 4:
-                continue
+    # (smallest dart, boundary, pick) per eligible face; every dart lies in
+    # exactly one face, so the smallest dart identifies the face and popping
+    # the heap follows the deterministic order above
+    heap: list = []
+
+    def push(fb):
+        if len(fb) >= 4:
             pick = _eligible_pair(fb, owner, kinds, g, join_adjacent)
             if pick is not None:
-                key = min(fb)
-                if best is None or key < best[0]:
-                    best = (key, fi, pick)
-        if best is None:
-            break
-        _, fi, (i, j, u, v) = best
-        fb = faces[fi]
+                heapq.heappush(heap, (min(fb), fb, pick))
+
+    for f in gd.faces():
+        push(list(f.boundary))
+    while heap:
+        _, fb, (i, j, u, v) = heapq.heappop(heap)
         a, b = next_dart, next_dart + 1
         next_dart += 2
         ru = rotation[u]
@@ -141,8 +147,8 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph, join_adjacent: bool = True) 
                 pair=(u, v) if u < v else (v, u),
             )
         )
-        faces[fi] = [a] + fb[j:] + fb[:i]
-        faces.append([b] + fb[i:j])
+        push([a] + fb[j:] + fb[:i])
+        push([b] + fb[i:j])
     star = EmbeddedGraph(
         {v: tuple(rot) for v, rot in rotation.items()},
         twin,
@@ -167,7 +173,7 @@ def classify_vertices(a: AugmentedGraph) -> dict:
         d1 = a.g.degree(v) if kind == TRUE else None
         big = kind == TRUE and ((d1 == 3 and d2 == 5) or d2 >= 6)
         new_inc = any(
-            star.segment_origin[_seg(d, star.twin)] is None for d in star.rotation[v]
+            star.segment_origin[seg_key(d, star.twin)] is None for d in star.rotation[v]
         )
         table[v] = VertexClass(
             d1=d1,
@@ -177,11 +183,6 @@ def classify_vertices(a: AugmentedGraph) -> dict:
             new_incident=new_inc,
         )
     return table
-
-
-def _seg(d, twin):
-    e = twin[d]
-    return (d, e) if d < e else (e, d)
 
 
 def is_new_edge(a: AugmentedGraph, segment: tuple) -> bool:

@@ -257,7 +257,8 @@ def _recolor_vertex(g: SimpleGraph, c: TotalColoring, v, kappa: int) -> None:
     used = ColorUsage.around(g, c, v).at_vertex_edges
     nbr = {c.vertex_color[w] for w in g.neighbors(v) if w in c.vertex_color}
     color = _free_color(kappa, used, nbr)
-    assert color is not None, "vertex recoloring cannot fail: 2*deg(v) <= kappa-1"
+    if color is None:
+        raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")
     c.vertex_color[v] = color
 
 
@@ -284,7 +285,8 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
     used_u = ColorUsage.around(g, out, u).at_vertex_closed
     used_v = ColorUsage.around(g, out, v).at_vertex_edges
     color = _free_color(kappa, used_u, used_v)
-    assert color is not None, "edge color cannot run out: deg sums leave slack"
+    if color is None:
+        raise ColoringError("edge color cannot run out: deg sums leave slack")
     out.edge_color[edge_key(u, v)] = color
     _recolor_vertex(g, out, v, kappa)
     return out
@@ -507,7 +509,9 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
                 result = ext
                 trace.append(f"extended across {e} via apex {apex}")
 
-    assert not verify(g, result)
+    bad = verify(g, result)
+    if bad:
+        raise ColoringError(f"solve_tcc built an improper coloring: {bad[:4]}")
     used = result.colors_used()
     if used <= kappa:
         result.kappa = kappa

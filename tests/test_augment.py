@@ -2,17 +2,28 @@ import json
 
 import pytest
 
+from totalcolor import augment
 from totalcolor.augment import (
+    AugmentedGraph,
+    InsertionRecord,
     augment_report,
     build_g_star,
     check_fixpoint,
     is_new_edge,
 )
 from totalcolor.embedding import (
+    EmbeddedGraph,
     EmbedError,
     euler_characteristic,
     from_face_cycles,
     trace_faces,
+)
+from totalcolor.gen import (
+    gen_crossed,
+    gen_high_degree_P_drawing,
+    gen_planar_triangulation,
+    gen_toroidal_grid,
+    true_graph_of,
 )
 
 from helpers import (
@@ -178,3 +189,91 @@ def test_augment_report_is_json_ready():
     assert back["face_census"] == {"3": 8}
     assert back["classification"]["1"]["size_class"] == "big"
     assert [tuple(i["pair"]) for i in back["insertions"]] == [(1, 3), (1, 4)]
+
+
+def rescan_g_star(gd, g, join_adjacent=True):
+    """Reference insertion loop: rescan every face after each insertion and
+    split the eligible face holding the smallest dart."""
+    rotation = {v: list(rot) for v, rot in gd.rotation.items()}
+    twin = dict(gd.twin)
+    origins = dict(gd.segment_origin)
+    owner = dict(gd.owner)
+    faces = [list(f.boundary) for f in gd.faces()]
+    next_dart = max(twin, default=-1) + 1
+    log = []
+    while True:
+        eligible = [
+            (min(fb), fi, pick)
+            for fi, fb in enumerate(faces)
+            if len(fb) >= 4
+            and (pick := augment._eligible_pair(fb, owner, gd.vertex_kind, g, join_adjacent))
+        ]
+        if not eligible:
+            break
+        _, fi, (i, j, u, v) = min(eligible)
+        fb = faces[fi]
+        a, b = next_dart, next_dart + 1
+        next_dart += 2
+        rotation[u].insert(rotation[u].index(fb[i]), a)
+        rotation[v].insert(rotation[v].index(fb[j]), b)
+        twin[a], twin[b] = b, a
+        owner[a], owner[b] = u, v
+        origins[(a, b)] = None
+        face = tuple(owner[d] for d in fb)
+        log.append(InsertionRecord(step=len(log), face=face, pair=(min(u, v), max(u, v))))
+        faces[fi] = [a] + fb[j:] + fb[:i]
+        faces.append([b] + fb[i:j])
+    star = EmbeddedGraph(
+        {v: tuple(rot) for v, rot in rotation.items()}, twin, gd.vertex_kind,
+        gd.surface, origins,
+    )
+    return AugmentedGraph(g, gd, star, log)
+
+
+def acceptance_drawings():
+    """The 100 seeded drawings that acceptance criteria 1-3 sweep."""
+    for s in range(40):
+        _, e = gen_toroidal_grid(3 + s % 3, 3 + (s // 3) % 3)
+        yield gen_crossed(e, 1 + s % 3, seed=s)
+    for s in range(30):
+        yield gen_planar_triangulation(5 + s % 12, seed=s)[1]
+    for s in range(30):
+        delta = 11 + s % 3
+        yield gen_high_degree_P_drawing(delta, 2 * delta + 1 + (s % 4) * 20, seed=s)[1]
+
+
+def crossed_grid(side, pairs, seed=1):
+    _, e = gen_toroidal_grid(side, side)
+    e = gen_crossed(e, pairs, seed=seed)
+    return e, true_graph_of(e)
+
+
+def test_heap_loop_matches_full_rescan():
+    cases = [(e, true_graph_of(e)) for e in acceptance_drawings()]
+    cases += [c6_plane(), hexagon_two_crossings(), wheel_plane(5), wheel_plane(7)]
+    cases.append(crossed_grid(12, 20))
+    assert len(cases) == 105
+    inserted = 0
+    for e, g in cases:
+        for join_adjacent in (True, False):
+            a = build_g_star(e, g, join_adjacent)
+            ref = rescan_g_star(e, g, join_adjacent)
+            assert augment_report(a) == augment_report(ref)
+            assert a.star.rotation == ref.star.rotation
+            inserted += len(a.insertions)
+    assert inserted > 0
+
+
+def test_each_face_tested_once(monkeypatch):
+    e, g = crossed_grid(24, 70)
+    calls = []
+    inner = augment._eligible_pair
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(augment, "_eligible_pair", counting)
+    a = build_g_star(e, g)
+    assert len(a.insertions) > 0
+    assert len(calls) <= len(e.faces()) + 2 * len(a.insertions)

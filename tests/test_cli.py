@@ -228,6 +228,18 @@ def test_malformed_embedding_names_section(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_mislabelled_surface_exits_2(capsys, tmp_path):
+    _, e = gen_planar_triangulation(20, seed=1)
+    text = dump_embedding(e)
+    assert "surface: plane" in text
+    p = tmp_path / "relabelled.emb"
+    p.write_text(text.replace("surface: plane", "surface: torus"))
+    code, out, err = run(capsys, ["discharge", str(p)])
+    assert code == 2
+    assert out == ""
+    assert "not 2-cell for declared surface torus" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
 

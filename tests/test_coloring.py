@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from totalcolor import coloring
 from totalcolor.coloring import (
     ColoringError,
     ColorUsage,
@@ -547,6 +548,13 @@ def test_solve_always_returns_verifying_coloring():
         res = solve_tcc(g)
         assert verify(g, res.coloring) == []
         assert res.ok == (res.colors_used <= g.max_degree() + 2)
+
+
+def test_solve_raises_on_improper_result(monkeypatch):
+    # the final check is an explicit raise, so it also runs under python -O
+    monkeypatch.setattr(coloring, "verify", lambda g, c: [("vv", 0, 1)])
+    with pytest.raises(ColoringError, match="improper coloring"):
+        solve_tcc(complete_graph(4))
 
 
 # ---------------------------------------------------------------------------
