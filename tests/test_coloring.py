@@ -3,6 +3,7 @@ greedy solvers, both extension procedures, and the reduce-and-extend
 solver."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from totalcolor.coloring import (
     total_elements,
     verify,
 )
+from totalcolor.gen import gen_high_degree_P
 from totalcolor.graphs import add_edge, build_graph, delete_edge
 from totalcolor.reduce import _proper_colorings, enum_graphs
 
@@ -605,3 +607,56 @@ def test_elements_conflict_is_symmetric():
     for x in els:
         for y in els:
             assert elements_conflict(g, x, y) == elements_conflict(g, y, x)
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: sha256 of outputs that a refactor of the coloring code must
+# reproduce exactly (colorings, solver traces, enumeration order).
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "g, digest",
+    [
+        # P1 peeling onto a greedy core
+        (
+            gen_high_degree_P(12, 60, seed=1),
+            "90b4fb730109cdfe6db5b7906bae966f850ef2e03d93fbb14965d2a4b0a7f88d",
+        ),
+        # greedy first-fit plus repair, no peeling
+        (
+            circulant(13, (1, 2, 3)),
+            "b74aaa50d56ae1a4156fe68656977c55317e46008c105a79060eda2fc6581140",
+        ),
+    ],
+    ids=["wheel_sum_12_60", "circulant_13"],
+)
+def test_golden_solve_tcc(g, digest):
+    res = solve_tcc(g)
+    assert _sha(res.coloring.as_text() + "\n".join(res.trace)) == digest
+
+
+def test_golden_exact_witnesses():
+    chi, w = exact_chi_tt(cycle_graph(5))
+    assert (chi, _sha(w.as_text())) == (
+        4,
+        "1dc29acd8c5021037771ac9aec17901456d19e9514fbf0fc6015735b6fe506ac",
+    )
+    chi, w = exact_chi_tt(complete_graph(4))
+    assert (chi, _sha(w.as_text())) == (
+        5,
+        "a8285885f06f3ff816fa147c2b18f560cf7c80b4839d785cd04932a0aca9cacd",
+    )
+
+
+def test_golden_proper_colorings():
+    found, truncated = _proper_colorings(
+        delete_edge(P3_GADGET, (0, 1)), 7, 50, random.Random(3)
+    )
+    assert (len(found), truncated) == (50, True)
+    assert _sha("".join(c.as_text() for c in found)) == (
+        "9009cc4055f62b84958aede4375ae0f66e9eba77ac93325e7fb376e7c70f90e6"
+    )
