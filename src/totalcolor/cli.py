@@ -21,7 +21,7 @@ from .coloring import (
     verify,
 )
 from .discharge import discharge, final_report
-from .embedding import EmbeddedGraph, check_two_cell, euler_characteristic, parse_embedding
+from .embedding import EmbeddedGraph, euler_characteristic, parse_embedding
 from .gen import GenError, GenSpec, true_graph_of, write_corpus
 from .graphs import SimpleGraph, build_graph, check_property_P, parse_edge_list
 from .reduce import audit_minimality
@@ -41,9 +41,7 @@ def _load_graph(path: str) -> SimpleGraph:
 
 
 def _load_embedding(path: str) -> EmbeddedGraph:
-    e = parse_embedding(_read(path))
-    check_two_cell(e)
-    return e
+    return parse_embedding(_read(path))
 
 
 def _emit_json(path: str | None, payload: dict) -> None:

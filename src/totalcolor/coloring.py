@@ -2,26 +2,49 @@
 constructive extension steps behind edge-deletion reduction.
 
 Elements are tagged tuples: ("v", x) for a vertex, ("e", u, v) for an edge
-with u < v.  Colors are integers starting at 1.  All solvers are
-deterministic: ties break by element order, colors are tried ascending.
+with u < v.  `total_elements` fixes their order: vertices ascending, then
+edges in `g.edges()` order (lexicographic).  Colors are integers starting
+at 1.  All solvers are deterministic: ties break by element order, colors
+are tried ascending.
+
+The search routines work on integers.  `conflict_lists(g)` returns the
+elements in that order together with, for element i, the ascending list
+of the indices of the elements that conflict with i (adjacent vertices,
+a vertex and an edge at it, two edges sharing an end).  A coloring in
+progress is then a flat list of colors indexed the same way, and
+`_paint` writes it into a TotalColoring once at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import SimpleGraph, add_edge, delete_edge
+from .graphs import SimpleGraph, add_edge, delete_edge, edge_key
 
 
 class ColoringError(ValueError):
     """Bad input to a coloring operation (partial maps, budget, preconditions)."""
 
 
-def edge_key(u, v) -> tuple:
-    return (u, v) if u <= v else (v, u)
-
-
 def total_elements(g: SimpleGraph) -> list:
     return [("v", v) for v in sorted(g.vertices)] + [("e",) + e for e in g.edges()]
+
+
+def conflict_lists(g: SimpleGraph) -> tuple:
+    """(els, nbrs): the elements in total_elements order, and for each the
+    sorted indices of the elements it conflicts with."""
+    els = total_elements(g)
+    index = {el: i for i, el in enumerate(els)}
+    nbrs = []
+    for i, el in enumerate(els):
+        ends = el[1:]
+        near = {index[("e",) + edge_key(x, w)] for x in ends for w in g.neighbors(x)}
+        if el[0] == "v":
+            near |= {index["v", w] for w in g.neighbors(el[1])}
+        else:
+            near |= {index["v", x] for x in ends}
+        near.discard(i)  # an edge is among the edges at its own ends
+        nbrs.append(sorted(near))
+    return els, nbrs
 
 
 @dataclass
@@ -45,9 +68,6 @@ class TotalColoring:
             self.vertex_color[element[1]] = color
         else:
             self.edge_color[edge_key(element[1], element[2])] = color
-
-    def uncolored(self, g: SimpleGraph) -> list:
-        return [el for el in total_elements(g) if self.color_of(el) is None]
 
     def colors_used(self) -> int:
         vals = list(self.vertex_color.values()) + list(self.edge_color.values())
@@ -86,58 +106,38 @@ def coloring_from_text(text: str) -> TotalColoring:
     return TotalColoring(kappa, vc, ec)
 
 
-@dataclass(frozen=True)
-class ColorUsage:
-    """The color census around one vertex: its incident edge colors, and
-    the same set closed with the vertex's own color."""
+def _paint(c: TotalColoring, els: list, colors: list) -> TotalColoring:
+    """Write a flat color list, indexed like els, into c."""
+    for el, color in zip(els, colors):
+        c.set_color(el, color)
+    return c
 
-    at_vertex_edges: frozenset
-    at_vertex_closed: frozenset
 
-    @classmethod
-    def around(cls, g: SimpleGraph, c: TotalColoring, v) -> "ColorUsage":
-        on_edges = frozenset(
-            col
-            for col in (c.edge_color.get(edge_key(v, w)) for w in g.neighbors(v))
-            if col is not None
-        )
-        own = c.vertex_color.get(v)
-        closed = on_edges if own is None else on_edges | {own}
-        return cls(at_vertex_edges=on_edges, at_vertex_closed=closed)
+def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
+    """The colors on x's edges, plus x's own color if it has one."""
+    seen = {c.edge_color.get(edge_key(x, w)) for w in g.neighbors(x)}
+    seen.add(c.vertex_color.get(x))
+    seen.discard(None)
+    return seen
 
 
 # ---------------------------------------------------------------------------
 # Verification
 
 
-def _conflicting(g: SimpleGraph, el):
-    if el[0] == "v":
-        v = el[1]
-        for w in g.neighbors(v):
-            yield ("v", w)
-            yield ("e",) + edge_key(v, w)
-    else:
-        _, u, v = el
-        yield ("v", u)
-        yield ("v", v)
-        for x in (u, v):
-            for w in g.neighbors(x):
-                other = ("e",) + edge_key(x, w)
-                if other != el:
-                    yield other
-
-
 def verify(g: SimpleGraph, c: TotalColoring) -> list:
     """All conflicting same-colored element pairs; empty means proper.
     A partial coloring is rejected outright."""
-    missing = c.uncolored(g)
+    edges = g.edges()
+    missing = [("v", v) for v in g.vertices if v not in c.vertex_color]
+    missing += [("e",) + e for e in edges if e not in c.edge_color]
     if missing:
         raise ColoringError(f"coloring is partial; uncolored: {missing[:8]}")
     bad = []
-    for u, v in g.edges():
+    for u, v in edges:
         if c.vertex_color[u] == c.vertex_color[v]:
             bad.append(("vv", u, v))
-    for u, v in g.edges():
+    for u, v in edges:
         cuv = c.edge_color[(u, v)]
         if cuv == c.vertex_color[u]:
             bad.append(("ve", u, (u, v)))
@@ -152,10 +152,6 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
     return bad
 
 
-def is_proper(g: SimpleGraph, c: TotalColoring) -> bool:
-    return not verify(g, c)
-
-
 # ---------------------------------------------------------------------------
 # Exact palette search
 
@@ -164,16 +160,15 @@ def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
     """The total chromatic number with a witness, by backtracking.  Refuses
     instances with more than `budget` elements; use solve_tcc or
     greedy_total for those."""
-    els = total_elements(g)
-    if len(els) > budget:
+    size = len(g.vertices) + g.num_edges()
+    if size > budget:
         raise ColoringError(
-            f"{len(els)} elements exceed the exact budget {budget}; "
+            f"{size} elements exceed the exact budget {budget}; "
             "use solve_tcc or greedy_total instead"
         )
-    if not els:
+    if not size:
         return 0, TotalColoring(0)
-    index = {el: i for i, el in enumerate(els)}
-    conflicts = [sorted(index[x] for x in set(_conflicting(g, el))) for el in els]
+    els, conflicts = conflict_lists(g)
     order = sorted(range(len(els)), key=lambda i: (-len(conflicts[i]), i))
     rank = {i: r for r, i in enumerate(order)}
     earlier = [
@@ -199,10 +194,8 @@ def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
 
         if not fill(0):
             return None
-        out = TotalColoring(kappa)
-        for r, i in enumerate(order):
-            out.set_color(els[i], assigned[r])
-        return out
+        colors = [assigned[rank[i]] for i in range(len(els))]
+        return _paint(TotalColoring(kappa), els, colors)
 
     kappa = g.max_degree() + 1
     while True:
@@ -216,29 +209,18 @@ def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
 # Greedy baseline
 
 
-def greedy_total(g: SimpleGraph, order=None) -> TotalColoring:
-    """First-fit over the given element order (vertices then edges by
-    default).  Always proper; the palette is whatever first-fit needs."""
-    els = total_elements(g)
-    if order is None:
-        order = els
-    else:
-        order = list(order)
-        if sorted(order) != sorted(els):
-            raise ColoringError("order must cover every vertex and edge exactly once")
-    c = TotalColoring(0)
-    for el in order:
-        used = {
-            c.color_of(other)
-            for other in _conflicting(g, el)
-            if c.color_of(other) is not None
-        }
+def greedy_total(g: SimpleGraph) -> TotalColoring:
+    """First-fit in element order (vertices, then edges).  Always proper;
+    the palette is whatever first-fit needs."""
+    els, nbrs = conflict_lists(g)
+    colors = [0] * len(els)
+    for i, near in enumerate(nbrs):
+        used = {colors[j] for j in near}
         color = 1
         while color in used:
             color += 1
-        c.set_color(el, color)
-    c.kappa = c.colors_used()
-    return c
+        colors[i] = color
+    return _paint(TotalColoring(max(colors, default=0)), els, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +236,8 @@ def _free_color(kappa: int, *used) -> int | None:
 
 
 def _recolor_vertex(g: SimpleGraph, c: TotalColoring, v, kappa: int) -> None:
-    used = ColorUsage.around(g, c, v).at_vertex_edges
     nbr = {c.vertex_color[w] for w in g.neighbors(v) if w in c.vertex_color}
-    color = _free_color(kappa, used, nbr)
+    color = _free_color(kappa, colors_at(g, c, v), nbr)
     if color is None:
         raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")
     c.vertex_color[v] = color
@@ -282,9 +263,7 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
     out = c.copy()
     out.kappa = kappa
     out.vertex_color.pop(v, None)
-    used_u = ColorUsage.around(g, out, u).at_vertex_closed
-    used_v = ColorUsage.around(g, out, v).at_vertex_edges
-    color = _free_color(kappa, used_u, used_v)
+    color = _free_color(kappa, colors_at(g, out, u), colors_at(g, out, v))
     if color is None:
         raise ColoringError("edge color cannot run out: deg sums leave slack")
     out.edge_color[edge_key(u, v)] = color
@@ -339,8 +318,8 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     wvk = edge_key(w, v)
     uwk = edge_key(u, w)
 
-    used_u = ColorUsage.around(g, out, u).at_vertex_closed
-    used_v = ColorUsage.around(g, out, v).at_vertex_edges
+    used_u = colors_at(g, out, u)
+    used_v = colors_at(g, out, v)
     theta = _free_color(kappa, used_u, used_v)
     if theta is not None:
         out.edge_color[uvk] = theta
@@ -352,9 +331,7 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     pivot = out.edge_color[wvk]
     out.edge_color[uvk] = pivot
     del out.edge_color[wvk]
-    used_w = ColorUsage.around(g, out, w).at_vertex_closed
-    used_v2 = ColorUsage.around(g, out, v).at_vertex_edges
-    fresh = _free_color(kappa, used_w, used_v2)
+    fresh = _free_color(kappa, colors_at(g, out, w), colors_at(g, out, v))
     if fresh is not None:
         out.edge_color[wvk] = fresh
         _recolor_vertex(g, out, v, kappa)
@@ -363,7 +340,7 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     # undo the slide; swap through uw instead
     out.edge_color[wvk] = pivot
     del out.edge_color[uvk]
-    used_w_full = ColorUsage.around(g, out, w).at_vertex_closed
+    used_w_full = colors_at(g, out, w)
     alpha = _free_color(kappa, used_u, used_w_full)
     if alpha is None:
         return P3Certificate(
@@ -398,53 +375,56 @@ class SolveResult:
 
 def _repair_into(g: SimpleGraph, c: TotalColoring, kappa: int, attempts: int) -> bool:
     """Try to squeeze an over-palette proper coloring into 1..kappa by
-    first-fit recoloring with single-element ejection.  Mutates c; returns
-    True on success.  Bounded and deterministic."""
-    els = total_elements(g)
+    first-fit recoloring with single-element ejection.  Mutates c, keeping
+    whatever progress was made; returns True on success.  Bounded and
+    deterministic."""
+    els, nbrs = conflict_lists(g)
+    colors = [c.color_of(el) for el in els]
     budget = attempts
-    for _ in range(len(els)):
-        over = sorted(
-            (el for el in els if c.color_of(el) > kappa),
-            key=lambda el: (-c.color_of(el), el),
-        )
-        if not over:
-            c.kappa = kappa
-            return True
-        progressed = False
-        for el in over:
-            if budget <= 0:
-                return False
-            budget -= 1
-            neighbors = sorted(set(_conflicting(g, el)))
-            used = {c.color_of(n) for n in neighbors}
-            slot = _free_color(kappa, used)
-            if slot is not None:
-                c.set_color(el, slot)
-                progressed = True
-                continue
-            # eject one blocker: only a color held by a single neighbor can
-            # be freed up by moving just that neighbor
-            by_color = {}
-            for n in neighbors:
-                by_color.setdefault(c.color_of(n), []).append(n)
-            for gamma in range(1, kappa + 1):
-                holders = by_color.get(gamma, ())
-                if len(holders) != 1:
+    try:
+        for _ in range(len(els)):
+            over = sorted(
+                (i for i in range(len(els)) if colors[i] > kappa),
+                key=lambda i: (-colors[i], els[i]),
+            )
+            if not over:
+                c.kappa = kappa
+                return True
+            progressed = False
+            for i in over:
+                if budget <= 0:
+                    return False
+                budget -= 1
+                slot = _free_color(kappa, {colors[j] for j in nbrs[i]})
+                if slot is not None:
+                    colors[i] = slot
+                    progressed = True
                     continue
-                n = holders[0]
-                n_used = {c.color_of(m) for m in _conflicting(g, n) if m != el}
-                alt = _free_color(kappa, n_used, {gamma})
-                if alt is None:
-                    continue
-                c.set_color(n, alt)
-                c.set_color(el, gamma)
-                progressed = True
-                break
-            if budget <= 0:
+                # eject one blocker: only a color held by a single neighbor
+                # can be freed up by moving just that neighbor
+                by_color = {}
+                for j in nbrs[i]:
+                    by_color.setdefault(colors[j], []).append(j)
+                for gamma in range(1, kappa + 1):
+                    holders = by_color.get(gamma, ())
+                    if len(holders) != 1:
+                        continue
+                    j = holders[0]
+                    j_used = {colors[m] for m in nbrs[j] if m != i}
+                    alt = _free_color(kappa, j_used, {gamma})
+                    if alt is None:
+                        continue
+                    colors[j] = alt
+                    colors[i] = gamma
+                    progressed = True
+                    break
+                if budget <= 0:
+                    return False
+            if not progressed:
                 return False
-        if not progressed:
-            return False
-    return False
+        return False
+    finally:
+        _paint(c, els, colors)
 
 
 def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> SolveResult:
@@ -462,7 +442,7 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
 
     peeled = []  # (edge, apex or None), outermost first
     current = g
-    while len(total_elements(current)) > budget:
+    while len(current.vertices) + current.num_edges() > budget:
         e = find_reducible_edge(current, kappa)
         if e is not None:
             peeled.append((e, None))
@@ -476,17 +456,17 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
             continue
         break
 
-    result = None
-    if len(total_elements(current)) <= budget:
+    size = len(current.vertices) + current.num_edges()
+    if size <= budget:
         chi, witness = exact_chi_tt(current, budget=budget)
-        trace.append(f"exact core: {len(total_elements(current))} elements, chi={chi}")
+        trace.append(f"exact core: {size} elements, chi={chi}")
         witness.kappa = max(kappa, chi)
         result = witness
     else:
         trace.append("core too large for exact search; greedy first-fit")
         result = greedy_total(current)
         if result.colors_used() > kappa:
-            if _repair_into(current, result, kappa, 50 * len(total_elements(current))):
+            if _repair_into(current, result, kappa, 50 * size):
                 trace.append("repair squeezed the core into the target palette")
             else:
                 trace.append("core repair exhausted; palette stays over target")
@@ -503,7 +483,8 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
             if isinstance(ext, P3Certificate):
                 trace.append(f"triangle cascade stalled at {e}; greedy fallback")
                 result = greedy_total(current)
-                _repair_into(current, result, kappa, 50 * len(total_elements(current)))
+                size = len(current.vertices) + current.num_edges()
+                _repair_into(current, result, kappa, 50 * size)
                 result.kappa = max(kappa, result.colors_used())
             else:
                 result = ext

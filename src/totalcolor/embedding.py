@@ -201,6 +201,7 @@ class EmbeddedGraph:
         return self.segment_origin[key] is None
 
     def faces(self) -> list[Face]:
+        """All faces, each boundary starting at its smallest dart id."""
         if self._faces is None:
             succ = {}
             for rot in self.rotation.values():
@@ -225,11 +226,6 @@ class EmbeddedGraph:
 
     def face_vertices(self, face: Face) -> tuple:
         return tuple(self.owner[d] for d in face.boundary)
-
-
-def trace_faces(e: EmbeddedGraph) -> list[Face]:
-    """All faces, each boundary starting at its smallest dart id."""
-    return e.faces()
 
 
 def dart_face_index(faces: Iterable[Face]) -> dict:
@@ -340,53 +336,12 @@ def check_against_graph(e: EmbeddedGraph, g: SimpleGraph) -> None:
         raise EmbedError(f"graph edge {missing[0]} is not drawn")
 
 
-def build_associated(
-    g: SimpleGraph,
-    rotation: Mapping[int, Sequence[int]],
-    twin: Mapping[int, int],
-    crossing_vertices: Iterable[int],
-    surface: str,
-    crossing_pairs: Sequence[tuple] | None = None,
-) -> EmbeddedGraph:
-    """Assemble and validate the associated graph of a 1-embedded g.
-
-    crossing_pairs, when given, lists the pairs of g-edges expected to
-    cross; it is checked for disjointness (an edge may cross at most one
-    other) and against the pairing actually derived from the rotations.
-    """
-    crossing = set(crossing_vertices)
-    if crossing_pairs is not None:
-        used: dict = {}
-        for e1, e2 in crossing_pairs:
-            for edge in (tuple(sorted(e1)), tuple(sorted(e2))):
-                if edge in used:
-                    raise EmbedError(f"edge {edge} crosses twice")
-                used[edge] = True
-    kinds = {
-        v: CROSSING if v in crossing else TRUE for v in rotation
-    }
-    e = EmbeddedGraph(rotation, twin, kinds, surface)
-    check_against_graph(e, g)
-    if crossing_pairs is not None:
-        derived = set()
-        for x in e.crossing_vertices():
-            rot = e.rotation[x]
-            e1 = e.segment_origin[seg_key(rot[0], e.twin)]
-            e2 = e.segment_origin[seg_key(rot[1], e.twin)]
-            derived.add(frozenset((e1, e2)))
-        given = {
-            frozenset((tuple(sorted(a)), tuple(sorted(b))))
-            for a, b in crossing_pairs
-        }
-        if derived != given:
-            raise EmbedError("declared crossing pairs do not match the rotations")
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Text format
 
 def parse_embedding(text: str) -> EmbeddedGraph:
+    """Read the text format; the drawing must be 2-cell on its declared
+    surface (see check_two_cell)."""
     surface = None
     section = None
     rotation: dict = {}
@@ -435,12 +390,9 @@ def parse_embedding(text: str) -> EmbeddedGraph:
     if surface is None:
         raise EmbedError("missing 'surface:' line")
     kinds = {v: CROSSING if v in crossings else TRUE for v in rotation}
-    try:
-        return EmbeddedGraph(
-            rotation, twin, kinds, surface, origins if have_origins else None
-        )
-    except EmbedError:
-        raise
+    e = EmbeddedGraph(rotation, twin, kinds, surface, origins if have_origins else None)
+    check_two_cell(e)
+    return e
 
 
 def dump_embedding(e: EmbeddedGraph) -> str:

@@ -192,7 +192,7 @@ def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph
 # high-degree triangle-free instances
 
 
-def _radial_quad_drawing(delta: int, size: int, seed: int):
+def _radial_quad_drawing(delta: int, size: int):
     """Hub of degree delta inside nested rings of quadrilaterals; bipartite
     by construction, so triangle-free, and planar by construction."""
     rings = max(1, (size - 1) // delta)
@@ -261,7 +261,7 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         raise GenError(f"the high-degree family starts at delta 11, got {delta}")
     if size < delta + 1:
         raise GenError(f"cannot reach degree {delta} on {size} vertices")
-    g, faces, degree = _radial_quad_drawing(delta, size, seed)
+    g, faces, degree = _radial_quad_drawing(delta, size)
     rng = Lcg64(seed)
     # pad to the exact size by splitting quad faces across a diagonal;
     # a degree-2 vertex on a diagonal keeps the graph bipartite

@@ -16,7 +16,7 @@ class GraphError(ValueError):
     """Malformed graph input: loops, duplicate edges, missing elements."""
 
 
-def _norm(u, v):
+def edge_key(u, v) -> tuple:
     return (u, v) if u <= v else (v, u)
 
 
@@ -80,7 +80,7 @@ def build_graph(edge_list: Sequence[tuple], vertices: Iterable = ()) -> SimpleGr
     for u, v in edge_list:
         if u == v:
             raise GraphError(f"loop ({u},{v}) is not allowed")
-        key = _norm(u, v)
+        key = edge_key(u, v)
         if key in seen:
             raise GraphError(f"duplicate edge ({u},{v})")
         seen.add(key)
@@ -199,14 +199,6 @@ def check_property_P(g: SimpleGraph) -> PropertyPReport:
                 PViolation("diamond", w.hub_pair + w.wing_pair, hub_degs + wing_degs)
             )
     return PropertyPReport(holds=not violations, violations=violations)
-
-
-def edge_triangle_count(g: SimpleGraph, e: tuple) -> int:
-    """Number of triangles containing the edge e."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise GraphError(f"edge ({u},{v}) not in graph")
-    return len(g.common_neighbors(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ from itertools import permutations
 from .coloring import (
     P3Certificate,
     TotalColoring,
+    _paint,
+    conflict_lists,
     extend_p1,
     extend_p3,
-    total_elements,
     verify,
 )
 from .graphs import SimpleGraph, build_graph, check_property_P, delete_edge, find_k4s
@@ -368,14 +369,8 @@ def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng) -> tuple:
     lexicographic prefix).  Second result: True when more colorings exist
     beyond the cap."""
     limit = cap + 1
-    els = total_elements(g)
-    from .coloring import _conflicting  # shared adjacency walk
-
-    index = {el: i for i, el in enumerate(els)}
-    earlier = [
-        sorted(index[x] for x in set(_conflicting(g, el)) if index[x] < i)
-        for i, el in enumerate(els)
-    ]
+    els, nbrs = conflict_lists(g)
+    earlier = [[j for j in near if j < i] for i, near in enumerate(nbrs)]
     found = []
     assigned = [0] * len(els)
 
@@ -383,10 +378,7 @@ def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng) -> tuple:
         if len(found) >= limit:
             return
         if i == len(els):
-            c = TotalColoring(kappa)
-            for k, el in enumerate(els):
-                c.set_color(el, assigned[k])
-            found.append(c)
+            found.append(_paint(TotalColoring(kappa), els, assigned))
             return
         taken = {assigned[j] for j in earlier[i]}
         colors = list(range(1, kappa + 1))

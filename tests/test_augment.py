@@ -16,7 +16,6 @@ from totalcolor.embedding import (
     EmbedError,
     euler_characteristic,
     from_face_cycles,
-    trace_faces,
 )
 from totalcolor.gen import (
     gen_crossed,
@@ -129,7 +128,7 @@ def test_fixpoint_and_euler_preserved(make):
     a = build_g_star(e, g)
     assert check_fixpoint(a)
     assert euler_characteristic(a.star) == euler_characteristic(e)
-    assert len(trace_faces(a.star)) == len(trace_faces(e)) + len(a.insertions)
+    assert len(a.star.faces()) == len(e.faces()) + len(a.insertions)
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,11 @@ import pytest
 from totalcolor import coloring
 from totalcolor.coloring import (
     ColoringError,
-    ColorUsage,
     P3Certificate,
     TotalColoring,
+    colors_at,
     coloring_from_text,
+    conflict_lists,
     edge_key,
     exact_chi_tt,
     extend_p1,
@@ -214,12 +215,13 @@ def test_proper_random_colorings_pass_both_checkers():
 # greedy
 
 
-def test_greedy_star_edges_first():
+def test_greedy_star_vertices_first():
     g = star_graph(5)
-    els = total_elements(g)
-    order = [el for el in els if el[0] == "e"] + [el for el in els if el[0] == "v"]
-    c = greedy_total(g, order)
-    assert c.colors_used() == 6  # n edges pairwise conflicting, then the hub
+    c = greedy_total(g)
+    # hub 1, leaves 2, then the five pairwise conflicting edges 3..7
+    assert c.vertex_color == {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2}
+    assert [c.edge_color[(0, i)] for i in range(1, 6)] == [3, 4, 5, 6, 7]
+    assert c.kappa == c.colors_used() == 7
     assert verify(g, c) == []
 
 
@@ -229,60 +231,51 @@ def test_greedy_empty_graph():
 
 
 def test_greedy_k4_under_degree_bound():
-    rng = random.Random(20240818)
     g = complete_graph(4)
-    els = total_elements(g)
-    for _ in range(10):
-        order = els[:]
-        rng.shuffle(order)
-        c = greedy_total(g, order)
-        assert c.colors_used() <= 7
-        assert verify(g, c) == []
+    c = greedy_total(g)
+    assert c.colors_used() <= 7  # 2 * Delta + 1
+    assert verify(g, c) == []
 
 
 def test_greedy_respects_conflict_degree_bound():
-    from totalcolor.coloring import _conflicting
-
     for seed in range(8):
         g = random_graph(8, 0.5, seed)
         c = greedy_total(g)
-        bound = max(
-            (len(set(_conflicting(g, el))) for el in total_elements(g)), default=0
-        )
+        bound = max((len(near) for near in conflict_lists(g)[1]), default=0)
         assert c.colors_used() <= bound + 1
         assert verify(g, c) == []
 
 
-def test_greedy_rejects_bad_order():
-    g = cycle_graph(3)
-    els = total_elements(g)
-    with pytest.raises(ColoringError, match="cover every vertex and edge"):
-        greedy_total(g, els[:-1])
-    with pytest.raises(ColoringError):
-        greedy_total(g, els + [els[0]])
-
-
 # ---------------------------------------------------------------------------
-# ColorUsage
+# conflict lists and the color census around a vertex
+
+
+def test_conflict_lists_match_brute_oracle():
+    rng = random.Random(20240818)
+    for seed in range(20):
+        g = random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.8), seed)
+        els, nbrs = conflict_lists(g)
+        assert els == total_elements(g)
+        for i, x in enumerate(els):
+            assert nbrs[i] == [j for j, y in enumerate(els) if elements_conflict(g, x, y)]
 
 
 def test_color_usage_census_and_bounds():
     g = complete_graph(4)
     c = greedy_total(g)
     for v in g.vertices:
-        u = ColorUsage.around(g, c, v)
-        assert u.at_vertex_edges == {c.edge_color[edge_key(v, w)] for w in g.neighbors(v)}
-        assert u.at_vertex_closed == u.at_vertex_edges | {c.vertex_color[v]}
-        assert len(u.at_vertex_edges) <= g.degree(v)
-        assert len(u.at_vertex_closed) <= g.degree(v) + 1
+        on_edges = {c.edge_color[edge_key(v, w)] for w in g.neighbors(v)}
+        assert colors_at(g, c, v) == on_edges | {c.vertex_color[v]}
+        assert len(colors_at(g, c, v)) == g.degree(v) + 1
 
 
 def test_color_usage_on_erased_vertex():
     g = path_graph(3)
     c = greedy_total(g)
     del c.vertex_color[1]
-    u = ColorUsage.around(g, c, 1)
-    assert u.at_vertex_closed == u.at_vertex_edges
+    assert colors_at(g, c, 1) == {c.edge_color[(0, 1)], c.edge_color[(1, 2)]}
+    del c.edge_color[(0, 1)]
+    assert colors_at(g, c, 1) == {c.edge_color[(1, 2)]}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from totalcolor.embedding import (
     EmbeddedGraph,
     EmbedError,
-    build_associated,
     charge_sum_identity,
     check_against_graph,
     check_two_cell,
@@ -12,8 +11,8 @@ from totalcolor.embedding import (
     euler_characteristic,
     from_face_cycles,
     parse_embedding,
-    trace_faces,
 )
+from totalcolor.gen import gen_planar_triangulation
 from totalcolor.graphs import build_graph
 
 from helpers import complete_graph
@@ -56,7 +55,7 @@ def torus_grid(m, n):
 
 def test_planar_k4_faces():
     e = planar_k4()
-    faces = trace_faces(e)
+    faces = e.faces()
     assert len(faces) == 4
     assert all(f.size == 3 for f in faces)
     assert euler_characteristic(e) == 2
@@ -68,7 +67,7 @@ def test_k5_crossed_structure():
     assert e.crossing_vertices() == [5]
     assert e.degree(5) == 4
     assert e.num_segments() == 12
-    assert len(trace_faces(e)) == 8
+    assert len(e.faces()) == 8
     assert euler_characteristic(e) == 2
     # the two crossed edges are recovered from the rotation at the crossing
     crossed = {edge for edge in e.segment_origin.values() if edge is not None}
@@ -77,7 +76,7 @@ def test_k5_crossed_structure():
 
 def test_torus_grid_c3c3():
     e = torus_grid(3, 3)
-    faces = trace_faces(e)
+    faces = e.faces()
     assert len(faces) == 9
     assert all(f.size == 4 for f in faces)
     assert e.num_segments() == 18
@@ -87,7 +86,7 @@ def test_torus_grid_c3c3():
 
 def test_plane_c5_two_faces():
     e = from_face_cycles([(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)], "plane")
-    faces = trace_faces(e)
+    faces = e.faces()
     assert sorted(f.size for f in faces) == [5, 5]
     assert euler_characteristic(e) == 2
 
@@ -109,7 +108,7 @@ def test_two_cell_mismatch_rejected():
 @pytest.mark.parametrize("make", [planar_k4, k5_crossed, lambda: torus_grid(3, 4)])
 def test_dart_conservation(make):
     e = make()
-    faces = trace_faces(e)
+    faces = e.faces()
     total = sum(f.size for f in faces)
     assert total == 2 * e.num_segments()
     assert total == sum(len(rot) for rot in e.rotation.values())
@@ -127,13 +126,13 @@ def test_charge_sum_identity(make):
 
 def test_faces_start_at_min_dart():
     e = k5_crossed()
-    for f in trace_faces(e):
+    for f in e.faces():
         assert f.boundary[0] == min(f.boundary)
 
 
 def test_face_vertices():
     e = planar_k4()
-    for f in trace_faces(e):
+    for f in e.faces():
         vs = e.face_vertices(f)
         assert len(set(vs)) == 3
 
@@ -209,32 +208,6 @@ def test_bad_origins_rejected():
         EmbeddedGraph(e.rotation, e.twin, e.vertex_kind, "plane", bad)
 
 
-def test_build_associated_with_pairs():
-    e, g = quad_with_crossing()
-    out = build_associated(
-        g, e.rotation, e.twin, {4}, "plane", crossing_pairs=[((0, 2), (1, 3))]
-    )
-    assert out.segment_origin == e.segment_origin
-
-
-def test_build_associated_edge_crosses_twice():
-    e, g = quad_with_crossing()
-    with pytest.raises(EmbedError, match="crosses twice"):
-        build_associated(
-            g, e.rotation, e.twin, {4}, "plane",
-            crossing_pairs=[((0, 2), (1, 3)), ((0, 2), (0, 1))],
-        )
-
-
-def test_build_associated_wrong_pairs():
-    e, g = quad_with_crossing()
-    with pytest.raises(EmbedError, match="do not match"):
-        build_associated(
-            g, e.rotation, e.twin, {4}, "plane",
-            crossing_pairs=[((0, 1), (2, 3))],
-        )
-
-
 def test_check_against_graph_mismatches():
     e = planar_k4()
     with pytest.raises(EmbedError, match="not an edge"):
@@ -262,3 +235,11 @@ def test_parse_embedding_errors():
         parse_embedding("rotation:\n")
     with pytest.raises(EmbedError, match="line 3"):
         parse_embedding("surface: plane\ntwins:\n1 2 3\n")
+
+
+def test_parse_embedding_rejects_mislabelled_surface():
+    _, e = gen_planar_triangulation(20, seed=1)
+    text = dump_embedding(e)
+    assert parse_embedding(text).surface == "plane"
+    with pytest.raises(EmbedError, match="not 2-cell for declared surface torus"):
+        parse_embedding(text.replace("surface: plane", "surface: torus"))

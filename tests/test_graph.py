@@ -10,7 +10,6 @@ from totalcolor.graphs import (
     check_property_P,
     delete_edge,
     dump_edge_list,
-    edge_triangle_count,
     find_induced_diamonds,
     find_k4s,
     parse_edge_list,
@@ -152,15 +151,6 @@ def test_property_P_heavy_hubs_and_wings_fail():
     (viol,) = rep.violations
     assert viol.kind == "diamond"
     assert viol.vertices[:2] == (0, 1)
-
-
-def test_edge_triangle_count():
-    diamond = delete_edge(complete_graph(4), (0, 1))
-    assert edge_triangle_count(diamond, (2, 3)) == 2
-    assert edge_triangle_count(cycle_graph(5), (0, 1)) == 0
-    assert edge_triangle_count(complete_graph(5), (0, 1)) == 3
-    with pytest.raises(GraphError):
-        edge_triangle_count(cycle_graph(5), (0, 2))
 
 
 def _holds_after_every_deletion(g):
