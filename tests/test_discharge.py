@@ -2,13 +2,15 @@
 outflow accounting, structural claims, and the final report."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from totalcolor.augment import AugmentedGraph, build_g_star
-from totalcolor.configs import assemble, get_config
+from totalcolor.augment import AugmentedGraph, augment_report, build_g_star
+from totalcolor.configs import all_configs, assemble, get_config
 from totalcolor.discharge import (
     POOL,
     ChargeLedger,
@@ -26,6 +28,13 @@ from totalcolor.discharge import (
     initial_charges,
     make_ledger,
     semi_fans,
+)
+from totalcolor.gen import (
+    gen_crossed,
+    gen_high_degree_P_drawing,
+    gen_planar_triangulation,
+    gen_toroidal_grid,
+    true_graph_of,
 )
 from totalcolor.graphs import build_graph
 from totalcolor.ruletable import RuleTable, default_rules, rule_table_from_dict
@@ -563,3 +572,52 @@ def test_final_report_lists_negatives_first():
     ]
     assert rep["applied"] == ["R1", "R2", "R3", "R4"]
     assert Fraction(rep["final_total"]) == led.initial_total()
+
+
+# -- golden pins --------------------------------------------------------------
+# sha256 of the augmentation report, the final report and the claim counts,
+# which a refactor of the discharging code must reproduce exactly.
+
+
+def _acceptance_drawings():
+    """The 100 seeded drawings of the acceptance corpus, regenerated."""
+    drawings = []
+    for s in range(40):
+        _, e = gen_toroidal_grid(3 + s % 3, 3 + (s // 3) % 3)
+        drawings.append(gen_crossed(e, 1 + s % 3, seed=s))
+    for s in range(30):
+        _, e = gen_planar_triangulation(5 + s % 12, seed=s)
+        drawings.append(e)
+    for s in range(30):
+        delta = 11 + s % 3
+        _, e = gen_high_degree_P_drawing(delta, 2 * delta + 1 + (s % 4) * 20, seed=s)
+        drawings.append(e)
+    return drawings
+
+
+def _pin_digest(instances):
+    h = hashlib.sha256()
+    for a in instances:
+        ledger = discharge(a)
+        for part in (
+            augment_report(a),
+            final_report(ledger),
+            check_claims(a, ledger).counts(),
+        ):
+            h.update(json.dumps(part, sort_keys=True).encode())
+            h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_golden_acceptance_corpus_reports():
+    instances = [build_g_star(e, true_graph_of(e)) for e in _acceptance_drawings()]
+    assert len(instances) == 100
+    assert _pin_digest(instances) == (
+        "5612b74aece8ed4ede684eace82c219291090383ea1949334487943569143e10"
+    )
+
+
+def test_golden_config_reports():
+    assert _pin_digest([cfg.build() for cfg in all_configs()]) == (
+        "c1e5b619325edc364ed0597cbac2c2f6e590028c2f437cf67868f817f7688ba1"
+    )
