@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .embedding import TRUE, EmbeddedGraph, EmbedError, seg_key
+from .embedding import TRUE, EmbeddedGraph, EmbedError
 from .graphs import SimpleGraph
 
 
@@ -56,7 +56,7 @@ class AugmentedGraph:
         return self.star.faces()
 
     def new_segments(self) -> list[tuple]:
-        return [k for k in self.star.segments() if self.star.segment_origin[k] is None]
+        return [k for k in self.star.segments() if self.star.is_new(k[0])]
 
     def new_edge_count(self) -> int:
         return len(self.new_segments())
@@ -172,15 +172,12 @@ def classify_vertices(a: AugmentedGraph) -> dict:
         d2 = star.degree(v)
         d1 = a.g.degree(v) if kind == TRUE else None
         big = kind == TRUE and ((d1 == 3 and d2 == 5) or d2 >= 6)
-        new_inc = any(
-            star.segment_origin[seg_key(d, star.twin)] is None for d in star.rotation[v]
-        )
         table[v] = VertexClass(
             d1=d1,
             d2=d2,
             kind=kind,
             size_class="big" if big else "small",
-            new_incident=new_inc,
+            new_incident=any(star.is_new(d) for d in star.rotation[v]),
         )
     return table
 
@@ -189,7 +186,7 @@ def is_new_edge(a: AugmentedGraph, segment: tuple) -> bool:
     key = tuple(sorted(segment))
     if key not in a.star.segment_origin:
         raise EmbedError(f"unknown segment {segment}")
-    return a.star.segment_origin[key] is None
+    return a.star.is_new(key[0])
 
 
 def check_fixpoint(a: AugmentedGraph, join_adjacent: bool = True) -> bool:

@@ -77,16 +77,10 @@ def _write_dot(path: str, a: AugmentedGraph) -> None:
         lines.append(
             f'  v{v} [shape={shape} peripheries={peripheries} label="v{v} ({cls.d2})"];'
         )
-    seen = set()
-    for key in sorted(star.segments()):
-        d = key[0]
-        u, w = star.owner[d], star.owner[star.twin[d]]
-        if key in seen:
-            continue
-        seen.add(key)
-        style = "dashed" if star.segment_origin[key] is None else "solid"
-        a_, b_ = sorted((u, w))
-        lines.append(f"  v{a_} -- v{b_} [style={style}];")
+    for d, e in star.segments():
+        style = "dashed" if star.is_new(d) else "solid"
+        u, w = sorted((star.owner[d], star.owner[e]))
+        lines.append(f"  v{u} -- v{w} [style={style}];")
     lines.append("}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .augment import AugmentedGraph
+from .discharge import _frac_str, discharge
 from .embedding import EmbedError, from_face_cycles
 from .graphs import build_graph
 
@@ -117,20 +118,14 @@ class LocalConfig:
 
 
 def focal_receipts(cfg: LocalConfig, ledger) -> list:
-    got = [
-        (t.rule, f"{t.amount.numerator}/{t.amount.denominator}"
-         if t.amount.denominator != 1 else str(t.amount.numerator))
-        for t in ledger.transfers
-        if t.target == cfg.focal
-    ]
-    return sorted(got)
+    return sorted(
+        (t.rule, _frac_str(t.amount)) for t in ledger.transfers if t.target == cfg.focal
+    )
 
 
 def verify_config(cfg: LocalConfig) -> dict:
     """Build, discharge, and compare against the frozen expectation.
     Returns a report dict; callers assert on its fields."""
-    from .discharge import discharge
-
     a = cfg.build()
     ledger = discharge(a)
     got = focal_receipts(cfg, ledger)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .augment import AugmentedGraph
-from .embedding import CROSSING, TRUE, seg_key
+from .embedding import CROSSING, TRUE
 from .ruletable import (
     MatchContext,
     RuleTable,
@@ -68,6 +68,11 @@ class ChargeLedger:
     pool: Fraction = Fraction(0)
     pool_flagged: bool = False
     applied: list = field(default_factory=list)
+    # the one pattern-matching index over G* that every pass reads
+    ctx: MatchContext = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ctx = MatchContext(self.a)
 
     def initial_total(self) -> Fraction:
         return sum(self.initial.values(), Fraction(0))
@@ -82,23 +87,12 @@ class ChargeLedger:
         return out
 
     def final_of(self, element) -> Fraction:
-        total = self.initial[element]
-        for t in self.transfers:
-            if t.source == element:
-                total -= t.amount
-            if t.target == element:
-                total += t.amount
-        return total
+        return self.final()[element]
 
     def conserved_total(self) -> Fraction:
         """Sum of all final charges plus the pool balance; transfers never
         change it."""
         return sum(self.final().values(), Fraction(0)) + self.pool
-
-    def negatives(self) -> list:
-        items = [(e, c) for e, c in self.final().items() if c < 0]
-        items.sort(key=lambda ec: (ec[1], _element_key(ec[0])))
-        return items
 
     def received_by(self, element) -> Fraction:
         return sum((t.amount for t in self.transfers if t.target == element), Fraction(0))
@@ -167,21 +161,17 @@ def apply_r2(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     boundary occurrences (with multiplicity); a big face with no small
     occurrence keeps its charge."""
     star = a.star
-    for fi, f in enumerate(star.faces()):
-        if f.size < 4:
+    ctx = ledger.ctx
+    for fi, f in enumerate(ctx.faces):
+        share = ctx.face_share(fi)
+        if f.size < 4 or share is None:
             continue
-        small_darts = [
-            d
-            for d in f.boundary
-            if a.classification[star.owner[d]].size_class == "small"
-        ]
-        if not small_darts:
-            continue
-        share = Fraction(2 * f.size - 6, len(small_darts))
-        for d in small_darts:
-            ledger.transfers.append(
-                TransferRecord("R2", ("face", fi), star.owner[d], share, dart=d)
-            )
+        for d in f.boundary:
+            v = star.owner[d]
+            if a.classification[v].size_class == "small":
+                ledger.transfers.append(
+                    TransferRecord("R2", ("face", fi), v, share, dart=d)
+                )
     ledger.applied.append("R2")
 
 
@@ -189,16 +179,13 @@ def apply_r3(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     """A small (5,5) original vertex whose five corners are all 3-faces
     collects 1/3 from each original-vertex neighbor."""
     star = a.star
-    faces = star.faces()
-    from .embedding import dart_face_index
-
-    dfi = dart_face_index(faces)
+    ctx = ledger.ctx
     third = Fraction(1, 3)
     for v in sorted(star.vertices()):
         c = a.classification[v]
         if c.kind != TRUE or c.d1 != 5 or c.d2 != 5:
             continue
-        if any(faces[dfi[d]].size != 3 for d in star.rotation[v]):
+        if any(ctx.face_size[fi] != 3 for fi in ctx.corner[v]):
             continue
         for d in star.rotation[v]:
             w = star.other_end(d)
@@ -218,7 +205,7 @@ def apply_rule_table(
     the table enables it) reroutes matched transfers to `ledger.skipped`."""
     if table is None:
         table = default_rules()
-    ctx = MatchContext(a)
+    ctx = ledger.ctx
     star = a.star
     delta = ledger.delta
     use_guard = "guarded-crossing" in table.exclusions
@@ -394,7 +381,7 @@ def check_claims(a: AugmentedGraph, ledger: ChargeLedger | None = None) -> Claim
     from .graphs import find_k4s
 
     star = a.star
-    ctx = MatchContext(a)
+    ctx = ledger.ctx if ledger is not None else MatchContext(a)
     cls = a.classification
 
     k4s = [tuple(sorted(k)) for k in find_k4s(a.g)]
@@ -407,7 +394,7 @@ def check_claims(a: AugmentedGraph, ledger: ChargeLedger | None = None) -> Claim
             continue
         b = f.boundary
         verts = [star.owner[d] for d in b]
-        isnew = [star.segment_origin[seg_key(d, star.twin)] is None for d in b]
+        isnew = [star.is_new(d) for d in b]
         for i in range(s):
             # forward triple (u, v, w) and its mirror along the boundary
             for u_i, v_i, w_i, uv_new in (
@@ -487,22 +474,15 @@ def final_report(ledger: ChargeLedger) -> dict:
         "charges": {
             element_label(e): _frac_str(c) for e, c in ordered
         },
-        "transfers": [
-            {
-                "rule": t.rule,
-                "from": element_label(t.source),
-                "to": element_label(t.target),
-                "amount": _frac_str(t.amount),
-            }
-            for t in ledger.transfers
-        ],
-        "skipped": [
-            {
-                "rule": t.rule,
-                "from": element_label(t.source),
-                "to": element_label(t.target),
-                "amount": _frac_str(t.amount),
-            }
-            for t in ledger.skipped
-        ],
+        "transfers": [_transfer_row(t) for t in ledger.transfers],
+        "skipped": [_transfer_row(t) for t in ledger.skipped],
+    }
+
+
+def _transfer_row(t: TransferRecord) -> dict:
+    return {
+        "rule": t.rule,
+        "from": element_label(t.source),
+        "to": element_label(t.target),
+        "amount": _frac_str(t.amount),
     }

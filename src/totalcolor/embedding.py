@@ -194,11 +194,10 @@ class EmbeddedGraph:
     def other_end(self, d: int):
         return self.owner[self.twin[d]]
 
-    def rotation_neighbors(self, v) -> list:
-        return [self.other_end(d) for d in self.rotation[v]]
-
-    def is_new_segment(self, key: tuple) -> bool:
-        return self.segment_origin[key] is None
+    def is_new(self, d: int) -> bool:
+        """Whether dart d lies on a new segment (one with no origin edge)."""
+        e = self.twin[d]
+        return self.segment_origin[(d, e) if d < e else (e, d)] is None
 
     def faces(self) -> list[Face]:
         """All faces, each boundary starting at its smallest dart id."""

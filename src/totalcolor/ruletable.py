@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .augment import AugmentedGraph
-from .embedding import CROSSING, TRUE, dart_face_index, seg_key
+from .embedding import CROSSING, TRUE, dart_face_index
 
 AMOUNT_MENU = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
@@ -98,10 +98,7 @@ class MatchContext:
         self.faces = star.faces()
         self.dart_face = dart_face_index(self.faces)
         self.face_size = [f.size for f in self.faces]
-        self.face_new = [
-            any(star.segment_origin[seg_key(d, star.twin)] is None for d in f.boundary)
-            for f in self.faces
-        ]
+        self.face_new = [any(star.is_new(d) for d in f.boundary) for f in self.faces]
         self.face_bigs = []
         self.face_smalls = []
         for f in self.faces:
@@ -141,43 +138,34 @@ def resolve_threshold(value, delta: int) -> int:
     return delta - offsets[value]
 
 
-def _end_degree(c) -> int:
-    # degree thresholds refer to the original graph for true vertices
-    return c.d1 if c.kind == TRUE else c.d2
+def _class_matches(p: EndPattern, c) -> bool:
+    """The class fields either end of a rule may pin."""
+    return (
+        (p.kind is None or c.kind == p.kind)
+        and (p.d1 is None or c.d1 == p.d1)
+        and (p.d2 is None or c.d2 == p.d2)
+        and (p.size_class is None or c.size_class == p.size_class)
+        and (p.new_incident is None or c.new_incident == p.new_incident)
+    )
 
 
 def sender_matches(p: EndPattern, ctx: MatchContext, s, r_dart: int, delta: int) -> bool:
     c = ctx.a.classification[s]
-    if p.kind is not None and c.kind != p.kind:
+    if not _class_matches(p, c):
         return False
-    if p.d1 is not None and c.d1 != p.d1:
-        return False
-    if p.d2 is not None and c.d2 != p.d2:
-        return False
-    if p.size_class is not None and c.size_class != p.size_class:
-        return False
-    if p.new_incident is not None and c.new_incident != p.new_incident:
-        return False
-    if p.min_degree is not None and _end_degree(c) < resolve_threshold(p.min_degree, delta):
-        return False
-    if p.via_new_edge is not None:
-        is_new = ctx.star.segment_origin[seg_key(r_dart, ctx.star.twin)] is None
-        if is_new != p.via_new_edge:
+    if p.min_degree is not None:
+        # degree thresholds refer to the original graph for true vertices
+        degree = c.d1 if c.kind == TRUE else c.d2
+        if degree < resolve_threshold(p.min_degree, delta):
             return False
+    if p.via_new_edge is not None and ctx.star.is_new(r_dart) != p.via_new_edge:
+        return False
     return True
 
 
 def receiver_matches(p: EndPattern, ctx: MatchContext, r, r_dart: int) -> bool:
     c = ctx.a.classification[r]
-    if p.kind is not None and c.kind != p.kind:
-        return False
-    if p.d1 is not None and c.d1 != p.d1:
-        return False
-    if p.d2 is not None and c.d2 != p.d2:
-        return False
-    if p.size_class is not None and c.size_class != p.size_class:
-        return False
-    if p.new_incident is not None and c.new_incident != p.new_incident:
+    if not _class_matches(p, c):
         return False
     if p.num_crossing_neighbors is not None and ctx.crossing_nbrs[r] != p.num_crossing_neighbors:
         return False

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import totalcolor.discharge as discharge_module
 from totalcolor.augment import AugmentedGraph, augment_report, build_g_star
 from totalcolor.configs import all_configs, assemble, get_config
 from totalcolor.discharge import (
@@ -621,3 +622,22 @@ def test_golden_config_reports():
     assert _pin_digest([cfg.build() for cfg in all_configs()]) == (
         "c1e5b619325edc364ed0597cbac2c2f6e590028c2f437cf67868f817f7688ba1"
     )
+
+
+def test_one_match_context_per_ledger(monkeypatch):
+    # the ledger's index serves R2, R3, the rule table and the claims
+    built = []
+    real = discharge_module.MatchContext
+
+    def counting(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(discharge_module, "MatchContext", counting)
+    a = get_config("guard-stop").build()
+    ledger = discharge(a)
+    check_claims(a, ledger)
+    assert built == [a]
+    # without a ledger the claims build their own
+    check_claims(a)
+    assert len(built) == 2
