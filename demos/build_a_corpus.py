@@ -30,22 +30,24 @@ for s in specs:
 g, emb = generate(specs[1])
 print("\ncrossed grid: n =", len(g.vertices), " segments =", emb.num_segments())
 
-# write the whole corpus and inspect the manifest
-out = Path(tempfile.mkdtemp(prefix="corpus-"))
-manifest = write_corpus(specs, out)
-print("\nwrote", len(manifest["entries"]), "entries to", out)
-for entry in manifest["entries"]:
-    for fname, digest in sorted(entry["sha256"].items()):
-        print("   ", fname, digest[:16])
+# write the whole corpus into a scratch directory (removed on exit) and
+# inspect the manifest
+with tempfile.TemporaryDirectory(prefix="corpus-") as tmp:
+    out = Path(tmp)
+    manifest = write_corpus(specs, out)
+    print("\nwrote", len(manifest["entries"]), "entries to", out)
+    for entry in manifest["entries"]:
+        for fname, digest in sorted(entry["sha256"].items()):
+            print("   ", fname, digest[:16])
 
-# the manifest on disk matches what write_corpus returned
-on_disk = json.loads((out / "manifest.json").read_text())
-assert on_disk == manifest
+    # the manifest on disk matches what write_corpus returned
+    on_disk = json.loads((out / "manifest.json").read_text())
+    assert on_disk == manifest
 
-# round-trip one artifact through the plain-text parsers: the crossed
-# grid's edge list parses back to the same graph generated above
-entry = manifest["entries"][1]
-g_back = parse_edge_list((out / entry["files"]["graph"]).read_text())
-assert sorted(g_back.edges()) == sorted(g.edges())
+    # round-trip one artifact through the plain-text parsers: the crossed
+    # grid's edge list parses back to the same graph generated above
+    entry = manifest["entries"][1]
+    g_back = parse_edge_list((out / entry["files"]["graph"]).read_text())
+    assert sorted(g_back.edges()) == sorted(g.edges())
 print("\nedge lists parse back to the same graphs; rerunning write_corpus")
 print("over the same specs reproduces every checksum bit for bit.")

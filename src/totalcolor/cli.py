@@ -53,6 +53,10 @@ def _emit_json(path: str | None, payload: dict) -> None:
 
 
 def _violation_label(v: tuple) -> str:
+    if v[0] == "range":
+        el = v[1]
+        name = f"v{el[1]}" if el[0] == "v" else f"e{el[1]}-{el[2]}"
+        return f"{name} color {v[2]} outside the palette"
     if v[0] == "vv":
         return f"v{v[1]} ~ v{v[2]}"
     if v[0] == "ve":

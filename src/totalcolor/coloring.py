@@ -93,14 +93,19 @@ def coloring_from_text(text: str) -> TotalColoring:
         try:
             if parts[0] == "kappa" and len(parts) == 2:
                 kappa = int(parts[1])
-            elif parts[0] == "v" and len(parts) == 3:
-                vc[int(parts[1])] = int(parts[2])
+                continue
+            if parts[0] == "v" and len(parts) == 3:
+                table, key = vc, int(parts[1])
             elif parts[0] == "e" and len(parts) == 4:
-                ec[edge_key(int(parts[1]), int(parts[2]))] = int(parts[3])
+                table, key = ec, edge_key(int(parts[1]), int(parts[2]))
             else:
                 raise ValueError
+            color = int(parts[-1])
         except ValueError:
             raise ColoringError(f"bad coloring line {ln}: {raw!r}") from None
+        if key in table:
+            raise ColoringError(f"coloring line {ln} repeats an entry: {raw!r}")
+        table[key] = color
     if kappa is None:
         raise ColoringError("coloring file is missing its 'kappa K' header")
     return TotalColoring(kappa, vc, ec)
@@ -126,14 +131,26 @@ def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
 
 
 def verify(g: SimpleGraph, c: TotalColoring) -> list:
-    """All conflicting same-colored element pairs; empty means proper.
-    A partial coloring is rejected outright."""
+    """Every color outside 1..kappa as ("range", element, color), then all
+    conflicting same-colored element pairs; empty means proper.  A partial
+    coloring, or one that colors elements g lacks, is rejected outright."""
     edges = g.edges()
     missing = [("v", v) for v in g.vertices if v not in c.vertex_color]
     missing += [("e",) + e for e in edges if e not in c.edge_color]
     if missing:
         raise ColoringError(f"coloring is partial; uncolored: {missing[:8]}")
+    if len(c.vertex_color) != len(g.vertices) or len(c.edge_color) != len(edges):
+        extra = [("v", v) for v in c.vertex_color if v not in g.adj]
+        known = set(edges)
+        extra += [("e",) + e for e in c.edge_color if e not in known]
+        raise ColoringError(f"coloring names elements the graph lacks: {extra[:8]}")
     bad = []
+    colors = (*c.vertex_color.values(), *c.edge_color.values())
+    if colors and not 1 <= min(colors) <= max(colors) <= c.kappa:
+        for el in total_elements(g):
+            color = c.color_of(el)
+            if not 1 <= color <= c.kappa:
+                bad.append(("range", el, color))
     for u, v in edges:
         if c.vertex_color[u] == c.vertex_color[v]:
             bad.append(("vv", u, v))

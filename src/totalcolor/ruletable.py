@@ -129,13 +129,15 @@ class MatchContext:
         return Fraction(2 * self.face_size[fi] - 6, smalls)
 
 
+_THRESHOLDS = {"delta": 0, "delta-1": 1, "delta-2": 2}
+
+
 def resolve_threshold(value, delta: int) -> int:
     if isinstance(value, int):
         return value
-    offsets = {"delta": 0, "delta-1": 1, "delta-2": 2}
-    if value not in offsets:
+    if value not in _THRESHOLDS:
         raise RuleError(f"bad degree threshold {value!r}")
-    return delta - offsets[value]
+    return delta - _THRESHOLDS[value]
 
 
 def _class_matches(p: EndPattern, c) -> bool:
@@ -222,78 +224,117 @@ def guarded_crossing(ctx: MatchContext, s, r, r_dart: int) -> bool:
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_flag(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _is_list(v) -> bool:
+    return isinstance(v, (list, tuple))
+
+
+def _size_bound(v):
+    """(exact, minimum) for a size: an int, or "k+" for at least k; None
+    when v is neither."""
+    if _is_count(v):
+        return v, None
+    if isinstance(v, str) and v.endswith("+") and v[:-1].isdigit():
+        return None, int(v[:-1])
+    return None
+
+
 def _parse_face_token(v) -> FaceToken:
-    if isinstance(v, bool):
-        raise RuleError(f"bad face token {v!r}")
-    if isinstance(v, int):
-        return FaceToken(size=v)
-    if isinstance(v, str):
-        if v.endswith("+") and v[:-1].isdigit():
-            return FaceToken(min_size=int(v[:-1]))
-        raise RuleError(f"bad face token {v!r}")
-    if isinstance(v, dict):
-        unknown = set(v) - {"size", "new_edge", "min_bigs", "max_bigs", "min_share"}
-        if unknown:
-            raise RuleError(f"unknown face token keys: {sorted(unknown)}")
-        size = v.get("size")
-        exact = minimum = None
-        if isinstance(size, int):
-            exact = size
-        elif isinstance(size, str) and size.endswith("+") and size[:-1].isdigit():
-            minimum = int(size[:-1])
-        elif size is not None:
-            raise RuleError(f"bad size in face token {v!r}")
-        share = v.get("min_share")
-        if share is not None:
-            try:
-                share = Fraction(share)
-            except (ValueError, ZeroDivisionError):
-                raise RuleError(f"bad min_share in face token {v!r}") from None
-        return FaceToken(
-            size=exact,
-            min_size=minimum,
-            new_edge=v.get("new_edge"),
-            min_bigs=v.get("min_bigs"),
-            max_bigs=v.get("max_bigs"),
-            min_share=share,
-        )
-    raise RuleError(f"bad face token {v!r}")
-
-
-_END_KEYS = {
-    "kind", "d1", "d2", "size_class", "new_incident", "min_degree",
-    "via_new_edge", "num_crossing_neighbors", "opposite_end_small", "faces",
-}
-
-
-def _parse_end(d: dict, where: str) -> EndPattern:
-    unknown = set(d) - _END_KEYS
+    if not isinstance(v, dict):
+        bound = _size_bound(v)
+        if bound is None:
+            raise RuleError(f"bad face token {v!r}")
+        return FaceToken(size=bound[0], min_size=bound[1])
+    unknown = set(v) - {"size", "new_edge", "min_bigs", "max_bigs", "min_share"}
     if unknown:
-        raise RuleError(f"unknown {where} pattern keys: {sorted(unknown)}")
-    faces = d.get("faces")
-    if faces is not None:
-        faces = tuple(_parse_face_token(t) for t in faces)
-    return EndPattern(
-        kind=d.get("kind"),
-        d1=d.get("d1"),
-        d2=d.get("d2"),
-        size_class=d.get("size_class"),
-        new_incident=d.get("new_incident"),
-        min_degree=d.get("min_degree"),
-        via_new_edge=d.get("via_new_edge"),
-        num_crossing_neighbors=d.get("num_crossing_neighbors"),
-        opposite_end_small=d.get("opposite_end_small"),
-        faces=faces,
+        raise RuleError(f"unknown face token keys: {sorted(unknown)}")
+    bound = (None, None) if v.get("size") is None else _size_bound(v["size"])
+    if bound is None:
+        raise RuleError(f"bad size in face token {v!r}")
+    for key, ok in (("new_edge", _is_flag), ("min_bigs", _is_count), ("max_bigs", _is_count)):
+        if v.get(key) is not None and not ok(v[key]):
+            raise RuleError(f"bad {key} in face token {v!r}")
+    share = v.get("min_share")
+    if share is not None:
+        try:
+            if isinstance(share, bool):
+                raise TypeError
+            share = Fraction(share)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise RuleError(f"bad min_share in face token {v!r}") from None
+    return FaceToken(
+        size=bound[0],
+        min_size=bound[1],
+        new_edge=v.get("new_edge"),
+        min_bigs=v.get("min_bigs"),
+        max_bigs=v.get("max_bigs"),
+        min_share=share,
     )
 
 
+# the values each pattern key allows; the class keys fit either end
+_CLASS_KEYS = {
+    "kind": lambda v: v in (TRUE, CROSSING),
+    "d1": _is_count,
+    "d2": _is_count,
+    "size_class": lambda v: v in ("big", "small"),
+    "new_incident": _is_flag,
+}
+_END_KEYS = {
+    "sender": {
+        **_CLASS_KEYS,
+        "min_degree": lambda v: _is_count(v) or (isinstance(v, str) and v in _THRESHOLDS),
+        "via_new_edge": _is_flag,
+    },
+    "receiver": {
+        **_CLASS_KEYS,
+        "num_crossing_neighbors": _is_count,
+        "opposite_end_small": _is_flag,
+        "faces": _is_list,
+    },
+}
+
+
+def _parse_end(d, where: str) -> EndPattern:
+    if not isinstance(d, dict):
+        raise RuleError(f"{where} pattern must be an object, got {d!r}")
+    checks = _END_KEYS[where]
+    unknown = set(d) - set(checks)
+    if unknown:
+        raise RuleError(f"unknown {where} pattern keys: {sorted(unknown)}")
+    for key, value in d.items():
+        if value is not None and not checks[key](value):
+            raise RuleError(f"bad {where} {key} {value!r}")
+    fields = dict(d)
+    if fields.get("faces") is not None:
+        fields["faces"] = tuple(_parse_face_token(t) for t in fields["faces"])
+    return EndPattern(**fields)
+
+
 def rule_table_from_dict(data: dict) -> RuleTable:
-    if not isinstance(data, dict) or "rules" not in data:
+    if not isinstance(data, dict) or not _is_list(data.get("rules")):
         raise RuleError("rule table must be an object with a 'rules' list")
+    unknown = set(data) - {"rules", "exclusions"}
+    if unknown:
+        raise RuleError(f"unknown rule table keys: {sorted(unknown)}")
     rules = []
     seen = set()
     for entry in data["rules"]:
+        if not isinstance(entry, dict):
+            raise RuleError(f"rule must be an object, got {entry!r}")
+        unknown = set(entry) - {"id", "sender", "receiver", "amount"}
+        if unknown:
+            raise RuleError(f"unknown rule keys: {sorted(unknown)}")
         rid = entry.get("id")
+        if rid and not isinstance(rid, str):
+            raise RuleError(f"rule id {rid!r} is not a string")
         if not rid or rid in seen:
             raise RuleError(f"missing or duplicate rule id {rid!r}")
         seen.add(rid)
@@ -314,11 +355,13 @@ def rule_table_from_dict(data: dict) -> RuleTable:
                 amount=amount,
             )
         )
-    exclusions = tuple(data.get("exclusions", ()))
+    exclusions = data.get("exclusions", ())
+    if not _is_list(exclusions):
+        raise RuleError(f"exclusions must be a list, got {exclusions!r}")
     for name in exclusions:
         if name != "guarded-crossing":
             raise RuleError(f"unknown exclusion {name!r}")
-    return RuleTable(rules=rules, exclusions=exclusions)
+    return RuleTable(rules=rules, exclusions=tuple(exclusions))
 
 
 def parse_rule_table(text: str) -> RuleTable:

@@ -182,6 +182,67 @@ def test_verify_corrupted_coloring(capsys, k4_file, tmp_path):
     assert lines[2] == "  v0 ~ v1"
 
 
+TRIANGLE_COLORING = """kappa 3
+v 0 1
+v 1 2
+v 2 9
+e 0 1 3
+e 0 2 2
+e 1 2 1
+"""
+
+
+@pytest.fixture
+def triangle_file(tmp_path):
+    p = tmp_path / "c3.el"
+    p.write_text(dump_edge_list(build_graph([(0, 1), (1, 2), (0, 2)])))
+    return str(p)
+
+
+def test_verify_rejects_elements_the_graph_lacks(capsys, triangle_file, tmp_path):
+    tc = tmp_path / "extra.tc"
+    tc.write_text(TRIANGLE_COLORING + "e 5 7 1\nv 8 1\n")
+    code, out, err = run(capsys, ["verify", triangle_file, str(tc)])
+    assert code == 2
+    assert out == ""
+    assert "lacks" in err and "('v', 8)" in err and "('e', 5, 7)" in err
+
+
+def test_verify_flags_colors_off_the_palette(capsys, triangle_file, tmp_path):
+    tc = tmp_path / "range.tc"
+    tc.write_text(TRIANGLE_COLORING)
+    code, out, _ = run(capsys, ["verify", triangle_file, str(tc)])
+    assert code == 1
+    assert out.splitlines() == [
+        "kappa: 3",
+        "violations: 1",
+        "  v2 color 9 outside the palette",
+    ]
+
+
+def test_verify_rejects_repeated_entries(capsys, triangle_file, tmp_path):
+    tc = tmp_path / "twice.tc"
+    tc.write_text(TRIANGLE_COLORING.replace("v 2 9", "v 2 3") + "e 1 0 2\n")
+    code, _, err = run(capsys, ["verify", triangle_file, str(tc)])
+    assert code == 2
+    assert "line 8" in err
+
+
+def test_discharge_rejects_malformed_rules(capsys, grid_file, tmp_path):
+    rules = tmp_path / "rules.json"
+    for table in (
+        {"rules": [1]},
+        {"rules": 5},
+        {"rules": [], "exclusions": 3},
+        {"rules": [{"id": "x", "sender": {"faces": 5}, "amount": "1/3"}]},
+        {"rules": [{"id": "x", "receiver": {"kind": "banana"}, "amount": "1/3"}]},
+    ):
+        rules.write_text(json.dumps(table))
+        code, out, err = run(capsys, ["discharge", grid_file, "--rules", str(rules)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 def test_color_missed_bound_still_emits(capsys, k4_file):
     code, out, _ = run(capsys, ["color", k4_file, "--kappa", "4"])
     assert code == 1

@@ -173,6 +173,28 @@ def test_verify_rejects_partial_coloring():
         verify(g, c)
 
 
+C3_OFF_PALETTE = "kappa 3\nv 0 1\nv 1 2\nv 2 9\ne 0 1 3\ne 0 2 2\ne 1 2 1\n"
+
+
+def test_verify_rejects_elements_the_graph_lacks():
+    # a proper-looking triangle coloring that also colors edge 5-7 and vertex 8
+    c = coloring_from_text(C3_OFF_PALETTE + "e 5 7 1\nv 8 1\n")
+    with pytest.raises(ColoringError, match=r"lacks: \[\('v', 8\), \('e', 5, 7\)\]"):
+        verify(cycle_graph(3), c)
+
+
+def test_verify_flags_colors_off_the_palette():
+    g = cycle_graph(3)
+    assert verify(g, coloring_from_text(C3_OFF_PALETTE)) == [("range", ("v", 2), 9)]
+    zero_edge = C3_OFF_PALETTE.replace("v 2 9", "v 2 3").replace("e 0 1 3", "e 0 1 0")
+    c = coloring_from_text(zero_edge)
+    assert verify(g, c) == [("range", ("e", 0, 1), 0)]
+    # the same colors under a wide enough palette are proper
+    c.kappa = 9
+    c.edge_color[(0, 1)] = 3
+    assert verify(g, c) == []
+
+
 def _pairset(violations):
     out = set()
     for item in violations:
@@ -569,6 +591,14 @@ def test_coloring_text_round_trip():
     assert back.kappa == c.kappa
     assert back.vertex_color == c.vertex_color
     assert back.edge_color == c.edge_color
+
+
+def test_coloring_text_rejects_repeated_entries():
+    with pytest.raises(ColoringError, match="line 3"):
+        coloring_from_text("kappa 3\nv 0 1\nv 0 2\n")
+    # the same edge written in either orientation is one entry
+    with pytest.raises(ColoringError, match="line 3"):
+        coloring_from_text("kappa 5\ne 0 1 3\ne 1 0 4\n")
 
 
 def test_coloring_text_tolerates_comments_and_blanks():

@@ -126,6 +126,78 @@ def test_parse_rejects_bad_face_tokens():
             rule_table_from_dict(table)
 
 
+def _with_table(**table_over):
+    table = one_rule_table()
+    table.update(table_over)
+    return table
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"rules": 5},
+        {"rules": [1]},
+        {"rules": [None]},
+        _with_table(exclusions=3),
+        _with_table(exclusions=None),
+        _with_table(comment="unknown table key"),
+        one_rule_table(note="unknown rule key"),
+        one_rule_table(id=5),
+        one_rule_table(sender=5),
+        one_rule_table(receiver=[]),
+        one_rule_table(sender={"kind": "banana"}),
+        one_rule_table(receiver={"kind": "banana"}),
+        one_rule_table(receiver={"d1": "3"}),
+        one_rule_table(receiver={"d2": -1}),
+        one_rule_table(receiver={"d1": True}),
+        one_rule_table(receiver={"size_class": "huge"}),
+        one_rule_table(receiver={"new_incident": 1}),
+        one_rule_table(receiver={"num_crossing_neighbors": 1.5}),
+        one_rule_table(receiver={"opposite_end_small": "yes"}),
+        one_rule_table(receiver={"faces": 5}),
+        one_rule_table(receiver={"faces": "3"}),
+        one_rule_table(sender={"min_degree": "delta-3"}),
+        one_rule_table(sender={"min_degree": True}),
+        one_rule_table(sender={"min_degree": -2}),
+        one_rule_table(sender={"min_degree": ["delta"]}),
+        one_rule_table(sender={"via_new_edge": "no"}),
+        # receiver-only keys in a sender pattern, and the reverse
+        one_rule_table(sender={"faces": 5}),
+        one_rule_table(sender={"faces": [3, 3, 3]}),
+        one_rule_table(sender={"num_crossing_neighbors": 2}),
+        one_rule_table(sender={"opposite_end_small": True}),
+        one_rule_table(receiver={"min_degree": "delta"}),
+        one_rule_table(receiver={"via_new_edge": True}),
+        # face token values
+        one_rule_table(receiver={"faces": [{"size": True}]}),
+        one_rule_table(receiver={"faces": [-3]}),
+        one_rule_table(receiver={"faces": [{"new_edge": "yes"}]}),
+        one_rule_table(receiver={"faces": [{"min_bigs": -1}]}),
+        one_rule_table(receiver={"faces": [{"max_bigs": "1"}]}),
+        one_rule_table(receiver={"faces": [{"min_share": [1]}]}),
+        one_rule_table(receiver={"faces": [{"min_share": True}]}),
+    ],
+)
+def test_parse_rejects_malformed_values(table):
+    with pytest.raises(RuleError):
+        rule_table_from_dict(table)
+    # and through the JSON front door too
+    with pytest.raises(RuleError):
+        parse_rule_table(json.dumps(table))
+
+
+def test_parse_keeps_valid_thresholds_and_flags():
+    for threshold in ("delta", "delta-1", "delta-2", 0, 11):
+        t = rule_table_from_dict(
+            one_rule_table(sender={"min_degree": threshold, "via_new_edge": False})
+        )
+        assert t.rules[0].sender.min_degree == threshold
+        assert t.rules[0].sender.via_new_edge is False
+    # null leaves a field unpinned, as if the key were absent
+    t = rule_table_from_dict(one_rule_table(receiver={"kind": None, "faces": None}))
+    assert t.rules[0].receiver == EndPattern()
+
+
 def test_face_token_forms_parse():
     table = one_rule_table(
         receiver={
