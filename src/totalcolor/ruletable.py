@@ -96,7 +96,7 @@ class MatchContext:
         star = a.star
         self.star = star
         self.faces = star.faces()
-        self.dart_face = dart_face_index(self.faces)
+        dart_face = dart_face_index(self.faces)
         self.face_size = [f.size for f in self.faces]
         self.face_new = [any(star.is_new(d) for d in f.boundary) for f in self.faces]
         self.face_bigs = []
@@ -111,7 +111,7 @@ class MatchContext:
             self.face_smalls.append(f.size - bigs)
         # corner i at v = face between rotation darts i-1 and i
         self.corner = {
-            v: [self.dart_face[d] for d in star.rotation[v]] for v in star.rotation
+            v: [dart_face[d] for d in star.rotation[v]] for v in star.rotation
         }
         self.crossing_nbrs = {
             v: sum(
@@ -236,6 +236,14 @@ def _is_list(v) -> bool:
     return isinstance(v, (list, tuple))
 
 
+def _is_fraction(v) -> bool:
+    try:
+        Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return not isinstance(v, bool)
+
+
 def _size_bound(v):
     """(exact, minimum) for a size: an int, or "k+" for at least k; None
     when v is neither."""
@@ -246,40 +254,29 @@ def _size_bound(v):
     return None
 
 
-def _parse_face_token(v) -> FaceToken:
-    if not isinstance(v, dict):
-        bound = _size_bound(v)
-        if bound is None:
-            raise RuleError(f"bad face token {v!r}")
-        return FaceToken(size=bound[0], min_size=bound[1])
-    unknown = set(v) - {"size", "new_edge", "min_bigs", "max_bigs", "min_share"}
+def _checked(d, checks: dict, what: str) -> dict:
+    """d itself, once it is an object whose keys all appear in checks and
+    whose non-null values pass them; null leaves a field unset."""
+    if not isinstance(d, dict):
+        raise RuleError(f"{what} must be an object, got {d!r}")
+    unknown = set(d) - set(checks)
     if unknown:
-        raise RuleError(f"unknown face token keys: {sorted(unknown)}")
-    bound = (None, None) if v.get("size") is None else _size_bound(v["size"])
-    if bound is None:
-        raise RuleError(f"bad size in face token {v!r}")
-    for key, ok in (("new_edge", _is_flag), ("min_bigs", _is_count), ("max_bigs", _is_count)):
-        if v.get(key) is not None and not ok(v[key]):
-            raise RuleError(f"bad {key} in face token {v!r}")
-    share = v.get("min_share")
-    if share is not None:
-        try:
-            if isinstance(share, bool):
-                raise TypeError
-            share = Fraction(share)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise RuleError(f"bad min_share in face token {v!r}") from None
-    return FaceToken(
-        size=bound[0],
-        min_size=bound[1],
-        new_edge=v.get("new_edge"),
-        min_bigs=v.get("min_bigs"),
-        max_bigs=v.get("max_bigs"),
-        min_share=share,
-    )
+        raise RuleError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in d.items():
+        if value is not None and not checks[key](value):
+            raise RuleError(f"bad {key} in {what}: {value!r}")
+    return d
 
 
-# the values each pattern key allows; the class keys fit either end
+_TOKEN_KEYS = {
+    "size": lambda v: _size_bound(v) is not None,
+    "new_edge": _is_flag,
+    "min_bigs": _is_count,
+    "max_bigs": _is_count,
+    "min_share": _is_fraction,
+}
+
+# the class keys fit either end of a rule; the rest only the end named
 _CLASS_KEYS = {
     "kind": lambda v: v in (TRUE, CROSSING),
     "d1": _is_count,
@@ -301,18 +298,33 @@ _END_KEYS = {
     },
 }
 
+_RULE_KEYS = {
+    "id": lambda v: isinstance(v, str),
+    "sender": lambda v: True,  # checked as a pattern
+    "receiver": lambda v: True,
+    "amount": lambda v: True,  # checked against the menu
+}
+
+
+def _parse_face_token(v) -> FaceToken:
+    if not isinstance(v, dict):
+        bound = _size_bound(v)
+        if bound is None:
+            raise RuleError(f"bad face token {v!r}")
+        return FaceToken(*bound)
+    _checked(v, _TOKEN_KEYS, "face token")
+    size, share = v.get("size"), v.get("min_share")
+    return FaceToken(
+        *((None, None) if size is None else _size_bound(size)),
+        new_edge=v.get("new_edge"),
+        min_bigs=v.get("min_bigs"),
+        max_bigs=v.get("max_bigs"),
+        min_share=None if share is None else Fraction(share),
+    )
+
 
 def _parse_end(d, where: str) -> EndPattern:
-    if not isinstance(d, dict):
-        raise RuleError(f"{where} pattern must be an object, got {d!r}")
-    checks = _END_KEYS[where]
-    unknown = set(d) - set(checks)
-    if unknown:
-        raise RuleError(f"unknown {where} pattern keys: {sorted(unknown)}")
-    for key, value in d.items():
-        if value is not None and not checks[key](value):
-            raise RuleError(f"bad {where} {key} {value!r}")
-    fields = dict(d)
+    fields = dict(_checked(d, _END_KEYS[where], f"{where} pattern"))
     if fields.get("faces") is not None:
         fields["faces"] = tuple(_parse_face_token(t) for t in fields["faces"])
     return EndPattern(**fields)
@@ -321,20 +333,11 @@ def _parse_end(d, where: str) -> EndPattern:
 def rule_table_from_dict(data: dict) -> RuleTable:
     if not isinstance(data, dict) or not _is_list(data.get("rules")):
         raise RuleError("rule table must be an object with a 'rules' list")
-    unknown = set(data) - {"rules", "exclusions"}
-    if unknown:
-        raise RuleError(f"unknown rule table keys: {sorted(unknown)}")
+    _checked(data, {"rules": _is_list, "exclusions": _is_list}, "rule table")
     rules = []
     seen = set()
     for entry in data["rules"]:
-        if not isinstance(entry, dict):
-            raise RuleError(f"rule must be an object, got {entry!r}")
-        unknown = set(entry) - {"id", "sender", "receiver", "amount"}
-        if unknown:
-            raise RuleError(f"unknown rule keys: {sorted(unknown)}")
-        rid = entry.get("id")
-        if rid and not isinstance(rid, str):
-            raise RuleError(f"rule id {rid!r} is not a string")
+        rid = _checked(entry, _RULE_KEYS, "rule").get("id")
         if not rid or rid in seen:
             raise RuleError(f"missing or duplicate rule id {rid!r}")
         seen.add(rid)
@@ -355,13 +358,11 @@ def rule_table_from_dict(data: dict) -> RuleTable:
                 amount=amount,
             )
         )
-    exclusions = data.get("exclusions", ())
-    if not _is_list(exclusions):
-        raise RuleError(f"exclusions must be a list, got {exclusions!r}")
+    exclusions = tuple(data.get("exclusions") or ())
     for name in exclusions:
         if name != "guarded-crossing":
             raise RuleError(f"unknown exclusion {name!r}")
-    return RuleTable(rules=rules, exclusions=tuple(exclusions))
+    return RuleTable(rules=rules, exclusions=exclusions)
 
 
 def parse_rule_table(text: str) -> RuleTable:

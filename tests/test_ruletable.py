@@ -139,7 +139,6 @@ def _with_table(**table_over):
         {"rules": [1]},
         {"rules": [None]},
         _with_table(exclusions=3),
-        _with_table(exclusions=None),
         _with_table(comment="unknown table key"),
         one_rule_table(note="unknown rule key"),
         one_rule_table(id=5),
