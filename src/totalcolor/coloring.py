@@ -91,7 +91,7 @@ def coloring_from_text(text: str) -> TotalColoring:
             continue
         parts = line.split()
         try:
-            if parts[0] == "kappa" and len(parts) == 2:
+            if parts[0] == "kappa" and len(parts) == 2 and kappa is None:
                 kappa = int(parts[1])
                 continue
             if parts[0] == "v" and len(parts) == 3:
@@ -134,38 +134,43 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
     """Every color outside 1..kappa as ("range", element, color), then all
     conflicting same-colored element pairs; empty means proper.  A partial
     coloring, or one that colors elements g lacks, is rejected outright."""
+    vc, ec = c.vertex_color, c.edge_color
     edges = g.edges()
-    missing = [("v", v) for v in g.vertices if v not in c.vertex_color]
-    missing += [("e",) + e for e in edges if e not in c.edge_color]
+    missing = [("v", v) for v in g.vertices if v not in vc]
+    missing += [("e",) + e for e in edges if e not in ec]
     if missing:
         raise ColoringError(f"coloring is partial; uncolored: {missing[:8]}")
-    if len(c.vertex_color) != len(g.vertices) or len(c.edge_color) != len(edges):
-        extra = [("v", v) for v in c.vertex_color if v not in g.adj]
+    # nothing is missing, so equal counts mean nothing is extra
+    if len(vc) != len(g.vertices) or len(ec) != len(edges):
+        extra = [("v", v) for v in vc if v not in g.adj]
         known = set(edges)
-        extra += [("e",) + e for e in c.edge_color if e not in known]
+        extra += [("e",) + e for e in ec if e not in known]
         raise ColoringError(f"coloring names elements the graph lacks: {extra[:8]}")
     bad = []
-    colors = (*c.vertex_color.values(), *c.edge_color.values())
-    if colors and not 1 <= min(colors) <= max(colors) <= c.kappa:
+    used = {*vc.values(), *ec.values()}
+    if used and not 1 <= min(used) <= max(used) <= c.kappa:
         for el in total_elements(g):
             color = c.color_of(el)
             if not 1 <= color <= c.kappa:
                 bad.append(("range", el, color))
     for u, v in edges:
-        if c.vertex_color[u] == c.vertex_color[v]:
+        if vc[u] == vc[v]:
             bad.append(("vv", u, v))
     for u, v in edges:
-        cuv = c.edge_color[(u, v)]
-        if cuv == c.vertex_color[u]:
+        cuv = ec[(u, v)]
+        if cuv == vc[u]:
             bad.append(("ve", u, (u, v)))
-        if cuv == c.vertex_color[v]:
+        if cuv == vc[v]:
             bad.append(("ve", v, (u, v)))
     for v in sorted(g.vertices):
         nbrs = sorted(g.neighbors(v))
+        row = [ec[edge_key(v, a)] for a in nbrs]
+        if len(set(row)) == len(row):
+            continue  # the edges at v all differ
         for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if c.edge_color[edge_key(v, a)] == c.edge_color[edge_key(v, b)]:
-                    bad.append(("ee", edge_key(v, a), edge_key(v, b)))
+            for j in range(i + 1, len(nbrs)):
+                if row[i] == row[j]:
+                    bad.append(("ee", edge_key(v, a), edge_key(v, nbrs[j])))
     return bad
 
 

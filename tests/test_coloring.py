@@ -599,6 +599,8 @@ def test_coloring_text_rejects_repeated_entries():
     # the same edge written in either orientation is one entry
     with pytest.raises(ColoringError, match="line 3"):
         coloring_from_text("kappa 5\ne 0 1 3\ne 1 0 4\n")
+    with pytest.raises(ColoringError, match="line 2"):
+        coloring_from_text("kappa 3\nkappa 5\n")
 
 
 def test_coloring_text_tolerates_comments_and_blanks():
