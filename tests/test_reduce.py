@@ -2,14 +2,18 @@
 enumeration, and the extension validation harness."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from itertools import permutations
 
 import pytest
 
-from totalcolor.graphs import build_graph
+from totalcolor import reduce
+from totalcolor.coloring import P3Certificate, greedy_total
+from totalcolor.graphs import build_graph, delete_edge
 from totalcolor.reduce import (
+    ExtensionReport,
     ReduceError,
     audit_minimality,
     brute_validate_extensions,
@@ -343,3 +347,107 @@ def test_harness_json_shape():
 def test_harness_rejects_large_bound():
     with pytest.raises(ReduceError, match="capped at 7"):
         brute_validate_extensions(8)
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: what the peel rule decides on every small connected graph,
+# and the exact failure records of the harness.  A refactor of the rule or
+# the harness must reproduce them.
+
+
+def _peel_decisions(n_max):
+    """One line per (graph, kappa) for every connected graph on at most
+    n_max vertices at kappa = Delta+1, Delta+2, Delta+3: both finders'
+    picks and, from Delta+2 on, the full audit."""
+    lines = []
+    for n in range(1, n_max + 1):
+        for g in enum_graphs(n, connected=True):
+            delta = g.max_degree()
+            for kappa in (delta + 1, delta + 2, delta + 3):
+                row = [g.edges(), kappa, find_reducible_edge(g, kappa), find_p3_edge(g, kappa)]
+                if kappa >= delta + 2:
+                    row.append(sorted(audit_minimality(g, kappa).results.items()))
+                lines.append(repr(row))
+    return "\n".join(lines)
+
+
+def test_golden_peel_decisions_small_graphs():
+    text = _peel_decisions(6)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dda7967fe3e481f12a34d06619db3ef664e468433d03c41696d221edf0be6a6b"
+    )
+
+
+def _failure_records(monkeypatch, outcome):
+    """The certificates _run_extension records when both extension steps
+    are replaced by `outcome` (a callable taking the step's arguments)."""
+    monkeypatch.setattr(reduce, "extend_p1", lambda g, uv, c, kappa: outcome(c))
+    monkeypatch.setattr(reduce, "extend_p3", lambda g, uv, w, c, kappa: outcome(c))
+    g = wheel(4)
+    c = greedy_total(delete_edge(g, (0, 1)))
+    report = ExtensionReport(n_max=5)
+    reduce._run_extension(report, g, (0, 1), None, c, 6)
+    reduce._run_extension(report, g, (0, 1), 2, c, 6)
+    assert report.failures == 2
+    return [list(d.items()) for d in report.certificates]
+
+
+def _shared(apex):
+    return [
+        ("edges", [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 3], [3, 4]]),
+        ("edge", [0, 1]),
+        ("apex", apex),
+        ("kappa", 6),
+    ]
+
+
+def test_golden_failure_record_exception(monkeypatch):
+    def boom(c):
+        raise ValueError("no room")
+
+    assert _failure_records(monkeypatch, boom) == [
+        _shared(None) + [("kind", "exception: no room")],
+        _shared(2) + [("kind", "exception: no room")],
+    ]
+
+
+def test_golden_failure_record_cascade_certificate(monkeypatch):
+    cert = P3Certificate(
+        edge=(0, 1), apex=2, kappa=6,
+        u_used=frozenset({3, 1, 2}), v_used=frozenset({4}), w_used=frozenset({6, 5}),
+    )
+    extra = [("kind", "cascade exhausted"), ("u_used", [1, 2, 3]), ("w_used", [5, 6])]
+    assert _failure_records(monkeypatch, lambda c: cert) == [
+        _shared(None) + extra,
+        _shared(2) + extra,
+    ]
+
+
+def test_golden_failure_record_improper_result(monkeypatch):
+    def flat(c):
+        out = c.copy()
+        for v in out.vertex_color:
+            out.vertex_color[v] = 1
+        out.edge_color[(0, 1)] = 1
+        return out
+
+    kind = "bad extension: [('vv', 0, 1), ('vv', 0, 2), ('vv', 0, 3)]"
+    assert _failure_records(monkeypatch, flat) == [
+        _shared(None) + [("kind", kind)],
+        _shared(2) + [("kind", kind)],
+    ]
+
+
+def test_golden_failure_record_over_palette(monkeypatch):
+    def shifted(c):
+        # proper and within its own palette, but two colors past kappa
+        out = greedy_total(wheel(4))
+        out.vertex_color = {v: x + 2 for v, x in out.vertex_color.items()}
+        out.edge_color = {e: x + 2 for e, x in out.edge_color.items()}
+        out.kappa = 7
+        return out
+
+    assert _failure_records(monkeypatch, shifted) == [
+        _shared(None) + [("kind", "bad extension: []")],
+        _shared(2) + [("kind", "bad extension: []")],
+    ]
