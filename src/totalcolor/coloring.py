@@ -265,6 +265,19 @@ def _recolor_vertex(g: SimpleGraph, c: TotalColoring, v, kappa: int) -> None:
     c.vertex_color[v] = color
 
 
+def peel_kind(g: SimpleGraph, u, v, kappa: int) -> str | None:
+    """The reducibility rule for the edge uv at palette kappa.  Its low end
+    must have degree at most floor((kappa-1)/2); then "P1" when the degree
+    sum is at most kappa, "P3" in the tight case kappa+1 (which also needs
+    a triangle apex, left to the caller), and None otherwise."""
+    du, dv = g.degree(u), g.degree(v)
+    if 2 * min(du, dv) > kappa - 1:
+        return None
+    if du + dv <= kappa:
+        return "P1"
+    return "P3" if du + dv == kappa + 1 else None
+
+
 def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalColoring:
     """Extend a proper total coloring of g - uv to g, for an edge whose
     endpoint degrees sum to at most kappa (and 2*deg(v) <= kappa - 1):
@@ -274,23 +287,12 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
         raise ColoringError(f"P1 precondition: {uv} is not an edge")
     if 2 * g.degree(v) > kappa - 1:
         u, v = v, u
-    if g.degree(u) + g.degree(v) > kappa or 2 * g.degree(v) > kappa - 1:
+    if peel_kind(g, u, v, kappa) != "P1":
         raise ColoringError(
             f"P1 precondition: need deg(u)+deg(v) <= {kappa} and "
             f"2*deg(v) <= {kappa - 1}, got {g.degree(u)} and {g.degree(v)}"
         )
-    reduced = delete_edge(g, uv)
-    if verify(reduced, c):
-        raise ColoringError("P1 precondition: the reduced coloring is not proper")
-    out = c.copy()
-    out.kappa = kappa
-    out.vertex_color.pop(v, None)
-    color = _free_color(kappa, colors_at(g, out, u), colors_at(g, out, v))
-    if color is None:
-        raise ColoringError("edge color cannot run out: deg sums leave slack")
-    out.edge_color[edge_key(u, v)] = color
-    _recolor_vertex(g, out, v, kappa)
-    return out
+    return _extend(g, u, v, None, c, kappa)
 
 
 @dataclass(frozen=True)
@@ -323,23 +325,24 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
         u, v = v, u
     if not (g.has_edge(u, w) and g.has_edge(v, w)):
         raise ColoringError(f"P3 precondition: {w} does not complete a triangle on {uv}")
-    if 2 * g.degree(v) > kappa - 1:
-        raise ColoringError(f"P3 precondition: 2*deg(v) <= {kappa - 1} fails")
-    if g.degree(u) + g.degree(v) != kappa + 1:
+    if peel_kind(g, u, v, kappa) != "P3":
         raise ColoringError(
-            f"P3 precondition: deg(u)+deg(v) must be exactly {kappa + 1}"
+            f"P3 precondition: need 2*deg(v) <= {kappa - 1} and deg(u)+deg(v) "
+            f"exactly {kappa + 1}, got {g.degree(u)} and {g.degree(v)}"
         )
-    reduced = delete_edge(g, uv)
-    if verify(reduced, c):
-        raise ColoringError("P3 precondition: the reduced coloring is not proper")
+    return _extend(g, u, v, w, c, kappa)
 
+
+def _extend(g: SimpleGraph, u, v, w, c: TotalColoring, kappa: int):
+    """The extension step shared by P1 (w is None) and P3 (w the apex),
+    with v the low end: erase v, color uv, recolor v."""
+    step = "P1" if w is None else "P3"
+    if verify(delete_edge(g, (u, v)), c):
+        raise ColoringError(f"{step} precondition: the reduced coloring is not proper")
     out = c.copy()
     out.kappa = kappa
     out.vertex_color.pop(v, None)
     uvk = edge_key(u, v)
-    wvk = edge_key(w, v)
-    uwk = edge_key(u, w)
-
     used_u = colors_at(g, out, u)
     used_v = colors_at(g, out, v)
     theta = _free_color(kappa, used_u, used_v)
@@ -347,9 +350,13 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
         out.edge_color[uvk] = theta
         _recolor_vertex(g, out, v, kappa)
         return out
+    if w is None:
+        raise ColoringError("edge color cannot run out: deg sums leave slack")
 
     # the palette splits between u and v, so wv's color is fresh at u:
     # slide it onto uv and recolor wv
+    wvk = edge_key(w, v)
+    uwk = edge_key(u, w)
     pivot = out.edge_color[wvk]
     out.edge_color[uvk] = pivot
     del out.edge_color[wvk]
@@ -466,17 +473,11 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
     current = g
     while len(current.vertices) + current.num_edges() > budget:
         e = find_reducible_edge(current, kappa)
-        if e is not None:
-            peeled.append((e, None))
-            current = delete_edge(current, e)
-            continue
-        p3 = find_p3_edge(current, kappa)
-        if p3 is not None:
-            (u, v), w = p3
-            peeled.append(((u, v), w))
-            current = delete_edge(current, (u, v))
-            continue
-        break
+        step = (e, None) if e is not None else find_p3_edge(current, kappa)
+        if step is None:
+            break
+        peeled.append(step)
+        current = delete_edge(current, step[0])
 
     size = len(current.vertices) + current.num_edges()
     if size <= budget:

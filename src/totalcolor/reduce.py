@@ -23,6 +23,7 @@ from .coloring import (
     conflict_lists,
     extend_p1,
     extend_p3,
+    peel_kind,
     verify,
 )
 from .graphs import SimpleGraph, build_graph, check_property_P, delete_edge, find_k4s
@@ -37,24 +38,18 @@ class ReduceError(ValueError):
 
 
 def find_reducible_edge(g: SimpleGraph, kappa: int):
-    """The first edge (lexicographically) whose low end has degree at most
-    floor((kappa-1)/2) and whose degree sum stays within kappa, or None."""
-    half = (kappa - 1) // 2
+    """The first edge (lexicographically) that P1 peels, or None."""
     for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        if min(du, dv) <= half and du + dv <= kappa:
+        if peel_kind(g, u, v, kappa) == "P1":
             return (u, v)
     return None
 
 
 def find_p3_edge(g: SimpleGraph, kappa: int):
-    """The first triangle edge in the tight case: low end at most
-    floor((kappa-1)/2), degree sum exactly kappa+1, some common neighbor.
-    Returns ((u, v), w) with w the smallest apex, or None."""
-    half = (kappa - 1) // 2
+    """The first edge in P3's tight case that lies on a triangle, as
+    ((u, v), w) with w the smallest apex, or None."""
     for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        if min(du, dv) <= half and du + dv == kappa + 1:
+        if peel_kind(g, u, v, kappa) == "P3":
             common = g.common_neighbors(u, v)
             if common:
                 return (u, v), min(common)
@@ -87,26 +82,20 @@ class MinimalityAudit:
         return [r for r in self.results.values() if r.applicable and not r.passed]
 
 
-def _is_connected(g: SimpleGraph) -> bool:
-    if not g.vertices:
+def _is_connected(g: SimpleGraph, skip=None) -> bool:
+    """Whether g, less the vertex `skip` if one is given, is connected."""
+    rest = [v for v in g.vertices if v != skip]
+    if not rest:
         return True
-    start = min(g.vertices)
-    seen = {start}
-    stack = [start]
+    seen = {rest[0]}
+    stack = [rest[0]]
     while stack:
         v = stack.pop()
         for w in g.neighbors(v):
-            if w not in seen:
+            if w != skip and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(g.vertices)
-
-
-def _without_vertex(g: SimpleGraph, v) -> SimpleGraph:
-    return build_graph(
-        [e for e in g.edges() if v not in e],
-        vertices=[w for w in g.vertices if w != v],
-    )
+    return len(seen) == len(rest)
 
 
 def cut_vertices(g: SimpleGraph) -> list:
@@ -114,7 +103,7 @@ def cut_vertices(g: SimpleGraph) -> list:
     the audit only ever runs at desk scale)."""
     if len(g.vertices) < 3 or not _is_connected(g):
         return []
-    return [v for v in sorted(g.vertices) if not _is_connected(_without_vertex(g, v))]
+    return [v for v in sorted(g.vertices) if not _is_connected(g, skip=v)]
 
 
 def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
@@ -126,14 +115,10 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
         raise ReduceError(
             f"audit needs kappa >= max degree + 2 = {floor_kappa}, got {kappa}"
         )
-    half = (kappa - 1) // 2
+    kinds = {(u, v): peel_kind(g, u, v, kappa) for u, v in g.edges()}
     results = {}
 
-    p1_bad = tuple(
-        (u, v)
-        for u, v in g.edges()
-        if min(g.degree(u), g.degree(v)) <= half and g.degree(u) + g.degree(v) <= kappa
-    )
+    p1_bad = tuple(e for e, kind in kinds.items() if kind == "P1")
     results["P1"] = CheckResult("P1", True, not p1_bad, p1_bad)
 
     p2_wit = []
@@ -149,12 +134,12 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
             p2_wit.append(("cut-vertex", v))
     results["P2"] = CheckResult("P2", True, not p2_wit, tuple(p2_wit))
 
-    p3_bad = []
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        if min(du, dv) <= half and du + dv == kappa + 1:
-            for w in sorted(g.common_neighbors(u, v)):
-                p3_bad.append(((u, v), w))
+    p3_bad = [
+        (e, w)
+        for e, kind in kinds.items()
+        if kind == "P3"
+        for w in sorted(g.common_neighbors(*e))
+    ]
     results["P3"] = CheckResult("P3", True, not p3_bad, tuple(p3_bad))
 
     p4_app = kappa >= 7
@@ -344,12 +329,15 @@ def load_graph6(text: str) -> list:
 class ExtensionReport:
     n_max: int
     instances: int = 0
-    checks: int = 0
     failures: int = 0
     certificates: list = field(default_factory=list)
     truncated: int = 0
     p1_checks: int = 0
     p3_checks: int = 0
+
+    @property
+    def checks(self) -> int:
+        return self.p1_checks + self.p3_checks
 
     def to_json(self) -> str:
         return json.dumps(
@@ -410,17 +398,10 @@ def brute_validate_extensions(
     for n in range(2, n_max + 1):
         for g in enum_graphs(n, connected=True):
             for kappa in (g.max_degree() + 2, g.max_degree() + 3):
-                half = (kappa - 1) // 2
                 for u, v in g.edges():
-                    du, dv = g.degree(u), g.degree(v)
-                    if min(du, dv) > half:
-                        continue
-                    p1_ok = du + dv <= kappa
-                    p3_apexes = (
-                        sorted(g.common_neighbors(u, v))
-                        if du + dv == kappa + 1
-                        else []
-                    )
+                    kind = peel_kind(g, u, v, kappa)
+                    p1_ok = kind == "P1"
+                    p3_apexes = sorted(g.common_neighbors(u, v)) if kind == "P3" else []
                     if not p1_ok and not p3_apexes:
                         continue
                     instance_no += 1
@@ -434,42 +415,36 @@ def brute_validate_extensions(
                         report.truncated += 1
                     for c in colorings:
                         if p1_ok:
-                            report.checks += 1
                             report.p1_checks += 1
                             _run_extension(report, g, (u, v), None, c, kappa)
                         for w in p3_apexes:
-                            report.checks += 1
                             report.p3_checks += 1
                             _run_extension(report, g, (u, v), w, c, kappa)
     return report
 
 
 def _run_extension(report, g, uv, apex, c, kappa) -> None:
-    desc = {
-        "edges": [list(e) for e in g.edges()],
-        "edge": list(uv),
-        "apex": apex,
-        "kappa": kappa,
-    }
     try:
         if apex is None:
             out = extend_p1(g, uv, c, kappa)
         else:
             out = extend_p3(g, uv, apex, c, kappa)
     except Exception as exc:  # any rejection here is a harness failure
-        report.failures += 1
-        desc["kind"] = f"exception: {exc}"
-        report.certificates.append(desc)
-        return
-    if isinstance(out, P3Certificate):
-        report.failures += 1
-        desc["kind"] = "cascade exhausted"
-        desc["u_used"] = sorted(out.u_used)
-        desc["w_used"] = sorted(out.w_used)
-        report.certificates.append(desc)
-        return
-    bad = verify(g, out)
-    if bad or out.colors_used() > kappa:
-        report.failures += 1
-        desc["kind"] = f"bad extension: {bad[:3]}"
-        report.certificates.append(desc)
+        failure = {"kind": f"exception: {exc}"}
+    else:
+        if isinstance(out, P3Certificate):
+            failure = {
+                "kind": "cascade exhausted",
+                "u_used": sorted(out.u_used),
+                "w_used": sorted(out.w_used),
+            }
+        else:
+            bad = verify(g, out)
+            if not bad and out.colors_used() <= kappa:
+                return
+            failure = {"kind": f"bad extension: {bad[:3]}"}
+    report.failures += 1
+    report.certificates.append(
+        {"edges": [list(e) for e in g.edges()], "edge": list(uv), "apex": apex, "kappa": kappa}
+        | failure
+    )
