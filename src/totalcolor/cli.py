@@ -22,7 +22,7 @@ from .coloring import (
 )
 from .discharge import discharge, final_report
 from .embedding import EmbeddedGraph, euler_characteristic, parse_embedding
-from .gen import GenError, GenSpec, true_graph_of, write_corpus
+from .gen import FAMILIES, GenError, GenSpec, true_graph_of, write_corpus
 from .graphs import SimpleGraph, build_graph, check_property_P, parse_edge_list
 from .reduce import audit_minimality
 from .ruletable import parse_rule_table
@@ -297,22 +297,14 @@ def _cmd_check_p(args) -> int:
     return 0 if report.holds else 1
 
 
-_FAMILY_SURFACE = {
-    "grid": "torus",
-    "crossed_grid": "torus",
-    "planar_triangulation": "plane",
-    "wheel_sum": "plane",
-}
-
-
 def _cmd_gen(args) -> int:
-    if args.family not in _FAMILY_SURFACE:
+    if args.family not in FAMILIES:
         print(f"error: unknown generator family {args.family!r}", file=sys.stderr)
         return 2
-    if args.surface and args.surface != _FAMILY_SURFACE[args.family]:
+    surface = FAMILIES[args.family][1]
+    if args.surface and args.surface != surface:
         print(
-            f"error: family {args.family} draws on the "
-            f"{_FAMILY_SURFACE[args.family]}, not the {args.surface}",
+            f"error: family {args.family} draws on the {surface}, not the {args.surface}",
             file=sys.stderr,
         )
         return 2
@@ -399,7 +391,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_p)
 
     p = sub.add_parser("gen", help="generate a corpus instance")
-    p.add_argument("family", help="grid | planar_triangulation | crossed_grid | wheel_sum")
+    p.add_argument("family", help=" | ".join(FAMILIES))
     p.add_argument("params", type=int, nargs="*", help="family parameters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", metavar="DIR")

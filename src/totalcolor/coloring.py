@@ -467,6 +467,11 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
 
     if kappa is None:
         kappa = g.max_degree() + 2
+    if kappa < g.max_degree() + 1:
+        raise ColoringError(
+            f"no total coloring fits {kappa} colors: it needs at least "
+            f"max degree + 1 = {g.max_degree() + 1}"
+        )
     trace = []
 
     peeled = []  # (edge, apex or None), outermost first

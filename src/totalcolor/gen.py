@@ -206,26 +206,18 @@ def _radial_quad_drawing(delta: int, size: int):
         cyc = []
         for i in range(delta):
             cyc.extend([0, 1 + i])
-        g = build_graph([(0, 1 + i) for i in range(delta)])
-        degree = {0: delta, **{1 + i: 1 for i in range(delta)}}
-        return g, [tuple(cyc)], degree
+        return build_graph([(0, 1 + i) for i in range(delta)]), [tuple(cyc)]
 
     def ring(k):
         return list(range(1 + (k - 1) * delta, 1 + k * delta))
 
     edges = [(0, a) for a in ring(1)]
-    degree = {0: delta}
-    for a in ring(1):
-        degree[a] = 1
     faces = []
     for k in range(2, rings + 1):
         inner, outer = ring(k - 1), ring(k)
         for i in range(delta):
             edges.append((inner[i], outer[i]))
             edges.append((outer[i], inner[(i + 1) % delta]))
-            degree[outer[i]] = 2
-            degree[inner[i]] += 1
-            degree[inner[(i + 1) % delta]] += 1
         if k == 2:
             for i in range(delta):
                 faces.append((0, inner[i], outer[i], inner[(i + 1) % delta]))
@@ -243,8 +235,7 @@ def _radial_quad_drawing(delta: int, size: int):
         boundary.extend([last[i], rim[i]])
     boundary.append(last[0])
     faces.append(tuple(boundary))
-    g = build_graph(sorted(edges))
-    return g, faces, degree
+    return build_graph(sorted(edges)), faces
 
 
 def gen_high_degree_P(delta: int, size: int, seed: int = 0) -> SimpleGraph:
@@ -261,7 +252,7 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         raise GenError(f"the high-degree family starts at delta 11, got {delta}")
     if size < delta + 1:
         raise GenError(f"cannot reach degree {delta} on {size} vertices")
-    g, faces, degree = _radial_quad_drawing(delta, size)
+    g, faces = _radial_quad_drawing(delta, size)
     rng = Lcg64(seed)
     # pad to the exact size by splitting quad faces across a diagonal;
     # a degree-2 vertex on a diagonal keeps the graph bipartite
@@ -277,7 +268,7 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         fi = quads[rng.randrange(len(quads))]
         a, b, c, d = faces[fi]
         u, w = (a, c) if rng.randrange(2) == 0 else (b, d)
-        if degree.get(u, 0) >= delta or degree.get(w, 0) >= delta:
+        if g.degree(u) >= delta or g.degree(w) >= delta:
             guard += 1
             if guard > 50 * size:
                 raise GenError("padding stalled against the degree cap", achieved=next_id)
@@ -285,9 +276,6 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         x = next_id
         next_id += 1
         g = add_edge(add_edge(g, (u, x)), (w, x))
-        degree[x] = 2
-        degree[u] = degree.get(u, 0) + 1
-        degree[w] = degree.get(w, 0) + 1
         if u in (a, c):
             faces[fi : fi + 1] = [(a, b, c, x), (c, d, a, x)]
         else:
@@ -317,11 +305,28 @@ class GenSpec:
         return f"{self.family}-{params}-s{self.seed}"
 
 
+# each drawn family's parameter names and the surface its drawing lies on
+FAMILIES = {
+    "grid": (("m", "n"), "torus"),
+    "planar_triangulation": (("size",), "plane"),
+    "crossed_grid": (("m", "n", "pairs"), "torus"),
+    "wheel_sum": (("delta", "size"), "plane"),
+}
+
+
 def generate(spec: GenSpec) -> tuple:
-    """(graph, drawing or None) for a spec.  Families: grid(m, n),
-    planar_triangulation(size), crossed_grid(m, n, pairs),
-    wheel_sum(delta, size), custom(edge pairs...)."""
+    """(graph, drawing or None) for a spec: one of FAMILIES, or
+    custom(edge pairs...), which has no drawing."""
     fam, p = spec.family, spec.parameters
+    if fam == "custom":
+        return build_graph(list(p)), None
+    if fam not in FAMILIES:
+        raise GenError(f"unknown generator family {fam!r}")
+    names = FAMILIES[fam][0]
+    if len(p) != len(names):
+        raise GenError(
+            f"family {fam} takes {len(names)} parameter(s) ({', '.join(names)}), got {len(p)}"
+        )
     if fam == "grid":
         return gen_toroidal_grid(*p)
     if fam == "planar_triangulation":
@@ -331,11 +336,7 @@ def generate(spec: GenSpec) -> tuple:
         g, e = gen_toroidal_grid(m, n)
         crossed = gen_crossed(e, pairs, spec.seed)
         return true_graph_of(crossed), crossed
-    if fam == "wheel_sum":
-        return gen_high_degree_P_drawing(p[0], p[1], spec.seed)
-    if fam == "custom":
-        return build_graph(list(p)), None
-    raise GenError(f"unknown generator family {fam!r}")
+    return gen_high_degree_P_drawing(p[0], p[1], spec.seed)  # wheel_sum
 
 
 def write_corpus(specs, out_dir: str) -> dict:

@@ -252,6 +252,14 @@ def test_color_missed_bound_still_emits(capsys, k4_file):
     assert "\n\n" in out
 
 
+@pytest.mark.parametrize("kappa", ["-3", "3"])
+def test_color_palette_below_delta_plus_one_is_input_error(capsys, k4_file, kappa):
+    # no total coloring of K4 (delta 3) fits fewer than 4 colors
+    code, out, err = run(capsys, ["color", k4_file, "--kappa", kappa])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "max degree + 1 = 4" in err
+
+
 # ---------------------------------------------------------------------------
 # exit-status contract
 
@@ -337,6 +345,18 @@ def test_gen_statuses(capsys, tmp_path):
     # infeasible parameters are input errors too
     assert run(capsys, ["gen", "wheel_sum", "11", "15", "--out", out_dir])[0] == 2
     assert run(capsys, ["gen", "grid", "two", "3", "--out", out_dir])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["grid", "5"], ["grid", "5", "5", "5"], ["planar_triangulation"],
+     ["wheel_sum", "12"], ["crossed_grid", "4", "4"]],
+    ids=" ".join,
+)
+def test_gen_wrong_parameter_count_is_input_error(capsys, tmp_path, params):
+    code, out, err = run(capsys, ["gen", *params, "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family ") and "parameter(s)" in err
 
 
 # ---------------------------------------------------------------------------

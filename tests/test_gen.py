@@ -287,6 +287,18 @@ def test_generate_unknown_family():
         generate(GenSpec("nope", ()))
 
 
+def test_generate_rejects_wrong_parameter_count():
+    for spec, wanted in [
+        (GenSpec("grid", (5,)), r"grid takes 2 parameter\(s\) \(m, n\), got 1"),
+        (GenSpec("planar_triangulation", ()), r"takes 1 parameter\(s\) \(size\), got 0"),
+        (GenSpec("crossed_grid", (4, 4)), r"\(m, n, pairs\), got 2"),
+        (GenSpec("wheel_sum", (12, 60, 1)), r"\(delta, size\), got 3"),
+    ]:
+        with pytest.raises(GenError, match=wanted) as exc_info:
+            generate(spec)
+        assert exc_info.value.achieved is None
+
+
 def test_spec_slugs_are_filenames():
     ok = set("abcdefghijklmnopqrstuvwxyz0123456789-_x.")
     for spec in (
