@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .embedding import TRUE, EmbeddedGraph, EmbedError
+from .embedding import TRUE, EmbeddedGraph
 from .graphs import SimpleGraph
 
 
@@ -180,13 +180,6 @@ def classify_vertices(a: AugmentedGraph) -> dict:
             new_incident=any(star.is_new(d) for d in star.rotation[v]),
         )
     return table
-
-
-def is_new_edge(a: AugmentedGraph, segment: tuple) -> bool:
-    key = tuple(sorted(segment))
-    if key not in a.star.segment_origin:
-        raise EmbedError(f"unknown segment {segment}")
-    return a.star.is_new(key[0])
 
 
 def check_fixpoint(a: AugmentedGraph, join_adjacent: bool = True) -> bool:

@@ -461,13 +461,14 @@ def final_report(ledger: ChargeLedger) -> dict:
     a = ledger.a
     final = ledger.final()
     ordered = sorted(final.items(), key=lambda ec: (ec[1] >= 0, _element_key(ec[0])))
+    initial_total, final_total = ledger.initial_total(), ledger.conserved_total()
     return {
         "surface": a.star.surface,
         "delta": ledger.delta,
         "applied": list(ledger.applied),
-        "initial_total": _frac_str(ledger.initial_total()),
-        "final_total": _frac_str(ledger.conserved_total()),
-        "conserved": ledger.conserved_total() == ledger.initial_total(),
+        "initial_total": _frac_str(initial_total),
+        "final_total": _frac_str(final_total),
+        "conserved": final_total == initial_total,
         "pool": _frac_str(ledger.pool),
         "pool_flagged": ledger.pool_flagged,
         "negative_count": sum(1 for _, c in final.items() if c < 0),

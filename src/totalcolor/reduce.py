@@ -317,10 +317,6 @@ def parse_graph6(line: str) -> SimpleGraph:
     return graph_from_mask(n, mask)
 
 
-def load_graph6(text: str) -> list:
-    return [parse_graph6(ln) for ln in text.splitlines() if ln.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Extension validation harness
 

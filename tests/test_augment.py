@@ -9,11 +9,9 @@ from totalcolor.augment import (
     augment_report,
     build_g_star,
     check_fixpoint,
-    is_new_edge,
 )
 from totalcolor.embedding import (
     EmbeddedGraph,
-    EmbedError,
     euler_characteristic,
     from_face_cycles,
 )
@@ -82,7 +80,7 @@ def test_c6_parallel_new_edges():
     for key in a.new_segments():
         ends = tuple(sorted(star.owner[d] for d in key))
         pairs.setdefault(ends, []).append(key)
-        assert is_new_edge(a, key)
+        assert a.star.is_new(key[0])
     # each chord (0,2),(0,3),(0,4) appears twice: once per hexagon side
     assert {ends: len(ks) for ends, ks in pairs.items()} == {
         (0, 2): 2, (0, 3): 2, (0, 4): 2,
@@ -155,14 +153,6 @@ def test_d2_minus_d1_counts_incident_new_edges(make):
     for v, c in a.classification.items():
         if c.kind == "true":
             assert c.d2 - c.d1 == per_vertex.get(v, 0)
-
-
-def test_is_new_edge_unknown_segment():
-    e, g = c6_plane()
-    a = build_g_star(e, g)
-    assert not is_new_edge(a, (0, 10))  # original hexagon segment
-    with pytest.raises(EmbedError, match="unknown segment"):
-        is_new_edge(a, (999, 1000))
 
 
 def test_join_adjacent_switch():

@@ -24,7 +24,6 @@ from totalcolor.reduce import (
     find_p3_edge,
     find_reducible_edge,
     graph_from_mask,
-    load_graph6,
     parse_graph6,
     _pair_bit,
 )
@@ -289,13 +288,6 @@ def test_graph6_round_trip_against_enumeration():
             line = _to_graph6(n, mask)
             g = parse_graph6(line)
             assert g == graph_from_mask(n, mask)
-
-
-def test_load_graph6_multiline():
-    text = "A_\n\nBw\n"
-    gs = load_graph6(text)
-    assert len(gs) == 2
-    assert gs[0].num_edges() == 1 and gs[1].num_edges() == 3
 
 
 def test_graph6_errors():
