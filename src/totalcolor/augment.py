@@ -67,11 +67,8 @@ class AugmentedGraph:
             census[f.size] = census.get(f.size, 0) + 1
         return census
 
-    def is_big(self, v) -> bool:
-        return self.classification[v].size_class == "big"
 
-
-def _eligible_pair(boundary, owner, kinds, g, join_adjacent):
+def _eligible_pair(boundary, owner, kinds, g):
     """Smallest eligible (i, j, u, v) in one face, or None.
 
     Positions are boundary-occurrence indices; eligibility requires two
@@ -91,21 +88,19 @@ def _eligible_pair(boundary, owner, kinds, g, join_adjacent):
                 continue
             if j - i < 2 or k - (j - i) < 2:
                 continue
-            if not join_adjacent and g.has_edge(u, v):
-                continue
             key = ((u, v) if u < v else (v, u), i, j)
             if best is None or key < best[0]:
                 best = (key, (i, j, u, v))
     return None if best is None else best[1]
 
 
-def build_g_star(gd: EmbeddedGraph, g: SimpleGraph, join_adjacent: bool = True) -> AugmentedGraph:
+def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
     """Run the insertion loop to its fixpoint and classify the result.
 
     Deterministic order: among eligible faces pick the one whose boundary
     holds the smallest dart id, then the smallest vertex pair within it.
-    join_adjacent controls whether a pair already adjacent in G may still
-    receive a (parallel) new edge through another face region.
+    A pair already adjacent in G may still receive a (parallel) new edge
+    through another face region, as the paper's rule allows.
     """
     rotation = {v: list(rot) for v, rot in gd.rotation.items()}
     twin = dict(gd.twin)
@@ -121,7 +116,7 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph, join_adjacent: bool = True) 
 
     def push(fb):
         if len(fb) >= 4:
-            pick = _eligible_pair(fb, owner, kinds, g, join_adjacent)
+            pick = _eligible_pair(fb, owner, kinds, g)
             if pick is not None:
                 heapq.heappush(heap, (min(fb), fb, pick))
 
@@ -182,13 +177,13 @@ def classify_vertices(a: AugmentedGraph) -> dict:
     return table
 
 
-def check_fixpoint(a: AugmentedGraph, join_adjacent: bool = True) -> bool:
+def check_fixpoint(a: AugmentedGraph) -> bool:
     """True iff no face of G* still holds an eligible insertion pair."""
     star = a.star
     for f in star.faces():
         if f.size < 4:
             continue
-        if _eligible_pair(f.boundary, star.owner, star.vertex_kind, a.g, join_adjacent):
+        if _eligible_pair(f.boundary, star.owner, star.vertex_kind, a.g):
             return False
     return True
 

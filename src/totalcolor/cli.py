@@ -23,7 +23,7 @@ from .coloring import (
 from .discharge import discharge, final_report
 from .embedding import EmbeddedGraph, euler_characteristic, parse_embedding
 from .gen import FAMILIES, GenError, GenSpec, true_graph_of, write_corpus
-from .graphs import SimpleGraph, build_graph, check_property_P, parse_edge_list
+from .graphs import SimpleGraph, check_property_P, parse_edge_list
 from .reduce import audit_minimality
 from .ruletable import parse_rule_table
 
@@ -74,7 +74,7 @@ def _write_dot(path: str, a: AugmentedGraph) -> None:
     boxes, big vertices are doubled, new edges are dashed."""
     star = a.star
     lines = ["graph gstar {"]
-    for v in sorted(star.vertices()):
+    for v in star.vertices():
         cls = a.classification[v]
         shape = "box" if cls.kind == "crossing" else "ellipse"
         peripheries = 2 if cls.size_class == "big" else 1
@@ -135,7 +135,7 @@ def _cmd_gstar(args) -> int:
     g = true_graph_of(e)
     a = build_g_star(e, g)
     report = augment_report(a)
-    big = sorted(v for v in a.classification if a.is_big(v))
+    big = sorted(v for v, c in a.classification.items() if c.size_class == "big")
     print(f"surface: {e.surface}")
     print(f"true vertices: {len(a.star.true_vertices())}")
     print(f"crossing vertices: {len(a.star.crossing_vertices())}")

@@ -26,7 +26,7 @@ class ColoringError(ValueError):
 
 
 def total_elements(g: SimpleGraph) -> list:
-    return [("v", v) for v in sorted(g.vertices)] + [("e",) + e for e in g.edges()]
+    return [("v", v) for v in g.vertices] + [("e",) + e for e in g.edges()]
 
 
 def conflict_lists(g: SimpleGraph) -> tuple:
@@ -162,8 +162,8 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
             bad.append(("ve", u, (u, v)))
         if cuv == vc[v]:
             bad.append(("ve", v, (u, v)))
-    for v in sorted(g.vertices):
-        nbrs = sorted(g.neighbors(v))
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
         row = [ec[edge_key(v, a)] for a in nbrs]
         if len(set(row)) == len(row):
             continue  # the edges at v all differ
@@ -472,6 +472,8 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
             f"no total coloring fits {kappa} colors: it needs at least "
             f"max degree + 1 = {g.max_degree() + 1}"
         )
+    if budget < 0:
+        raise ColoringError(f"the exact-core budget must be >= 0, got {budget}")
     trace = []
 
     peeled = []  # (edge, apex or None), outermost first

@@ -16,11 +16,10 @@ support structure is free to be charge-imbalanced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .augment import AugmentedGraph
 from .discharge import _frac_str, discharge
-from .embedding import EmbedError, from_face_cycles
+from .embedding import from_face_cycles
 from .graphs import build_graph
 
 

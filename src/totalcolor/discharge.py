@@ -138,7 +138,7 @@ def apply_r1(a: AugmentedGraph, ledger: ChargeLedger) -> None:
         return
     rset = set(receivers)
     senders = []
-    for v in sorted(star.vertices()):
+    for v in star.vertices():
         c = a.classification[v]
         if c.kind != TRUE or c.d2 != delta:
             continue
@@ -181,7 +181,7 @@ def apply_r3(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     star = a.star
     ctx = ledger.ctx
     third = Fraction(1, 3)
-    for v in sorted(star.vertices()):
+    for v in star.vertices():
         c = a.classification[v]
         if c.kind != TRUE or c.d1 != 5 or c.d2 != 5:
             continue
@@ -209,7 +209,7 @@ def apply_rule_table(
     star = a.star
     delta = ledger.delta
     use_guard = "guarded-crossing" in table.exclusions
-    for r in sorted(star.vertices()):
+    for r in star.vertices():
         for r_dart in star.rotation[r]:
             s = star.other_end(r_dart)
             hits = [
@@ -374,14 +374,14 @@ class ClaimReport:
         }
 
 
-def check_claims(a: AugmentedGraph, ledger: ChargeLedger | None = None) -> ClaimReport:
+def check_claims(a: AugmentedGraph, ledger: ChargeLedger) -> ClaimReport:
     """Evaluate the four structural claims on this instance.  A violation
     is evidence that the input is not one of the critical instances the
     argument targets — it is reported, never raised."""
     from .graphs import find_k4s
 
     star = a.star
-    ctx = ledger.ctx if ledger is not None else MatchContext(a)
+    ctx = ledger.ctx
     cls = a.classification
 
     k4s = [tuple(sorted(k)) for k in find_k4s(a.g)]
@@ -428,16 +428,15 @@ def check_claims(a: AugmentedGraph, ledger: ChargeLedger | None = None) -> Claim
                 big_face.append((fi, v, u, w, share))
 
     quiet = []
-    if ledger is not None:
-        for t in ledger.transfers:
-            if t.dart is None or isinstance(t.source, tuple):
-                continue
-            target = t.target
-            if not isinstance(target, tuple) and cls.get(target) is not None:
-                if cls[target].kind == CROSSING:
-                    r_dart = star.twin[t.dart]
-                    if guarded_crossing(ctx, t.source, target, r_dart):
-                        quiet.append((t.source, target, t.rule, t.amount))
+    for t in ledger.transfers:
+        if t.dart is None or isinstance(t.source, tuple):
+            continue
+        target = t.target
+        if not isinstance(target, tuple) and cls.get(target) is not None:
+            if cls[target].kind == CROSSING:
+                r_dart = star.twin[t.dart]
+                if guarded_crossing(ctx, t.source, target, r_dart):
+                    quiet.append((t.source, target, t.rule, t.amount))
 
     return ClaimReport(
         no_4_clique=k4s,

@@ -48,9 +48,6 @@ class Lcg64:
             raise GenError(f"randrange needs a positive bound, got {n}")
         return self.next_word() % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 # ---------------------------------------------------------------------------
 # toroidal grids
@@ -142,6 +139,8 @@ def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph
     """Insert `pairs` mutually crossing chord pairs, each drawn inside one
     face of size at least 4, so every new edge crosses exactly one other.
     Raises (with the achieved count) when the drawing runs out of room."""
+    if pairs < 0:
+        raise GenError(f"crossing pair count must be >= 0, got {pairs}")
     if pairs == 0:
         return base
     g = true_graph_of(base)
@@ -298,10 +297,7 @@ class GenSpec:
     seed: int = 0
 
     def slug(self) -> str:
-        if all(isinstance(p, int) for p in self.parameters):
-            params = "x".join(str(p) for p in self.parameters)
-        else:
-            params = hashlib.sha256(repr(self.parameters).encode()).hexdigest()[:10]
+        params = "x".join(str(p) for p in self.parameters)
         return f"{self.family}-{params}-s{self.seed}"
 
 
@@ -315,11 +311,8 @@ FAMILIES = {
 
 
 def generate(spec: GenSpec) -> tuple:
-    """(graph, drawing or None) for a spec: one of FAMILIES, or
-    custom(edge pairs...), which has no drawing."""
+    """(graph, drawing) for a spec of one of FAMILIES."""
     fam, p = spec.family, spec.parameters
-    if fam == "custom":
-        return build_graph(list(p)), None
     if fam not in FAMILIES:
         raise GenError(f"unknown generator family {fam!r}")
     names = FAMILIES[fam][0]
@@ -340,9 +333,9 @@ def generate(spec: GenSpec) -> tuple:
 
 
 def write_corpus(specs, out_dir: str) -> dict:
-    """Generate every spec into out_dir (edge list plus drawing when there
-    is one) and write a manifest.json mapping specs to files and sha256
-    checksums.  Returns the manifest."""
+    """Generate every spec into out_dir (edge list plus drawing) and write
+    a manifest.json mapping specs to files and sha256 checksums.  Returns
+    the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for spec in specs:
@@ -356,20 +349,17 @@ def write_corpus(specs, out_dir: str) -> dict:
             fh.write(payload)
         files["graph"] = base + ".el"
         checksums[base + ".el"] = hashlib.sha256(payload.encode()).hexdigest()
-        if emb is not None:
-            emb_path = os.path.join(out_dir, base + ".emb")
-            payload = dump_embedding(emb)
-            with open(emb_path, "w") as fh:
-                fh.write(payload)
-            files["drawing"] = base + ".emb"
-            checksums[base + ".emb"] = hashlib.sha256(payload.encode()).hexdigest()
+        emb_path = os.path.join(out_dir, base + ".emb")
+        payload = dump_embedding(emb)
+        with open(emb_path, "w") as fh:
+            fh.write(payload)
+        files["drawing"] = base + ".emb"
+        checksums[base + ".emb"] = hashlib.sha256(payload.encode()).hexdigest()
         entries.append(
             {
                 "name": base,
                 "family": spec.family,
-                "parameters": [
-                    list(p) if isinstance(p, tuple) else p for p in spec.parameters
-                ],
+                "parameters": list(spec.parameters),
                 "seed": spec.seed,
                 "files": files,
                 "sha256": checksums,

@@ -63,9 +63,6 @@ class SimpleGraph:
             return NotImplemented
         return self.vertices == other.vertices and self.adj == other.adj
 
-    def __hash__(self):
-        return hash((self.vertices, tuple(self.adj[v] for v in self.vertices)))
-
     def __repr__(self) -> str:
         return f"SimpleGraph(n={len(self.vertices)}, m={self.num_edges()})"
 
@@ -123,9 +120,6 @@ class DiamondWitness:
 
     hub_pair: tuple
     wing_pair: tuple
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.hub_pair) | frozenset(self.wing_pair)
 
 
 def find_k4s(g: SimpleGraph) -> list[tuple]:

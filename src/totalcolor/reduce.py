@@ -103,7 +103,7 @@ def cut_vertices(g: SimpleGraph) -> list:
     the audit only ever runs at desk scale)."""
     if len(g.vertices) < 3 or not _is_connected(g):
         return []
-    return [v for v in sorted(g.vertices) if not _is_connected(g, skip=v)]
+    return [v for v in g.vertices if not _is_connected(g, skip=v)]
 
 
 def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
@@ -122,7 +122,7 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
     results["P1"] = CheckResult("P1", True, not p1_bad, p1_bad)
 
     p2_wit = []
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         if g.degree(v) < 3:
             p2_wit.append(("min-degree", v, g.degree(v)))
     if not g.vertices or len(g.vertices) < 3:
@@ -145,10 +145,10 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
     p4_app = kappa >= 7
     p4_bad = []
     if p4_app:
-        for v in sorted(g.vertices):
+        for v in g.vertices:
             if g.degree(v) != 3:
                 continue
-            nbrs = sorted(g.neighbors(v))
+            nbrs = g.neighbors(v)
             for i, a in enumerate(nbrs):
                 for b in nbrs[i + 1:]:
                     if g.has_edge(a, b):
@@ -158,10 +158,10 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
     p5_app = kappa >= 9
     p5_bad = []
     if p5_app:
-        for v in sorted(g.vertices):
+        for v in g.vertices:
             if g.degree(v) != 4:
                 continue
-            for w in sorted(g.neighbors(v)):
+            for w in g.neighbors(v):
                 shared = g.common_neighbors(v, w)
                 if len(shared) >= 2:
                     p5_bad.append(((v, w), tuple(sorted(shared))))
@@ -261,19 +261,6 @@ def enum_graph_masks(n: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _mask_connected(n: int, mask: int) -> bool:
-    adj = _adjacency(n, mask)
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if adj[v] >> w & 1 and not seen >> w & 1:
-                seen |= 1 << w
-                stack.append(w)
-    return seen == (1 << n) - 1
-
-
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
     edges = [(i, j) for j in range(n) for i in range(j) if mask >> _pair_bit(i, j) & 1]
     return build_graph(edges, vertices=range(n))
@@ -282,39 +269,8 @@ def graph_from_mask(n: int, mask: int) -> SimpleGraph:
 def enum_graphs(n: int, connected: bool = False) -> list:
     """All graphs on n vertices up to isomorphism, as SimpleGraphs on
     vertex set 0..n-1; optionally connected ones only."""
-    masks = enum_graph_masks(n)
-    if connected:
-        masks = [m for m in masks if _mask_connected(n, m)]
-    return [graph_from_mask(n, m) for m in masks]
-
-
-def parse_graph6(line: str) -> SimpleGraph:
-    """Decode one line of the standard compact graph catalog format
-    (printable-ASCII upper-triangle bit packing); an optional cross-check
-    path for the native enumeration.  Supports up to 62 vertices."""
-    s = line.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[10:]
-    if not s:
-        raise ReduceError("empty catalog line")
-    vals = [ord(ch) - 63 for ch in s]
-    if any(v < 0 or v > 63 for v in vals):
-        raise ReduceError(f"bad catalog byte in {line!r}")
-    n = vals[0]
-    if n == 63:
-        raise ReduceError("catalog graphs with 63+ vertices are not supported")
-    need = (n * (n - 1) // 2 + 5) // 6
-    bits = vals[1:]
-    if len(bits) != need:
-        raise ReduceError(f"catalog line has {len(bits)} data bytes, expected {need}")
-    mask = 0
-    k = 0
-    for j in range(n):
-        for i in range(j):
-            if bits[k // 6] >> (5 - k % 6) & 1:
-                mask |= 1 << _pair_bit(i, j)
-            k += 1
-    return graph_from_mask(n, mask)
+    graphs = (graph_from_mask(n, m) for m in enum_graph_masks(n))
+    return [g for g in graphs if not connected or _is_connected(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +279,6 @@ def parse_graph6(line: str) -> SimpleGraph:
 
 @dataclass
 class ExtensionReport:
-    n_max: int
     instances: int = 0
     failures: int = 0
     certificates: list = field(default_factory=list)
@@ -389,7 +344,7 @@ def brute_validate_extensions(
     certificate is recorded as a failure."""
     if n_max > 7:
         raise ReduceError("extension validation is capped at 7 vertices")
-    report = ExtensionReport(n_max=n_max)
+    report = ExtensionReport()
     instance_no = 0
     for n in range(2, n_max + 1):
         for g in enum_graphs(n, connected=True):

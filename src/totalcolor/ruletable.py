@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .augment import AugmentedGraph
 from .embedding import CROSSING, TRUE, dart_face_index
@@ -580,11 +581,7 @@ DEFAULT_TABLE_DICT = {
 
 DEFAULT_TABLE_JSON = json.dumps(DEFAULT_TABLE_DICT, indent=2)
 
-_default_cache = None
 
-
+@cache
 def default_rules() -> RuleTable:
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = rule_table_from_dict(DEFAULT_TABLE_DICT)
-    return _default_cache
+    return rule_table_from_dict(DEFAULT_TABLE_DICT)

@@ -155,17 +155,15 @@ def test_d2_minus_d1_counts_incident_new_edges(make):
             assert c.d2 - c.d1 == per_vertex.get(v, 0)
 
 
-def test_join_adjacent_switch():
+def test_adjacent_pair_takes_a_parallel_new_edge():
     e, g = quad_with_crossing()
     # the outer square face's only non-consecutive pairs are the two
-    # already-crossing diagonals; the switch decides whether they may be
-    # doubled by a parallel new edge
-    a_default = build_g_star(e, g)
-    assert a_default.new_edge_count() == 1
-    assert a_default.insertions[0].pair in ((0, 2), (1, 3))
-    a_strict = build_g_star(e, g, join_adjacent=False)
-    assert a_strict.new_edge_count() == 0
-    assert check_fixpoint(a_strict, join_adjacent=False)
+    # already-crossing diagonals; one of them is doubled by a parallel
+    # new edge
+    a = build_g_star(e, g)
+    assert a.new_edge_count() == 1
+    assert a.insertions[0].pair in ((0, 2), (1, 3))
+    assert g.has_edge(*a.insertions[0].pair)
 
 
 def test_augment_report_is_json_ready():
@@ -180,7 +178,7 @@ def test_augment_report_is_json_ready():
     assert [tuple(i["pair"]) for i in back["insertions"]] == [(1, 3), (1, 4)]
 
 
-def rescan_g_star(gd, g, join_adjacent=True):
+def rescan_g_star(gd, g):
     """Reference insertion loop: rescan every face after each insertion and
     split the eligible face holding the smallest dart."""
     rotation = {v: list(rot) for v, rot in gd.rotation.items()}
@@ -195,7 +193,7 @@ def rescan_g_star(gd, g, join_adjacent=True):
             (min(fb), fi, pick)
             for fi, fb in enumerate(faces)
             if len(fb) >= 4
-            and (pick := augment._eligible_pair(fb, owner, gd.vertex_kind, g, join_adjacent))
+            and (pick := augment._eligible_pair(fb, owner, gd.vertex_kind, g))
         ]
         if not eligible:
             break
@@ -244,12 +242,11 @@ def test_heap_loop_matches_full_rescan():
     assert len(cases) == 105
     inserted = 0
     for e, g in cases:
-        for join_adjacent in (True, False):
-            a = build_g_star(e, g, join_adjacent)
-            ref = rescan_g_star(e, g, join_adjacent)
-            assert augment_report(a) == augment_report(ref)
-            assert a.star.rotation == ref.star.rotation
-            inserted += len(a.insertions)
+        a = build_g_star(e, g)
+        ref = rescan_g_star(e, g)
+        assert augment_report(a) == augment_report(ref)
+        assert a.star.rotation == ref.star.rotation
+        inserted += len(a.insertions)
     assert inserted > 0
 
 

@@ -260,6 +260,14 @@ def test_color_palette_below_delta_plus_one_is_input_error(capsys, k4_file, kapp
     assert err.startswith("error: ") and "max degree + 1 = 4" in err
 
 
+def test_color_negative_budget_is_input_error(capsys, k4_file):
+    # exact rejects the same budget; a budget of 0 only rules out the core
+    code, out, err = run(capsys, ["color", k4_file, "--budget", "-5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "budget" in err
+    assert run(capsys, ["color", k4_file, "--budget", "0"])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # exit-status contract
 
@@ -345,6 +353,14 @@ def test_gen_statuses(capsys, tmp_path):
     # infeasible parameters are input errors too
     assert run(capsys, ["gen", "wheel_sum", "11", "15", "--out", out_dir])[0] == 2
     assert run(capsys, ["gen", "grid", "two", "3", "--out", out_dir])[0] == 2
+
+
+def test_gen_negative_pair_count_is_input_error(capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, ["gen", "crossed_grid", "3", "3", "-2", "--out", str(out_dir)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "-2" in err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -496,7 +496,7 @@ def test_semi_fan_runs_split_on_idle_edges():
 
 def test_claims_on_the_diagonal_square():
     a = wrapped_quad()
-    rep = check_claims(a)
+    rep = check_claims(a, discharge(a))
     # the four true vertices form a K4, every original edge joins two
     # smalls, and the outer face pays 1/2 < 1 to its small corners
     assert rep.no_4_clique == [(0, 1, 2, 3)]
@@ -510,7 +510,7 @@ def test_claims_on_the_diagonal_square():
 
 def test_claims_triangle_free_grid():
     a = wrapped_grid(3, 3)
-    rep = check_claims(a)
+    rep = check_claims(a, discharge(a))
     assert rep.no_4_clique == []
     # all-small 4-faces still violate the share floor
     assert len(rep.big_face) == 36
@@ -638,6 +638,3 @@ def test_one_match_context_per_ledger(monkeypatch):
     ledger = discharge(a)
     check_claims(a, ledger)
     assert built == [a]
-    # without a ledger the claims build their own
-    check_claims(a)
-    assert len(built) == 2

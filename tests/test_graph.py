@@ -1,9 +1,9 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from totalcolor.graphs import (
-    DiamondWitness,
     GraphError,
     add_edge,
     build_graph,
@@ -14,6 +14,8 @@ from totalcolor.graphs import (
     find_k4s,
     parse_edge_list,
 )
+from totalcolor.gen import gen_high_degree_P
+from totalcolor.reduce import enum_graph_masks, graph_from_mask
 
 from helpers import (
     brute_diamonds,
@@ -199,6 +201,45 @@ def test_edge_list_roundtrip():
     assert parse_edge_list(dump_edge_list(g)) == g
 
 
-def test_diamond_witness_vertex_set():
-    w = DiamondWitness(hub_pair=(1, 2), wing_pair=(0, 3))
-    assert w.vertex_set() == frozenset({0, 1, 2, 3})
+def _assert_sorted(g):
+    assert isinstance(g.vertices, tuple)
+    assert list(g.vertices) == sorted(g.vertices)
+    assert list(g.adj) == list(g.vertices)
+    for row in g.adj.values():
+        assert isinstance(row, tuple)
+        assert list(row) == sorted(row)
+
+
+def test_vertices_and_rows_stay_sorted_under_edits():
+    # verify, total_elements, the audit and the discharge passes read
+    # g.vertices and the adjacency rows without re-sorting them
+    rng = random.Random(20261018)
+    starts = []
+    for _ in range(4):
+        ids = rng.sample(range(0, 60, 2), 12)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in combinations(ids, 2) if rng.random() < 0.3]
+        rng.shuffle(pairs)
+        starts.append(build_graph(pairs, vertices=rng.sample(ids, 3)))
+        starts.append(parse_edge_list("".join(f"{u} {v}\n" for u, v in pairs)))
+    starts += [graph_from_mask(6, m) for m in rng.sample(enum_graph_masks(6), 4)]
+    starts += [gen_high_degree_P(11, 23, seed=s) for s in range(2)]
+    brought_in = 0
+    for g in starts:
+        _assert_sorted(g)
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.4 and g.num_edges():
+                g = delete_edge(g, rng.choice(g.edges()))
+            elif roll < 0.8:
+                u, v = rng.sample(g.vertices, 2)
+                if not g.has_edge(u, v):
+                    g = add_edge(g, (u, v))
+            else:
+                # a fresh id, often in a gap below the largest vertex
+                fresh = [x for x in range(max(g.vertices) + 3) if x not in g.adj]
+                new, old = rng.choice(fresh), rng.choice(g.vertices)
+                g = add_edge(g, (new, old) if rng.random() < 0.5 else (old, new))
+                brought_in += 1
+            _assert_sorted(g)
+    assert brought_in > 20

@@ -23,8 +23,6 @@ from totalcolor.reduce import (
     enum_graphs,
     find_p3_edge,
     find_reducible_edge,
-    graph_from_mask,
-    parse_graph6,
     _pair_bit,
 )
 
@@ -254,54 +252,6 @@ def test_exhaustive_isomorphism_classes_small():
 
 
 # ---------------------------------------------------------------------------
-# catalog format
-
-
-def _to_graph6(n, mask):
-    # encoder lives only in the tests; the library just decodes
-    bits = []
-    for j in range(n):
-        for i in range(j):
-            bits.append(mask >> _pair_bit(i, j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
-
-
-def test_graph6_hand_vectors():
-    # 'A_' is the single edge: n=2, data byte 95-63=32 = 100000
-    assert sorted(parse_graph6("A_").edges()) == [(0, 1)]
-    # 'Bw' is the triangle: n=3, data byte 119-63=56 = 111000
-    assert sorted(parse_graph6("Bw").edges()) == [(0, 1), (0, 2), (1, 2)]
-    assert sorted(parse_graph6(">>graph6<<Bw").edges()) == [(0, 1), (0, 2), (1, 2)]
-
-
-def test_graph6_round_trip_against_enumeration():
-    for n in (1, 2, 3, 4, 5):
-        for mask in enum_graph_masks(n):
-            line = _to_graph6(n, mask)
-            g = parse_graph6(line)
-            assert g == graph_from_mask(n, mask)
-
-
-def test_graph6_errors():
-    with pytest.raises(ReduceError, match="empty"):
-        parse_graph6("   ")
-    with pytest.raises(ReduceError, match="bad catalog byte"):
-        parse_graph6("B\x01")
-    with pytest.raises(ReduceError, match="expected 2"):
-        parse_graph6("D_")  # five vertices need two data bytes
-    with pytest.raises(ReduceError, match="63"):
-        parse_graph6("~~~")
-
-
-# ---------------------------------------------------------------------------
 # extension harness
 
 
@@ -377,7 +327,7 @@ def _failure_records(monkeypatch, outcome):
     monkeypatch.setattr(reduce, "extend_p3", lambda g, uv, w, c, kappa: outcome(c))
     g = wheel(4)
     c = greedy_total(delete_edge(g, (0, 1)))
-    report = ExtensionReport(n_max=5)
+    report = ExtensionReport()
     reduce._run_extension(report, g, (0, 1), None, c, 6)
     reduce._run_extension(report, g, (0, 1), 2, c, 6)
     assert report.failures == 2
