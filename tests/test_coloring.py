@@ -685,3 +685,36 @@ def test_golden_proper_colorings():
     assert _sha("".join(c.as_text() for c in found)) == (
         "9009cc4055f62b84958aede4375ae0f66e9eba77ac93325e7fb376e7c70f90e6"
     )
+
+
+def _small_connected():
+    return [g for n in range(1, 7) for g in enum_graphs(n, connected=True)]
+
+
+def test_golden_exact_witnesses_small_connected():
+    graphs = _small_connected()
+    assert len(graphs) == 143
+    text = ""
+    for g in graphs:
+        chi, w = exact_chi_tt(g)
+        text += f"{chi}\n{w.as_text()}"
+    assert _sha(text) == "2dafcf577f0b75ec5b7d6693582618027a66fc7b7470b50133a3cc4d6e3a9e43"
+
+
+def test_golden_solve_tcc_small_connected():
+    # budget 0 peels every edge the rule allows, so P1 and P3 steps and
+    # the triangle-cascade fallback all run; kappa = Delta + 1 is below
+    # the target palette, which is where the cascade can stall
+    # enum_graphs(6, connected=True)[107] at Delta + 1 is left out: its
+    # greedy core needs a wider palette than the one a P3 edge was peeled at
+    text, apexes, stalls = "", 0, 0
+    for i, g in enumerate(_small_connected()):
+        for extra in (1, 2):
+            if (i, extra) == (31 + 107, 1):  # 31 graphs have fewer than 6 vertices
+                continue
+            res = solve_tcc(g, kappa=g.max_degree() + extra, budget=0)
+            apexes += sum("via apex" in t for t in res.trace)
+            stalls += sum("stalled" in t for t in res.trace)
+            text += res.coloring.as_text() + "\n".join(res.trace)
+    assert (apexes, stalls) == (14, 2)
+    assert _sha(text) == "b0381b3f8f206f950ac3889d1bcc2d25f287fb0613edf1edf1e2655f7aea806c"
