@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import SimpleGraph, add_edge, delete_edge, edge_key
+# add_edge is unused here; the benchmark's tracer binds coloring.add_edge
+from .graphs import SimpleGraph, add_edge, build_graph, delete_edge, edge_key
 
 
 class ColoringError(ValueError):
@@ -178,6 +179,31 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
 # Exact palette search
 
 
+def _search(nbrs: list, order, palette):
+    """Every proper coloring of the elements behind nbrs (indexed as in
+    conflict_lists), each as a fresh flat color list.  Elements are
+    assigned in `order`; the one at rank r tries the colors
+    palette(assigned, r) in turn, with assigned[:r] the colors already
+    given, by rank."""
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    earlier = [[rank[j] for j in nbrs[i] if rank[j] < r] for r, i in enumerate(order)]
+    assigned = [0] * len(order)
+
+    def fill(r: int):
+        if r == len(order):
+            yield [assigned[x] for x in rank]
+            return
+        taken = {assigned[j] for j in earlier[r]}
+        for c in palette(assigned, r):
+            if c not in taken:
+                assigned[r] = c
+                yield from fill(r + 1)
+
+    return fill(0)
+
+
 def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
     """The total chromatic number with a witness, by backtracking.  Refuses
     instances with more than `budget` elements; use solve_tcc or
@@ -192,38 +218,16 @@ def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
         return 0, TotalColoring(0)
     els, conflicts = conflict_lists(g)
     order = sorted(range(len(els)), key=lambda i: (-len(conflicts[i]), i))
-    rank = {i: r for r, i in enumerate(order)}
-    earlier = [
-        [j for j in conflicts[i] if rank[j] < rank[i]] for i in order
-    ]
 
-    def attempt(kappa: int):
-        assigned = [0] * len(order)
-
-        def fill(r: int) -> bool:
-            if r == len(order):
-                return True
-            taken = {assigned[rank[j]] for j in earlier[r]}
-            # colors are interchangeable: never introduce color c before c-1
-            ceiling = min(kappa, max(assigned[:r], default=0) + 1)
-            for c in range(1, ceiling + 1):
-                if c not in taken:
-                    assigned[r] = c
-                    if fill(r + 1):
-                        return True
-            assigned[r] = 0
-            return False
-
-        if not fill(0):
-            return None
-        colors = [assigned[rank[i]] for i in range(len(els))]
-        return _paint(TotalColoring(kappa), els, colors)
+    def first_use(assigned, r):
+        # colors are interchangeable: never introduce color c before c-1
+        return range(1, min(kappa, max(assigned[:r], default=0) + 1) + 1)
 
     kappa = g.max_degree() + 1
     while True:
-        witness = attempt(kappa)
-        if witness is not None:
-            return kappa, witness
+        colors = next(_search(conflicts, order, first_use), None)
+        if colors is not None:
+            return kappa, _paint(TotalColoring(kappa), els, colors)
         kappa += 1
 
 
@@ -258,8 +262,12 @@ def _free_color(kappa: int, *used) -> int | None:
 
 
 def _recolor_vertex(g: SimpleGraph, c: TotalColoring, v, kappa: int) -> None:
-    nbr = {c.vertex_color[w] for w in g.neighbors(v) if w in c.vertex_color}
-    color = _free_color(kappa, colors_at(g, c, v), nbr)
+    used = set()
+    for w in g.neighbors(v):
+        color = c.edge_color.get(edge_key(v, w))
+        if color is not None:
+            used |= {color, c.vertex_color[w]}
+    color = _free_color(kappa, used)
     if color is None:
         raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")
     c.vertex_color[v] = color
@@ -285,14 +293,14 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
     u, v = uv
     if not g.has_edge(u, v):
         raise ColoringError(f"P1 precondition: {uv} is not an edge")
-    if 2 * g.degree(v) > kappa - 1:
-        u, v = v, u
     if peel_kind(g, u, v, kappa) != "P1":
         raise ColoringError(
             f"P1 precondition: need deg(u)+deg(v) <= {kappa} and "
             f"2*deg(v) <= {kappa - 1}, got {g.degree(u)} and {g.degree(v)}"
         )
-    return _extend(g, u, v, None, c, kappa)
+    if verify(delete_edge(g, uv), c):
+        raise ColoringError("P1 precondition: the reduced coloring is not proper")
+    return _extend(g, uv, None, c, kappa)
 
 
 @dataclass(frozen=True)
@@ -321,8 +329,6 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     u, v = uv
     if not g.has_edge(u, v):
         raise ColoringError(f"P3 precondition: {uv} is not an edge")
-    if g.degree(u) < g.degree(v):
-        u, v = v, u
     if not (g.has_edge(u, w) and g.has_edge(v, w)):
         raise ColoringError(f"P3 precondition: {w} does not complete a triangle on {uv}")
     if peel_kind(g, u, v, kappa) != "P3":
@@ -330,21 +336,26 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
             f"P3 precondition: need 2*deg(v) <= {kappa - 1} and deg(u)+deg(v) "
             f"exactly {kappa + 1}, got {g.degree(u)} and {g.degree(v)}"
         )
-    return _extend(g, u, v, w, c, kappa)
+    if verify(delete_edge(g, uv), c):
+        raise ColoringError("P3 precondition: the reduced coloring is not proper")
+    return _extend(g, uv, w, c, kappa)
 
 
-def _extend(g: SimpleGraph, u, v, w, c: TotalColoring, kappa: int):
-    """The extension step shared by P1 (w is None) and P3 (w the apex),
-    with v the low end: erase v, color uv, recolor v."""
-    step = "P1" if w is None else "P3"
-    if verify(delete_edge(g, (u, v)), c):
-        raise ColoringError(f"{step} precondition: the reduced coloring is not proper")
+def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
+    """The extension step shared by P1 (w is None) and P3 (w the apex).
+    g may hold edges that c leaves uncolored, uv among them; only colored
+    edges count.  Picks the low end v, erases it, colors uv, recolors v."""
+    u, v = uv
+    used_u, used_v = colors_at(g, c, u), colors_at(g, c, v)
+    # c is proper, so an end shows one color per colored edge plus its
+    # own: as many colors as its degree with uv counted
+    du, dv = len(used_u), len(used_v)
+    if (w is None and 2 * dv > kappa - 1) or (w is not None and du < dv):
+        u, v, used_u, used_v = v, u, used_v, used_u
     out = c.copy()
     out.kappa = kappa
-    out.vertex_color.pop(v, None)
+    used_v.discard(out.vertex_color.pop(v, None))
     uvk = edge_key(u, v)
-    used_u = colors_at(g, out, u)
-    used_v = colors_at(g, out, v)
     theta = _free_color(kappa, used_u, used_v)
     if theta is not None:
         out.edge_color[uvk] = theta
@@ -504,21 +515,18 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
 
     while peeled:
         e, apex = peeled.pop()
-        current = add_edge(current, e)
-        if apex is None:
-            result = extend_p1(current, e, result, result.kappa)
-            trace.append(f"extended across {e}")
+        ext = _extend(g, e, apex, result, result.kappa)
+        if isinstance(ext, P3Certificate):
+            trace.append(f"triangle cascade stalled at {e}; greedy fallback")
+            current = build_graph([*result.edge_color, e], vertices=g.vertices)
+            result = greedy_total(current)
+            size = len(current.vertices) + current.num_edges()
+            _repair_into(current, result, kappa, 50 * size)
+            result.kappa = max(kappa, result.colors_used())
         else:
-            ext = extend_p3(current, e, apex, result, result.kappa)
-            if isinstance(ext, P3Certificate):
-                trace.append(f"triangle cascade stalled at {e}; greedy fallback")
-                result = greedy_total(current)
-                size = len(current.vertices) + current.num_edges()
-                _repair_into(current, result, kappa, 50 * size)
-                result.kappa = max(kappa, result.colors_used())
-            else:
-                result = ext
-                trace.append(f"extended across {e} via apex {apex}")
+            result = ext
+            via = "" if apex is None else f" via apex {apex}"
+            trace.append(f"extended across {e}{via}")
 
     bad = verify(g, result)
     if bad:

@@ -14,12 +14,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 
 from .coloring import (
     P3Certificate,
     TotalColoring,
     _paint,
+    _search,
     conflict_lists,
     extend_p1,
     extend_p3,
@@ -307,30 +308,15 @@ def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng) -> tuple:
     shuffled color order at each node (so a truncated run is not just a
     lexicographic prefix).  Second result: True when more colorings exist
     beyond the cap."""
-    limit = cap + 1
     els, nbrs = conflict_lists(g)
-    earlier = [[j for j in near if j < i] for i, near in enumerate(nbrs)]
-    found = []
-    assigned = [0] * len(els)
 
-    def walk(i: int) -> None:
-        if len(found) >= limit:
-            return
-        if i == len(els):
-            found.append(_paint(TotalColoring(kappa), els, assigned))
-            return
-        taken = {assigned[j] for j in earlier[i]}
+    def shuffled(assigned, r):
         colors = list(range(1, kappa + 1))
         rng.shuffle(colors)
-        for col in colors:
-            if col not in taken:
-                assigned[i] = col
-                walk(i + 1)
-                if len(found) >= limit:
-                    return
-        assigned[i] = 0
+        return colors
 
-    walk(0)
+    search = _search(nbrs, range(len(els)), shuffled)
+    found = [_paint(TotalColoring(kappa), els, colors) for colors in islice(search, cap + 1)]
     return found[:cap], len(found) > cap
 
 

@@ -252,6 +252,21 @@ def test_color_missed_bound_still_emits(capsys, k4_file):
     assert "\n\n" in out
 
 
+def test_color_p3_step_after_core_missed_the_bound(capsys, tmp_path):
+    # the greedy core needs 7 colors, one more than the P3 edge (0, 4) was
+    # peeled at; the verb reports the missed bound with a proper coloring
+    el = tmp_path / "g6.el"
+    el.write_text("0 4\n0 5\n1 2\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n3 4\n3 5\n4 5\n")
+    code, out, _ = run(capsys, ["color", str(el), "--kappa", "6", "--budget", "0"])
+    assert code == 1
+    assert "within bound: NO" in out
+    assert "  extended across (0, 4) via apex 5\n" in out
+    tc = tmp_path / "g6.tc"
+    tc.write_text(out.split("\n\n", 1)[1])
+    code, out, _ = run(capsys, ["verify", str(el), str(tc)])
+    assert (code, out) == (0, "kappa: 7\nviolations: 0\n")
+
+
 @pytest.mark.parametrize("kappa", ["-3", "3"])
 def test_color_palette_below_delta_plus_one_is_input_error(capsys, k4_file, kappa):
     # no total coloring of K4 (delta 3) fits fewer than 4 colors

@@ -567,6 +567,21 @@ def test_solve_always_returns_verifying_coloring():
         assert res.ok == (res.colors_used <= g.max_degree() + 2)
 
 
+def test_solve_extends_p3_edges_across_a_widened_core_palette():
+    # at kappa = Delta + 1 and budget 0 the greedy core of each of these
+    # graphs needs Delta + 2 colors, so a P3 edge peeled at Delta + 1 is
+    # put back at the wider palette; the result must still verify
+    cases = [(6, 107), (7, 254), (7, 482), (7, 667), (7, 674), (7, 685), (7, 686), (7, 693)]
+    for n, i in cases:
+        g = enum_graphs(n, connected=True)[i]
+        kappa = g.max_degree() + 1
+        res = solve_tcc(g, kappa=kappa, budget=0)
+        assert res.trace[1] == "core repair exhausted; palette stays over target"
+        assert any("via apex" in t for t in res.trace)
+        assert verify(g, res.coloring) == []
+        assert (res.colors_used, res.ok) == (kappa + 1, False)
+
+
 def test_solve_raises_on_improper_result(monkeypatch):
     # the final check is an explicit raise, so it also runs under python -O
     monkeypatch.setattr(coloring, "verify", lambda g, c: [("vv", 0, 1)])
