@@ -135,7 +135,7 @@ def _cmd_gstar(args) -> int:
     g = true_graph_of(e)
     a = build_g_star(e, g)
     report = augment_report(a)
-    big = sorted(v for v, c in a.classification.items() if c.size_class == "big")
+    big = [v for v, c in a.classification.items() if c.size_class == "big"]
     print(f"surface: {e.surface}")
     print(f"true vertices: {len(a.star.true_vertices())}")
     print(f"crossing vertices: {len(a.star.crossing_vertices())}")

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .augment import AugmentedGraph
 from .embedding import CROSSING, TRUE
+from .graphs import find_k4s
 from .ruletable import (
     MatchContext,
     RuleTable,
@@ -130,9 +131,7 @@ def apply_r1(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     The pool may end negative; that is flagged, not fatal."""
     star = a.star
     delta = ledger.delta
-    receivers = sorted(
-        v for v, c in a.classification.items() if c.kind == TRUE and c.d1 == 3
-    )
+    receivers = [v for v, c in a.classification.items() if c.kind == TRUE and c.d1 == 3]
     if not receivers:
         ledger.applied.append("R1")
         return
@@ -269,80 +268,54 @@ class SemiFan:
 def semi_fans(
     a: AugmentedGraph,
     ledger: ChargeLedger,
-    center: object = None,
+    center: object,
     min_degree: int | None = None,
 ):
-    """Group each qualifying sender's outgoing vertex transfers into
-    semi-fans.  Pass `center` to audit one sender (it must be a true vertex
-    of G*-degree at least `min_degree`, else DischargeError); otherwise all
-    true vertices meeting the bar are centers, matching how the sender
-    budget is audited.  The default bar is delta - 2."""
-    star = a.star
+    """Group one sender's outgoing vertex transfers into semi-fans.  The
+    center must be a true vertex of G*-degree at least `min_degree`
+    (default delta - 2), else DischargeError."""
     if min_degree is None:
         min_degree = ledger.delta - 2
+    c = a.classification[center]
+    if c.kind != TRUE:
+        raise DischargeError(f"semi-fan center {center} is not a true vertex")
+    if c.d2 < min_degree:
+        raise DischargeError(
+            f"semi-fan center {center} has degree {c.d2}, below {min_degree}"
+        )
     sent = {}
     for t in ledger.transfers:
-        if t.dart is None or t.source == POOL or isinstance(t.source, tuple):
-            continue
-        if t.rule == "R2":
-            continue
-        sent.setdefault(t.source, {})
-        sent[t.source][t.dart] = sent[t.source].get(t.dart, Fraction(0)) + t.amount
-    if center is not None:
-        c = a.classification[center]
-        if c.kind != TRUE:
-            raise DischargeError(f"semi-fan center {center} is not a true vertex")
-        if c.d2 < min_degree:
-            raise DischargeError(
-                f"semi-fan center {center} has degree {c.d2}, below {min_degree}"
-            )
-        if center not in sent:
-            # a quiet center is one degenerate fan with nothing in it
-            return [SemiFan(center=center, positions=(), total=Fraction(0), faces=1)]
+        if t.source == center and t.dart is not None and t.rule != "R2":
+            sent[t.dart] = sent.get(t.dart, Fraction(0)) + t.amount
+    if not sent:
+        # a quiet center is one degenerate fan with nothing in it
+        return [SemiFan(center=center, positions=(), total=Fraction(0), faces=1)]
+    rot = a.star.rotation[center]
+    k = len(rot)
+    out = [sent.get(d, Fraction(0)) for d in rot]
+    if all(x > 0 for x in out):
+        # no idle edge anywhere: the whole wheel is one fan
+        total = sum(out, Fraction(0))
+        return [SemiFan(center=center, positions=tuple(range(k)), total=total, faces=k)]
     fans = []
-    for v in sorted(sent):
-        if center is not None and v != center:
-            continue
-        c = a.classification[v]
-        if c.kind != TRUE or (center is None and c.d2 < min_degree):
-            continue
-        rot = star.rotation[v]
-        k = len(rot)
-        out = [sent[v].get(d, Fraction(0)) for d in rot]
-        if all(x > 0 for x in out):
-            # no idle edge anywhere: the whole wheel is one fan
+    i = 0
+    seen = set()
+    while i < k:
+        if out[i] > 0 and i not in seen:
+            start = i
+            while out[(start - 1) % k] > 0:
+                start = (start - 1) % k
+            run = []
+            j = start
+            while out[j] > 0:
+                run.append(j)
+                seen.add(j)
+                j = (j + 1) % k
+            total = sum((out[p] for p in run), Fraction(0))
             fans.append(
-                SemiFan(
-                    center=v,
-                    positions=tuple(range(k)),
-                    total=sum(out, Fraction(0)),
-                    faces=k,
-                )
+                SemiFan(center=center, positions=tuple(run), total=total, faces=len(run) + 1)
             )
-            continue
-        i = 0
-        seen = set()
-        while i < k:
-            if out[i] > 0 and i not in seen:
-                start = i
-                while out[(start - 1) % k] > 0:
-                    start = (start - 1) % k
-                run = []
-                j = start
-                while out[j] > 0:
-                    run.append(j)
-                    seen.add(j)
-                    j = (j + 1) % k
-                total = sum((out[p] for p in run), Fraction(0))
-                fans.append(
-                    SemiFan(
-                        center=v,
-                        positions=tuple(run),
-                        total=total,
-                        faces=len(run) + 1,
-                    )
-                )
-            i += 1
+        i += 1
     return fans
 
 
@@ -378,13 +351,11 @@ def check_claims(a: AugmentedGraph, ledger: ChargeLedger) -> ClaimReport:
     """Evaluate the four structural claims on this instance.  A violation
     is evidence that the input is not one of the critical instances the
     argument targets — it is reported, never raised."""
-    from .graphs import find_k4s
-
     star = a.star
     ctx = ledger.ctx
     cls = a.classification
 
-    k4s = [tuple(sorted(k)) for k in find_k4s(a.g)]
+    k4s = find_k4s(a.g)
 
     one_big = []
     big_face = []

@@ -336,10 +336,10 @@ def write_corpus(specs, out_dir: str) -> dict:
     """Generate every spec into out_dir (edge list plus drawing) and write
     a manifest.json mapping specs to files and sha256 checksums.  Returns
     the manifest."""
+    drawings = [(spec, *generate(spec)) for spec in specs]
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    for spec in specs:
-        g, emb = generate(spec)
+    for spec, g, emb in drawings:
         files = {}
         checksums = {}
         base = spec.slug()

@@ -55,9 +55,6 @@ class SimpleGraph:
     def max_degree(self) -> int:
         return max((len(n) for n in self.adj.values()), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(n) for n in self.adj.values()), default=0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented

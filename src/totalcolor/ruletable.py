@@ -393,10 +393,10 @@ _Q1N = {"size": 4, "max_bigs": 1, "new_edge": True}
 _Q1O = {"size": 4, "max_bigs": 1, "new_edge": False}
 
 
-def _rule(rid, receiver, amount, sender=None):
+def _rule(rid, receiver, amount):
     return {
         "id": rid,
-        "sender": dict(_SENDER, **(sender or {})),
+        "sender": dict(_SENDER),
         "receiver": receiver,
         "amount": amount,
     }

@@ -375,7 +375,7 @@ def test_gen_negative_pair_count_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, ["gen", "crossed_grid", "3", "3", "-2", "--out", str(out_dir)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "-2" in err
-    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

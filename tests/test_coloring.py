@@ -26,7 +26,7 @@ from totalcolor.coloring import (
     verify,
 )
 from totalcolor.gen import gen_high_degree_P
-from totalcolor.graphs import add_edge, build_graph, delete_edge
+from totalcolor.graphs import build_graph, delete_edge
 from totalcolor.reduce import _proper_colorings, enum_graphs
 
 from helpers import (

@@ -14,7 +14,6 @@ from totalcolor.augment import AugmentedGraph, augment_report, build_g_star
 from totalcolor.configs import all_configs, assemble, get_config
 from totalcolor.discharge import (
     POOL,
-    ChargeLedger,
     DischargeError,
     SemiFan,
     TransferRecord,
@@ -41,7 +40,6 @@ from totalcolor.graphs import build_graph
 from totalcolor.ruletable import RuleTable, default_rules, rule_table_from_dict
 
 from helpers import (
-    dart_towards,
     grid_faces,
     petal_fan,
     quad_with_crossing,

@@ -22,7 +22,6 @@ from helpers import (
     brute_k4s,
     complete_graph,
     cycle_graph,
-    path_graph,
     random_graph,
 )
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from itertools import permutations
 
 import pytest
 

@@ -25,7 +25,7 @@ from totalcolor.ruletable import (
     sender_matches,
 )
 
-from helpers import dart_towards, petal_fan, quad_with_crossing, wrap_drawing
+from helpers import dart_towards, petal_fan, quad_with_crossing
 
 
 def one_rule_table(**rule_over):
