@@ -28,6 +28,7 @@ from totalcolor.gen import (
 )
 from totalcolor.graphs import (
     check_property_P,
+    dump_edge_list,
     parse_edge_list,
 )
 
@@ -339,3 +340,36 @@ def test_write_corpus(tmp_path):
     # second run reproduces every checksum
     again = write_corpus(specs, str(tmp_path))
     assert again == manifest
+
+
+def test_golden_crossed_and_padded_drawings(tmp_path):
+    """sha256 over the edge list and drawing of crossed grids and padded
+    wheel sums at seeds 0-2, the run-out-of-room error, and a manifest of
+    all four families: any change to a draw or a face order shows here."""
+    h = hashlib.sha256()
+    for family, params in [
+        ("crossed_grid", (4, 4, 3)),
+        ("crossed_grid", (8, 8, 12)),
+        ("crossed_grid", (24, 24, 70)),
+        ("crossed_grid", (5, 7, 9)),
+        ("wheel_sum", (11, 12)),
+        ("wheel_sum", (11, 60)),
+        ("wheel_sum", (12, 240)),
+        ("wheel_sum", (12, 500)),
+    ]:
+        for seed in range(3):
+            g, e = generate(GenSpec(family, params, seed))
+            h.update((dump_edge_list(g) + dump_embedding(e)).encode())
+    _, base = gen_toroidal_grid(3, 3)
+    for seed in range(3):
+        with pytest.raises(GenError) as exc_info:
+            gen_crossed(base, 10, seed)
+        h.update(f"{exc_info.value} {exc_info.value.achieved}\n".encode())
+    specs = [
+        GenSpec("grid", (3, 4)),
+        GenSpec("planar_triangulation", (9,), seed=2),
+        GenSpec("crossed_grid", (4, 5, 6), seed=1),
+        GenSpec("wheel_sum", (11, 40), seed=3),
+    ]
+    h.update(json.dumps(write_corpus(specs, str(tmp_path)), sort_keys=True).encode())
+    assert h.hexdigest()[:16] == "6278a31f740fc7fb"
