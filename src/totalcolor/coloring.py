@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# add_edge is unused here; the benchmark's tracer binds coloring.add_edge
+# no module in src/ calls add_edge any more; it is imported only because
+# the benchmark's tracer binds coloring.add_edge
 from .graphs import SimpleGraph, add_edge, build_graph, delete_edge, edge_key
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .embedding import EmbeddedGraph, dump_embedding, from_face_cycles
-from .graphs import SimpleGraph, add_edge, build_graph, dump_edge_list
+from .graphs import SimpleGraph, build_graph, dump_edge_list, edge_key
 
 
 class GenError(ValueError):
@@ -112,27 +114,18 @@ def true_graph_of(e: EmbeddedGraph) -> SimpleGraph:
     return build_graph(sorted(edges), vertices=e.true_vertices())
 
 
-def _chord_candidates(face: tuple, g: SimpleGraph, crossings: set) -> list:
+def _chord_candidates(face: tuple, edges: set, crossings: set) -> list:
     """Position quadruples i<j<k<l whose interleaved chords (i,k) and
     (j,l) are both fresh edges between distinct true vertices."""
-    k = len(face)
     usable = [
-        i
-        for i in range(k)
-        if face[i] not in crossings and face.count(face[i]) == 1
+        i for i, v in enumerate(face) if v not in crossings and face.count(v) == 1
     ]
-    out = []
-    for ai in range(len(usable)):
-        for bi in range(ai + 1, len(usable)):
-            for ci in range(bi + 1, len(usable)):
-                for di in range(ci + 1, len(usable)):
-                    i, j, kk, l = usable[ai], usable[bi], usable[ci], usable[di]
-                    c1 = (face[i], face[kk])
-                    c2 = (face[j], face[l])
-                    if g.has_edge(*c1) or g.has_edge(*c2):
-                        continue
-                    out.append((i, j, kk, l))
-    return out
+    return [
+        (i, j, k, l)
+        for i, j, k, l in combinations(usable, 4)
+        if edge_key(face[i], face[k]) not in edges
+        and edge_key(face[j], face[l]) not in edges
+    ]
 
 
 def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph:
@@ -143,47 +136,36 @@ def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph
         raise GenError(f"crossing pair count must be >= 0, got {pairs}")
     if pairs == 0:
         return base
-    g = true_graph_of(base)
+    edges = set(true_graph_of(base).edges())
     crossings = set(base.crossing_vertices())
     faces = [tuple(base.face_vertices(f)) for f in base.faces()]
     next_id = max(base.vertices()) + 1
     rng = Lcg64(seed)
-    achieved = 0
-    while achieved < pairs:
+    for achieved in range(pairs):
         eligible = [i for i, f in enumerate(faces) if len(f) >= 4]
-        placed = False
         while eligible:
             fi = eligible[rng.randrange(len(eligible))]
-            face = faces[fi]
-            cands = _chord_candidates(face, g, crossings)
-            if not cands:
-                eligible.remove(fi)
-                continue
-            i, j, kk, l = cands[rng.randrange(len(cands))]
-            x = next_id
-            next_id += 1
-            crossings.add(x)
-            g = add_edge(g, (face[i], face[kk]))
-            g = add_edge(g, (face[j], face[l]))
-
-            def arc(p, q):
-                out = [x]
-                t = p
-                while True:
-                    out.append(face[t])
-                    if t == q:
-                        return tuple(out)
-                    t = (t + 1) % len(face)
-
-            faces[fi : fi + 1] = [arc(i, j), arc(j, kk), arc(kk, l), arc(l, i)]
-            achieved += 1
-            placed = True
-            break
-        if not placed:
+            cands = _chord_candidates(faces[fi], edges, crossings)
+            if cands:
+                break
+            eligible.remove(fi)
+        else:
             raise GenError(
                 f"no face can host another crossing pair; placed {achieved} of {pairs}",
                 achieved=achieved,
             )
+        face = faces[fi]
+        i, j, k, l = cands[rng.randrange(len(cands))]
+        x = next_id + achieved
+        crossings.add(x)
+        edges.update((edge_key(face[i], face[k]), edge_key(face[j], face[l])))
+        faces[fi : fi + 1] = [
+            (x, *face[i : j + 1]),
+            (x, *face[j : k + 1]),
+            (x, *face[k : l + 1]),
+            (x, *face[l:], *face[: i + 1]),
+        ]
+    g = build_graph(edges, vertices=base.true_vertices())
     return from_face_cycles(faces, base.surface, crossing_vertices=crossings, g=g)
 
 
@@ -192,8 +174,9 @@ def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph
 
 
 def _radial_quad_drawing(delta: int, size: int):
-    """Hub of degree delta inside nested rings of quadrilaterals; bipartite
-    by construction, so triangle-free, and planar by construction."""
+    """Edges and faces of a hub of degree delta inside nested rings of
+    quadrilaterals; bipartite by construction, so triangle-free, and
+    planar by construction."""
     rings = max(1, (size - 1) // delta)
     if rings == 1:
         if size != delta + 1:
@@ -202,30 +185,23 @@ def _radial_quad_drawing(delta: int, size: int):
                 f"and two full rings; got {size} for delta {delta}"
             )
         # bare star: the minimal member of the family
-        cyc = []
-        for i in range(delta):
-            cyc.extend([0, 1 + i])
-        return build_graph([(0, 1 + i) for i in range(delta)]), [tuple(cyc)]
+        cyc = tuple(v for i in range(delta) for v in (0, 1 + i))
+        return [(0, 1 + i) for i in range(delta)], [cyc]
 
     def ring(k):
+        # the hub stands in for the ring inside ring 1
+        if k == 0:
+            return [0] * delta
         return list(range(1 + (k - 1) * delta, 1 + k * delta))
 
     edges = [(0, a) for a in ring(1)]
     faces = []
     for k in range(2, rings + 1):
-        inner, outer = ring(k - 1), ring(k)
+        prev, inner, outer = ring(k - 2), ring(k - 1), ring(k)
         for i in range(delta):
-            edges.append((inner[i], outer[i]))
-            edges.append((outer[i], inner[(i + 1) % delta]))
-        if k == 2:
-            for i in range(delta):
-                faces.append((0, inner[i], outer[i], inner[(i + 1) % delta]))
-        else:
-            prev = ring(k - 2)
-            for i in range(delta):
-                faces.append(
-                    (prev[(i + 1) % delta], inner[i], outer[i], inner[(i + 1) % delta])
-                )
+            j = (i + 1) % delta
+            edges += [(inner[i], outer[i]), (outer[i], inner[j])]
+            faces.append((prev[j], inner[i], outer[i], inner[j]))
     # outer boundary, oriented against the quad faces: rim and last ring
     # alternate going clockwise
     rim, last = ring(rings - 1), ring(rings)
@@ -234,7 +210,7 @@ def _radial_quad_drawing(delta: int, size: int):
         boundary.extend([last[i], rim[i]])
     boundary.append(last[0])
     faces.append(tuple(boundary))
-    return build_graph(sorted(edges)), faces
+    return edges, faces
 
 
 def gen_high_degree_P(delta: int, size: int, seed: int = 0) -> SimpleGraph:
@@ -251,11 +227,12 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         raise GenError(f"the high-degree family starts at delta 11, got {delta}")
     if size < delta + 1:
         raise GenError(f"cannot reach degree {delta} on {size} vertices")
-    g, faces = _radial_quad_drawing(delta, size)
+    edges, faces = _radial_quad_drawing(delta, size)
+    degree = Counter(v for e in edges for v in e)
     rng = Lcg64(seed)
     # pad to the exact size by splitting quad faces across a diagonal;
     # a degree-2 vertex on a diagonal keeps the graph bipartite
-    next_id = len(g.vertices)
+    next_id = len(degree)
     guard = 0
     while next_id < size:
         quads = [i for i, f in enumerate(faces) if len(f) == 4]
@@ -267,20 +244,21 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         fi = quads[rng.randrange(len(quads))]
         a, b, c, d = faces[fi]
         u, w = (a, c) if rng.randrange(2) == 0 else (b, d)
-        if g.degree(u) >= delta or g.degree(w) >= delta:
+        if degree[u] >= delta or degree[w] >= delta:
             guard += 1
             if guard > 50 * size:
                 raise GenError("padding stalled against the degree cap", achieved=next_id)
             continue
         x = next_id
         next_id += 1
-        g = add_edge(add_edge(g, (u, x)), (w, x))
-        if u in (a, c):
+        edges += [(u, x), (w, x)]
+        degree.update((u, w, x, x))
+        if u == a:
             faces[fi : fi + 1] = [(a, b, c, x), (c, d, a, x)]
         else:
             faces[fi : fi + 1] = [(b, c, d, x), (d, a, b, x)]
-    emb = from_face_cycles(faces, "plane", g=g)
-    return g, emb
+    g = build_graph(edges)
+    return g, from_face_cycles(faces, "plane", g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +318,17 @@ def write_corpus(specs, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for spec, g, emb in drawings:
+        base = spec.slug()
         files = {}
         checksums = {}
-        base = spec.slug()
-        graph_path = os.path.join(out_dir, base + ".el")
-        payload = dump_edge_list(g)
-        with open(graph_path, "w") as fh:
-            fh.write(payload)
-        files["graph"] = base + ".el"
-        checksums[base + ".el"] = hashlib.sha256(payload.encode()).hexdigest()
-        emb_path = os.path.join(out_dir, base + ".emb")
-        payload = dump_embedding(emb)
-        with open(emb_path, "w") as fh:
-            fh.write(payload)
-        files["drawing"] = base + ".emb"
-        checksums[base + ".emb"] = hashlib.sha256(payload.encode()).hexdigest()
+        for key, name, payload in (
+            ("graph", base + ".el", dump_edge_list(g)),
+            ("drawing", base + ".emb", dump_embedding(emb)),
+        ):
+            with open(os.path.join(out_dir, name), "w") as fh:
+                fh.write(payload)
+            files[key] = name
+            checksums[name] = hashlib.sha256(payload.encode()).hexdigest()
         entries.append(
             {
                 "name": base,
