@@ -337,7 +337,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument(
             "--json",
-            "--report",
             dest="json_path",
             metavar="PATH",
             help="also write the report as JSON",
@@ -412,6 +411,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # unreadable files
         print(str(exc), file=sys.stderr)
+        return 2
+    except OSError as exc:  # unwritable output paths; _read reports reads
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         # parse errors and domain-precondition errors name their line/section

@@ -308,7 +308,9 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
 class P3Certificate:
     """Diagnostic record produced if the triangle cascade runs dry.  The
     underlying argument promises this never happens when the preconditions
-    hold, so any certificate in the wild is a bug report."""
+    hold and kappa >= Delta + 2, so a certificate there is a bug report.
+    At kappa = Delta + 1 the checked preconditions can all hold and the
+    cascade still run dry."""
 
     edge: tuple
     apex: object
@@ -326,7 +328,8 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     partition the palette, so the color of wv moves onto uv and wv takes a
     fresh color; if even that is blocked, a color swap through uw opens
     room.  Returns the extended coloring, or a P3Certificate if every
-    branch is exhausted (the supporting argument says it cannot be)."""
+    branch is exhausted; the supporting argument says that cannot happen
+    when kappa >= Delta + 2, a hypothesis this function does not check."""
     u, v = uv
     if not g.has_edge(u, v):
         raise ColoringError(f"P3 precondition: {uv} is not an edge")
@@ -414,14 +417,14 @@ class SolveResult:
         return self.colors_used <= self.kappa
 
 
-def _repair_into(g: SimpleGraph, c: TotalColoring, kappa: int, attempts: int) -> bool:
+def _repair_into(g: SimpleGraph, c: TotalColoring, kappa: int) -> bool:
     """Try to squeeze an over-palette proper coloring into 1..kappa by
     first-fit recoloring with single-element ejection.  Mutates c, keeping
-    whatever progress was made; returns True on success.  Bounded and
-    deterministic."""
+    whatever progress was made; returns True on success.  Bounded (50
+    attempts per element) and deterministic."""
     els, nbrs = conflict_lists(g)
     colors = [c.color_of(el) for el in els]
-    budget = attempts
+    budget = 50 * len(els)
     try:
         for _ in range(len(els)):
             over = sorted(
@@ -508,7 +511,7 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
         trace.append("core too large for exact search; greedy first-fit")
         result = greedy_total(current)
         if result.colors_used() > kappa:
-            if _repair_into(current, result, kappa, 50 * size):
+            if _repair_into(current, result, kappa):
                 trace.append("repair squeezed the core into the target palette")
             else:
                 trace.append("core repair exhausted; palette stays over target")
@@ -521,8 +524,7 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
             trace.append(f"triangle cascade stalled at {e}; greedy fallback")
             current = build_graph([*result.edge_color, e], vertices=g.vertices)
             result = greedy_total(current)
-            size = len(current.vertices) + current.num_edges()
-            _repair_into(current, result, kappa, 50 * size)
+            _repair_into(current, result, kappa)
             result.kappa = max(kappa, result.colors_used())
         else:
             result = ext

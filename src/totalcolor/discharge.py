@@ -265,17 +265,11 @@ class SemiFan:
         return self.total / self.faces
 
 
-def semi_fans(
-    a: AugmentedGraph,
-    ledger: ChargeLedger,
-    center: object,
-    min_degree: int | None = None,
-):
+def semi_fans(a: AugmentedGraph, ledger: ChargeLedger, center: object):
     """Group one sender's outgoing vertex transfers into semi-fans.  The
-    center must be a true vertex of G*-degree at least `min_degree`
-    (default delta - 2), else DischargeError."""
-    if min_degree is None:
-        min_degree = ledger.delta - 2
+    center must be a true vertex of G*-degree at least delta - 2, else
+    DischargeError."""
+    min_degree = ledger.delta - 2
     c = a.classification[center]
     if c.kind != TRUE:
         raise DischargeError(f"semi-fan center {center} is not a true vertex")

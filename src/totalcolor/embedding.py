@@ -147,8 +147,13 @@ class EmbeddedGraph:
             raise EmbedError("segment_origin must cover exactly the segments")
         per_edge: dict = {}
         for key, edge in self.segment_origin.items():
-            if edge is not None:
-                per_edge.setdefault(edge, []).append(key)
+            if edge is None:
+                continue
+            for d in key:
+                v = self.owner[d]
+                if self.vertex_kind[v] == TRUE and v not in edge:
+                    raise EmbedError(f"segment {key} ends at {v}, off its origin {edge}")
+            per_edge.setdefault(edge, []).append(key)
         for edge, segs in per_edge.items():
             if len(segs) > 2:
                 raise EmbedError(f"edge {edge} crosses twice")
@@ -354,6 +359,8 @@ def parse_embedding(text: str) -> EmbeddedGraph:
             continue
         try:
             if line.startswith("surface:"):
+                if surface is not None:
+                    raise ValueError("repeated 'surface:' line")
                 surface = line.split(":", 1)[1].strip()
             elif line in ("rotation:", "twins:", "crossings:", "origins:"):
                 section = line[:-1]
@@ -363,7 +370,10 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 head, sep, rest = line.partition(":")
                 if not sep:
                     raise ValueError("missing ':'")
-                rotation[int(head)] = tuple(int(t) for t in rest.split())
+                v = int(head)
+                if v in rotation:
+                    raise ValueError(f"repeated rotation of vertex {v}")
+                rotation[v] = tuple(int(t) for t in rest.split())
             elif section == "twins":
                 a, b = (int(t) for t in line.split())
                 twin[a] = b
@@ -377,6 +387,8 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 d1, d2 = (int(t) for t in left.split())
                 right = right.strip()
                 key = (d1, d2) if d1 < d2 else (d2, d1)
+                if key in origins:
+                    raise ValueError(f"repeated origin of segment {key}")
                 if right == "new":
                     origins[key] = None
                 else:
@@ -388,6 +400,8 @@ def parse_embedding(text: str) -> EmbeddedGraph:
             raise EmbedError(f"line {lineno}: {exc}") from None
     if surface is None:
         raise EmbedError("missing 'surface:' line")
+    if not crossings <= rotation.keys():
+        raise EmbedError(f"crossing {min(crossings - rotation.keys())} names no vertex")
     kinds = {v: CROSSING if v in crossings else TRUE for v in rotation}
     e = EmbeddedGraph(rotation, twin, kinds, surface, origins if have_origins else None)
     check_two_cell(e)

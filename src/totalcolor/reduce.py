@@ -221,8 +221,10 @@ def _refined_classes(n: int, adj: list) -> list:
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    """The least edge mask over all relabelings; two graphs are isomorphic
-    iff their canonical masks agree."""
+    """The least edge mask over the relabelings that keep the refined
+    degree classes in order (not over all relabelings); since that order is
+    an isomorphism invariant, two graphs are isomorphic iff their canonical
+    masks agree."""
     adj = _adjacency(n, mask)
     groups = _refined_classes(n, adj)
     best = None

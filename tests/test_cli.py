@@ -332,6 +332,53 @@ def test_mislabelled_surface_exits_2(capsys, tmp_path):
     assert "not 2-cell for declared surface torus" in err
 
 
+@pytest.mark.parametrize("verb", ["discharge", "gstar"])
+@pytest.mark.parametrize("origin", ["0 8", "100 200"])
+def test_origin_off_its_segment_exits_2(capsys, grid_file, tmp_path, verb, origin):
+    # segment 0-10 of the 3x3 grid joins vertices 0 and 3
+    text = open(grid_file).read()
+    p = tmp_path / "lying.emb"
+    p.write_text(text.replace("0 10 -> 0 3\n", f"0 10 -> {origin}\n"))
+    code, out, err = run(capsys, [verb, str(p)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: segment (0, 10) ends at ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("surface: torus\n", "surface: plane\nsurface: torus\n"),
+        ("rotation:\n", "rotation:\n0: 0 11 34 25\n"),
+        ("origins:\n", "origins:\n0 10 -> 0 3\n"),
+        ("twins:\n", "crossings:\n99\ntwins:\n"),
+    ],
+    ids=["surface", "rotation", "origin", "crossing"],
+)
+def test_repeated_or_dangling_embedding_entries_exit_2(capsys, grid_file, tmp_path, old, new):
+    p = tmp_path / "repeated.emb"
+    p.write_text(open(grid_file).read().replace(old, new, 1))
+    code, out, err = run(capsys, ["faces", str(p)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["color --json", "gstar --dot", "gen --out"])
+def test_unwritable_output_path_exits_2(capsys, k4_file, grid_file, tmp_path, flag):
+    verb, option = flag.split()
+    target = {
+        "color": [k4_file],
+        "gstar": [grid_file],
+        "gen": ["grid", "3", "3"],
+    }[verb]
+    # a path below a regular file can be neither created nor written
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    path = str(blocker) if verb == "gen" else str(blocker / "x.out")
+    code, _, err = run(capsys, [verb, *target, option, path])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
 
@@ -397,7 +444,7 @@ def test_gen_wrong_parameter_count_is_input_error(capsys, tmp_path, params):
 def test_discharge_json_stable(capsys, crossed_file, tmp_path):
     j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, ["discharge", crossed_file, "--json", str(j1)])[0] == 0
-    assert run(capsys, ["discharge", crossed_file, "--report", str(j2)])[0] == 0
+    assert run(capsys, ["discharge", crossed_file, "--json", str(j2)])[0] == 0
     a = json.loads(j1.read_text())
     b = json.loads(j2.read_text())
     assert a == b

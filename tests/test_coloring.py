@@ -21,6 +21,7 @@ from totalcolor.coloring import (
     extend_p1,
     extend_p3,
     greedy_total,
+    peel_kind,
     solve_tcc,
     total_elements,
     verify,
@@ -499,6 +500,39 @@ def test_extend_p3_randomized_never_certifies_at_target():
         assert not isinstance(out, P3Certificate)
         assert verify(P3_GADGET, out) == []
         assert out.colors_used() <= 7
+
+
+def test_extend_p3_certifies_below_delta_plus_2_with_preconditions_met():
+    # extend_p3 checks the edge, the triangle, the tight degree sum and the
+    # reduced coloring, and all of them hold here; at Delta + 1 the cascade
+    # still runs dry for some colorings
+    g = enum_graphs(6, connected=True)[30]
+    kappa = g.max_degree() + 1
+    assert peel_kind(g, 0, 4, kappa) == "P3"
+    colorings, _ = _proper_colorings(delete_edge(g, (0, 4)), kappa, 200, random.Random(1))
+    outs = [
+        extend_p3(g, (0, 4), w, c, kappa)
+        for c in colorings
+        for w in g.common_neighbors(0, 4)
+    ]
+    assert any(isinstance(out, P3Certificate) for out in outs)
+    trace = solve_tcc(g, kappa=kappa, budget=0).trace
+    assert "triangle cascade stalled at (0, 4); greedy fallback" in trace
+
+
+def test_solve_cascade_stalls_only_below_delta_plus_2():
+    """(stalls, P3 extensions) of solve_tcc at budget 0 over the connected
+    graphs with at most 6 vertices, per palette Delta + extra."""
+    counts = {}
+    for extra in (1, 2, 3):
+        stalls = p3 = 0
+        for n in range(2, 7):
+            for g in enum_graphs(n, connected=True):
+                trace = solve_tcc(g, kappa=g.max_degree() + extra, budget=0).trace
+                stalls += any("stalled" in t for t in trace)
+                p3 += sum("via apex" in t for t in trace)
+        counts[extra] = (stalls, p3)
+    assert counts == {1: (2, 13), 2: (0, 2), 3: (0, 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from totalcolor.embedding import (
     from_face_cycles,
     parse_embedding,
 )
-from totalcolor.gen import gen_planar_triangulation
+from totalcolor.gen import gen_planar_triangulation, gen_toroidal_grid
 from totalcolor.graphs import build_graph
 
 from helpers import complete_graph
@@ -206,6 +206,56 @@ def test_bad_origins_rejected():
             bad[key] = (0, 2)
     with pytest.raises(EmbedError):
         EmbeddedGraph(e.rotation, e.twin, e.vertex_kind, "plane", bad)
+
+
+def test_origins_must_end_where_their_segments_end():
+    """Swapping the two crossed edges' origins keeps every crossing
+    interleaved, but each crossing segment then names an edge that does
+    not end at its true vertex."""
+    e, _ = quad_with_crossing()
+    swap = {(0, 2): (1, 3), (1, 3): (0, 2)}
+    bad = {key: swap.get(edge, edge) for key, edge in e.segment_origin.items()}
+    with pytest.raises(EmbedError, match="off its origin"):
+        EmbeddedGraph(e.rotation, e.twin, e.vertex_kind, "plane", bad)
+
+
+def grid_text():
+    return dump_embedding(gen_toroidal_grid(3, 3)[1])
+
+
+@pytest.mark.parametrize("origin", ["0 8", "100 200"])
+def test_parse_rejects_an_origin_off_its_segment(origin):
+    # segment 0-10 joins vertices 0 and 3
+    text = grid_text()
+    assert "0 10 -> 0 3\n" in text
+    with pytest.raises(EmbedError, match=r"segment \(0, 10\) ends at .*off its origin"):
+        parse_embedding(text.replace("0 10 -> 0 3\n", f"0 10 -> {origin}\n"))
+
+
+@pytest.mark.parametrize(
+    "edit, wanted",
+    [
+        (lambda t: "surface: plane\n" + t, "line 2: repeated 'surface:' line"),
+        (
+            lambda t: t.replace("rotation:\n", "rotation:\n0: 0 11 34 25\n"),
+            "line 4: repeated rotation of vertex 0",
+        ),
+        (
+            lambda t: t.replace("origins:\n", "origins:\n0 10 -> 0 3\n"),
+            r"repeated origin of segment \(0, 10\)",
+        ),
+        (
+            lambda t: t.replace("twins:\n", "crossings:\n99\ntwins:\n"),
+            "crossing 99 names no vertex",
+        ),
+    ],
+    ids=["surface", "rotation", "origin", "crossing"],
+)
+def test_parse_rejects_repeated_or_dangling_entries(edit, wanted):
+    text = grid_text()
+    assert parse_embedding(text).surface == "torus"
+    with pytest.raises(EmbedError, match=wanted):
+        parse_embedding(edit(text))
 
 
 def test_check_against_graph_mismatches():
