@@ -622,6 +622,19 @@ def test_golden_config_reports():
     )
 
 
+def test_golden_large_drawing_reports():
+    # hubs of degree in the hundreds and R2 shares over several denominators,
+    # which the small corpus above never reaches
+    drawings = []
+    for s in (0, 1):
+        drawings.append(gen_crossed(gen_toroidal_grid(24, 24)[1], 70, seed=s))
+        drawings.append(gen_planar_triangulation(1000, seed=s)[1])
+    instances = [build_g_star(e, true_graph_of(e)) for e in drawings]
+    assert _pin_digest(instances) == (
+        "19ea4b2236e3ee22191231eaba1dd00d5c578f4d9219ac682897e8db8fbc97d3"
+    )
+
+
 def test_one_match_context_per_ledger(monkeypatch):
     # the ledger's index serves R2, R3, the rule table and the claims
     built = []
