@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .augment import AugmentedGraph, augment_report, build_g_star
@@ -50,6 +51,16 @@ def _emit_json(path: str | None, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _probe_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would raise, leaving the file
+    system as it was."""
+    if os.path.exists(path):
+        open(path, "a").close()  # append mode truncates nothing
+    else:
+        open(path, "x").close()
+        os.remove(path)
 
 
 def _violation_label(v: tuple) -> str:
@@ -309,6 +320,9 @@ def _cmd_gen(args) -> int:
         )
         return 2
     spec = GenSpec(args.family, tuple(args.params), seed=args.seed)
+    if args.json_path is not None:
+        # fail before the corpus is written, so a bad path leaves nothing behind
+        _probe_writable(args.json_path)
     try:
         manifest = write_corpus([spec], args.out)
     except GenError as exc:

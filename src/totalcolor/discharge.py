@@ -28,6 +28,7 @@ from .graphs import find_k4s
 from .ruletable import (
     MatchContext,
     RuleTable,
+    _class_matches,
     default_rules,
     guarded_crossing,
     receiver_matches,
@@ -76,7 +77,7 @@ class ChargeLedger:
         self.ctx = MatchContext(self.a)
 
     def initial_total(self) -> Fraction:
-        return sum(self.initial.values(), Fraction(0))
+        return _exact_sum(self.initial.values())
 
     def final(self) -> dict:
         out = dict(self.initial)
@@ -93,10 +94,19 @@ class ChargeLedger:
     def conserved_total(self) -> Fraction:
         """Sum of all final charges plus the pool balance; transfers never
         change it."""
-        return sum(self.final().values(), Fraction(0)) + self.pool
+        return _exact_sum(self.final().values()) + self.pool
 
     def received_by(self, element) -> Fraction:
         return sum((t.amount for t in self.transfers if t.target == element), Fraction(0))
+
+
+def _exact_sum(xs) -> Fraction:
+    """sum(xs, Fraction(0)), adding numerators per denominator first, so
+    one Fraction is reduced per distinct denominator, not one per term."""
+    by_den: dict = {}
+    for x in xs:
+        by_den[x.denominator] = by_den.get(x.denominator, 0) + x.numerator
+    return sum((Fraction(n, d) for d, n in by_den.items()), Fraction(0))
 
 
 def _element_key(e):
@@ -201,19 +211,33 @@ def apply_rule_table(
     """Fire the local rules on every ordered adjacent pair, one connecting
     dart at a time.  Two distinct rules matching the same dart is a table
     defect and raises DischargeError; the guarded-crossing exclusion (when
-    the table enables it) reroutes matched transfers to `ledger.skipped`."""
+    the table enables it) reroutes matched transfers to `ledger.skipped`.
+
+    A receiver is tried only against the rules whose receiver class fields
+    admit its VertexClass, in table order.  That is exact: an excluded rule
+    fails `receiver_matches` on every dart of the receiver, so the hits,
+    their order, the DischargeError and the guard routing are unchanged."""
     if table is None:
         table = default_rules()
     ctx = ledger.ctx
     star = a.star
     delta = ledger.delta
     use_guard = "guarded-crossing" in table.exclusions
+    by_class: dict = {}  # VertexClass -> the rules its receivers can match
     for r in star.vertices():
+        c = a.classification[r]
+        rules = by_class.get(c)
+        if rules is None:
+            rules = by_class[c] = [
+                rule for rule in table.rules if _class_matches(rule.receiver, c)
+            ]
+        if not rules:
+            continue
         for r_dart in star.rotation[r]:
             s = star.other_end(r_dart)
             hits = [
                 rule
-                for rule in table.rules
+                for rule in rules
                 if sender_matches(rule.sender, ctx, s, r_dart, delta)
                 and receiver_matches(rule.receiver, ctx, r, r_dart)
             ]
@@ -424,8 +448,13 @@ def final_report(ledger: ChargeLedger) -> dict:
     and negatively charged elements are listed first."""
     a = ledger.a
     final = ledger.final()
-    ordered = sorted(final.items(), key=lambda ec: (ec[1] >= 0, _element_key(ec[0])))
-    initial_total, final_total = ledger.initial_total(), ledger.conserved_total()
+    # a Fraction's sign is its numerator's, read without a Fraction compare
+    ordered = sorted(
+        final.items(), key=lambda ec: (ec[1].numerator >= 0, _element_key(ec[0]))
+    )
+    # conserved_total() over the final charges already in hand
+    initial_total = ledger.initial_total()
+    final_total = _exact_sum(final.values()) + ledger.pool
     return {
         "surface": a.star.surface,
         "delta": ledger.delta,
@@ -435,7 +464,7 @@ def final_report(ledger: ChargeLedger) -> dict:
         "conserved": final_total == initial_total,
         "pool": _frac_str(ledger.pool),
         "pool_flagged": ledger.pool_flagged,
-        "negative_count": sum(1 for _, c in final.items() if c < 0),
+        "negative_count": sum(1 for c in final.values() if c.numerator < 0),
         "charges": {
             element_label(e): _frac_str(c) for e, c in ordered
         },

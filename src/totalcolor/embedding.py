@@ -376,6 +376,9 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 rotation[v] = tuple(int(t) for t in rest.split())
             elif section == "twins":
                 a, b = (int(t) for t in line.split())
+                for d in (a, b):
+                    if d in twin:
+                        raise ValueError(f"repeated twin of dart {d}")
                 twin[a] = b
                 twin[b] = a
             elif section == "crossings":

@@ -351,8 +351,9 @@ def test_origin_off_its_segment_exits_2(capsys, grid_file, tmp_path, verb, origi
         ("rotation:\n", "rotation:\n0: 0 11 34 25\n"),
         ("origins:\n", "origins:\n0 10 -> 0 3\n"),
         ("twins:\n", "crossings:\n99\ntwins:\n"),
+        ("twins:\n0 10\n", "twins:\n0 10\n0 10\n"),
     ],
-    ids=["surface", "rotation", "origin", "crossing"],
+    ids=["surface", "rotation", "origin", "crossing", "twin"],
 )
 def test_repeated_or_dangling_embedding_entries_exit_2(capsys, grid_file, tmp_path, old, new):
     p = tmp_path / "repeated.emb"
@@ -377,6 +378,33 @@ def test_unwritable_output_path_exits_2(capsys, k4_file, grid_file, tmp_path, fl
     code, _, err = run(capsys, [verb, *target, option, path])
     assert code == 2
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_gen_unwritable_json_writes_no_corpus(capsys, tmp_path, where):
+    json_path = tmp_path / "missing" / "m.json" if where == "missing-dir" else tmp_path
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(
+        capsys, ["gen", "grid", "3", "3", "--out", str(out_dir), "--json", str(json_path)]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {json_path}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("stale", [None, "stale"])
+def test_gen_json_mirrors_the_manifest(capsys, tmp_path, stale):
+    json_path = tmp_path / "m.json"
+    if stale is not None:
+        json_path.write_text(stale)
+    out_dir = tmp_path / "corpus"
+    code, _, _ = run(
+        capsys, ["gen", "grid", "3", "3", "--out", str(out_dir), "--json", str(json_path)]
+    )
+    assert code == 0
+    assert json.loads(json_path.read_text()) == json.loads(
+        (out_dir / "manifest.json").read_text()
+    )
 
 
 def test_help_exits_zero(capsys):

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import totalcolor.discharge as discharge_module
 from totalcolor.augment import AugmentedGraph, augment_report, build_g_star
@@ -37,7 +39,14 @@ from totalcolor.gen import (
     true_graph_of,
 )
 from totalcolor.graphs import build_graph
-from totalcolor.ruletable import RuleTable, default_rules, rule_table_from_dict
+from totalcolor.ruletable import (
+    RuleTable,
+    default_rules,
+    guarded_crossing,
+    receiver_matches,
+    rule_table_from_dict,
+    sender_matches,
+)
 
 from helpers import (
     grid_faces,
@@ -376,6 +385,97 @@ def test_discharge_is_deterministic():
     assert t1 == t2
 
 
+def _every_rule_on_every_dart(a, ledger, table):
+    """The rule table without the receiver-class index: every rule is tried
+    on every dart."""
+    ctx, star = ledger.ctx, a.star
+    for r in star.vertices():
+        for r_dart in star.rotation[r]:
+            s = star.other_end(r_dart)
+            hits = [
+                rule
+                for rule in table.rules
+                if sender_matches(rule.sender, ctx, s, r_dart, ledger.delta)
+                and receiver_matches(rule.receiver, ctx, r, r_dart)
+            ]
+            if len(hits) > 1:
+                ids = ", ".join(rule.id for rule in hits)
+                raise DischargeError(
+                    f"rules {ids} all claim the transfer {s} -> {r} (dart {r_dart})"
+                )
+            if hits:
+                rule = hits[0]
+                rec = TransferRecord(rule.id, s, r, rule.amount, dart=star.twin[r_dart])
+                guarded = "guarded-crossing" in table.exclusions and guarded_crossing(
+                    ctx, s, r, r_dart
+                )
+                (ledger.skipped if guarded else ledger.transfers).append(rec)
+
+
+def _rule_table_outcome(fire, a, table):
+    ledger = make_ledger(a)
+    try:
+        fire(a, ledger, table)
+    except DischargeError as exc:
+        return str(exc)
+    return ledger.transfers, ledger.skipped
+
+
+# a class-free receiver beside class-pinned ones; the senders are disjoint,
+# so no dart is claimed twice
+MIXED_TABLE = {
+    "rules": [
+        {"id": "free", "sender": {"kind": "crossing"}, "receiver": {}, "amount": "1/6"},
+        {"id": "deg3", "sender": {"kind": "true"}, "receiver": {"d1": 3}, "amount": "1/3"},
+        {
+            "id": "cross",
+            "sender": {"kind": "true", "min_degree": "delta-2"},
+            "receiver": {"kind": "crossing"},
+            "amount": "1/2",
+        },
+    ],
+    "exclusions": ["guarded-crossing"],
+}
+
+
+def test_receiver_class_index_matches_every_rule_on_every_dart():
+    instances = [cfg.build() for cfg in all_configs()]
+    instances += [wrapped_quad(), wrapped_grid(3, 3), starred_wheel()]
+    fired = {}
+    for table in (default_rules(), rule_table_from_dict(MIXED_TABLE)):
+        for a in instances:
+            want = _rule_table_outcome(_every_rule_on_every_dart, a, table)
+            assert _rule_table_outcome(apply_rule_table, a, table) == want
+            if not isinstance(want, str):
+                for rec in want[0] + want[1]:
+                    fired[rec.rule] = fired.get(rec.rule, 0) + 1
+    # both tables actually fire, guard skips included
+    assert {"free", "deg3", "cross", "rx-triangles-mid"} <= fired.keys()
+
+
+@pytest.mark.parametrize("order", [("pinned", "free"), ("free", "pinned")])
+def test_pinned_and_class_free_rules_claiming_one_dart_raise(order):
+    receivers = {"pinned": {"kind": "true"}, "free": {}}
+    table = rule_table_from_dict(
+        {
+            "rules": [
+                {"id": rid, "sender": {}, "receiver": receivers[rid], "amount": "1/3"}
+                for rid in order
+            ]
+        }
+    )
+    a = wrapped_quad()
+    with pytest.raises(DischargeError, match=", ".join(order)):
+        apply_rule_table(a, make_ledger(a), table)
+
+
+@example([])
+@example([Fraction(-1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(-7), Fraction(2, 4)])
+@given(st.lists(st.fractions(max_denominator=12)))
+def test_exact_sum_equals_fraction_sum(xs):
+    assert discharge_module._exact_sum(xs) == sum(xs, Fraction(0))
+
+
 def test_full_pipeline_conserves_everywhere():
     instances = [
         wrapped_quad(),
@@ -623,8 +723,8 @@ def test_golden_config_reports():
 
 
 def test_golden_large_drawing_reports():
-    # hubs of degree in the hundreds and R2 shares over several denominators,
-    # which the small corpus above never reaches
+    # hubs of degree above 100 and final charges over up to three
+    # denominators, which the small corpus above never reaches
     drawings = []
     for s in (0, 1):
         drawings.append(gen_crossed(gen_toroidal_grid(24, 24)[1], 70, seed=s))

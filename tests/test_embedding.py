@@ -248,8 +248,16 @@ def test_parse_rejects_an_origin_off_its_segment(origin):
             lambda t: t.replace("twins:\n", "crossings:\n99\ntwins:\n"),
             "crossing 99 names no vertex",
         ),
+        (
+            lambda t: t.replace("twins:\n0 10\n", "twins:\n0 10\n0 10\n"),
+            "repeated twin of dart 0",
+        ),
+        (
+            lambda t: t.replace("twins:\n0 10\n", "twins:\n0 10\n10 0\n"),
+            "repeated twin of dart 10",
+        ),
     ],
-    ids=["surface", "rotation", "origin", "crossing"],
+    ids=["surface", "rotation", "origin", "crossing", "twin", "twin-reversed"],
 )
 def test_parse_rejects_repeated_or_dangling_entries(edit, wanted):
     text = grid_text()
