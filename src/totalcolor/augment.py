@@ -61,12 +61,6 @@ class AugmentedGraph:
     def new_edge_count(self) -> int:
         return len(self.new_segments())
 
-    def face_census(self) -> dict:
-        census: dict = {}
-        for f in self.faces():
-            census[f.size] = census.get(f.size, 0) + 1
-        return census
-
 
 def _eligible_pair(boundary, owner, kinds, g):
     """Smallest eligible (i, j, u, v) in one face, or None.
@@ -155,7 +149,8 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
 
 
 def classify_vertices(a: AugmentedGraph) -> dict:
-    """(d1, d2) plus big/small for every vertex of G*.
+    """(d1, d2) plus big/small for every vertex of G*, in ascending
+    vertex order.
 
     Big means (3,5) or d2 >= 6; crossing vertices are always small (their
     degree is pinned at 4).
@@ -196,7 +191,7 @@ def augment_report(a: AugmentedGraph) -> dict:
             {"step": r.step, "face": list(r.face), "pair": list(r.pair)}
             for r in a.insertions
         ],
-        "face_census": {str(size): n for size, n in sorted(a.face_census().items())},
+        "face_census": {str(size): n for size, n in a.star.face_census().items()},
         "classification": {
             str(v): {
                 "d1": c.d1,
@@ -205,6 +200,6 @@ def augment_report(a: AugmentedGraph) -> dict:
                 "size_class": c.size_class,
                 "new_incident": c.new_incident,
             }
-            for v, c in sorted(a.classification.items())
+            for v, c in a.classification.items()
         },
     }

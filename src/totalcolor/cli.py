@@ -107,37 +107,29 @@ def _write_dot(path: str, a: AugmentedGraph) -> None:
 
 def _cmd_faces(args) -> int:
     e = _load_embedding(args.drawing)
-    faces = e.faces()
-    census: dict = {}
-    for f in faces:
-        census[f.size] = census.get(f.size, 0) + 1
+    rows = sorted((e.face_vertices(f) for f in e.faces()), key=lambda t: (len(t), t))
+    report = {
+        "surface": e.surface,
+        "vertices": len(e.rotation),
+        "true_vertices": len(e.true_vertices()),
+        "crossing_vertices": len(e.crossing_vertices()),
+        "segments": e.num_segments(),
+        "euler": euler_characteristic(e),
+        "census": {str(s): n for s, n in e.face_census().items()},
+        "faces": [list(r) for r in rows],
+    }
     print(f"surface: {e.surface}")
     print(
-        f"vertices: {len(e.vertices())} "
-        f"({len(e.true_vertices())} true, {len(e.crossing_vertices())} crossing)"
+        f"vertices: {report['vertices']} "
+        f"({report['true_vertices']} true, {report['crossing_vertices']} crossing)"
     )
-    print(f"segments: {e.num_segments()}")
-    print(f"euler characteristic: {euler_characteristic(e)}")
-    print(f"faces: {len(faces)}")
-    print("census:", " ".join(f"{s}:{n}" for s, n in sorted(census.items())))
-    rows = sorted(
-        (tuple(e.face_vertices(f)) for f in faces), key=lambda t: (len(t), t)
-    )
+    print(f"segments: {report['segments']}")
+    print(f"euler characteristic: {report['euler']}")
+    print(f"faces: {len(rows)}")
+    print("census:", " ".join(f"{s}:{n}" for s, n in report["census"].items()))
     for i, row in enumerate(rows):
         print(f"f{i}: {' '.join(str(v) for v in row)}")
-    _emit_json(
-        args.json_path,
-        {
-            "surface": e.surface,
-            "vertices": len(e.vertices()),
-            "true_vertices": len(e.true_vertices()),
-            "crossing_vertices": len(e.crossing_vertices()),
-            "segments": e.num_segments(),
-            "euler": euler_characteristic(e),
-            "census": {str(s): n for s, n in sorted(census.items())},
-            "faces": [list(r) for r in rows],
-        },
-    )
+    _emit_json(args.json_path, report)
     return 0
 
 
@@ -151,10 +143,7 @@ def _cmd_gstar(args) -> int:
     print(f"true vertices: {len(a.star.true_vertices())}")
     print(f"crossing vertices: {len(a.star.crossing_vertices())}")
     print(f"new edges: {report['new_edges']}")
-    print(
-        "face census:",
-        " ".join(f"{s}:{n}" for s, n in sorted(report["face_census"].items(), key=lambda kv: int(kv[0]))),
-    )
+    print("face census:", " ".join(f"{s}:{n}" for s, n in report["face_census"].items()))
     print("big vertices:", " ".join(f"v{v}" for v in big) if big else "(none)")
     for rec in report["insertions"]:
         print(f"insertion {rec['step']}: pair {rec['pair'][0]}-{rec['pair'][1]}")
@@ -221,16 +210,13 @@ def _cmd_color(args) -> int:
 def _cmd_exact(args) -> int:
     g = _load_graph(args.graph)
     chi, witness = exact_chi_tt(g, budget=args.budget)
-    print(f"elements: {len(total_elements(g))}")
+    elements = len(total_elements(g))
+    print(f"elements: {elements}")
     print(f"chi_tt = {chi}")
     _print_coloring(witness)
     _emit_json(
         args.json_path,
-        {
-            "elements": len(total_elements(g)),
-            "chi_tt": chi,
-            "witness_text": witness.as_text(),
-        },
+        {"elements": elements, "chi_tt": chi, "witness_text": witness.as_text()},
     )
     return 0
 
@@ -258,23 +244,18 @@ def _cmd_audit(args) -> int:
     g = _load_graph(args.graph)
     kappa = args.kappa if args.kappa is not None else g.max_degree() + 2
     audit = audit_minimality(g, kappa)
+    results = [audit.results[name] for name in sorted(audit.results)]
+    passed = audit.passed
     print(f"kappa: {audit.kappa}")
-    for name in sorted(audit.results):
-        r = audit.results[name]
-        if not r.applicable:
-            status = "skip"
-        else:
-            status = "pass" if r.passed else "FAIL"
-        line = f"{r.name}: {status}"
-        if r.witnesses:
-            line += " " + " ".join(str(w) for w in r.witnesses)
-        print(line)
-    print("minimal-candidate:", "yes" if audit.passed else "no")
+    for r in results:
+        status = "skip" if not r.applicable else "pass" if r.passed else "FAIL"
+        print(" ".join([f"{r.name}: {status}", *map(str, r.witnesses)]))
+    print("minimal-candidate:", "yes" if passed else "no")
     _emit_json(
         args.json_path,
         {
             "kappa": audit.kappa,
-            "passed": audit.passed,
+            "passed": passed,
             "results": [
                 {
                     "name": r.name,
@@ -282,11 +263,11 @@ def _cmd_audit(args) -> int:
                     "passed": r.passed,
                     "witnesses": [str(w) for w in r.witnesses],
                 }
-                for name, r in sorted(audit.results.items())
+                for r in results
             ],
         },
     )
-    return 0 if audit.passed else 1
+    return 0 if passed else 1
 
 
 def _cmd_check_p(args) -> int:

@@ -291,17 +291,31 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
     """Extend a proper total coloring of g - uv to g, for an edge whose
     endpoint degrees sum to at most kappa (and 2*deg(v) <= kappa - 1):
     erase v, color uv with a color missing at both ends, recolor v."""
+    return _checked_extend(g, uv, None, c, kappa)
+
+
+def _checked_extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
+    """extend_p1 (w is None) and extend_p3 (w the apex): check that uv is
+    an edge, w completes a triangle on it, peel_kind gives the step's kind
+    and c properly colors g - uv, raising ColoringError if not; then _extend."""
     u, v = uv
+    kind = "P1" if w is None else "P3"
     if not g.has_edge(u, v):
-        raise ColoringError(f"P1 precondition: {uv} is not an edge")
-    if peel_kind(g, u, v, kappa) != "P1":
+        raise ColoringError(f"{kind} precondition: {uv} is not an edge")
+    if w is not None and not (g.has_edge(u, w) and g.has_edge(v, w)):
+        raise ColoringError(f"P3 precondition: {w} does not complete a triangle on {uv}")
+    if peel_kind(g, u, v, kappa) != kind:
+        need = (
+            f"deg(u)+deg(v) <= {kappa} and 2*deg(v) <= {kappa - 1}"
+            if w is None
+            else f"2*deg(v) <= {kappa - 1} and deg(u)+deg(v) exactly {kappa + 1}"
+        )
         raise ColoringError(
-            f"P1 precondition: need deg(u)+deg(v) <= {kappa} and "
-            f"2*deg(v) <= {kappa - 1}, got {g.degree(u)} and {g.degree(v)}"
+            f"{kind} precondition: need {need}, got {g.degree(u)} and {g.degree(v)}"
         )
     if verify(delete_edge(g, uv), c):
-        raise ColoringError("P1 precondition: the reduced coloring is not proper")
-    return _extend(g, uv, None, c, kappa)
+        raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
+    return _extend(g, uv, w, c, kappa)
 
 
 @dataclass(frozen=True)
@@ -330,19 +344,7 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     room.  Returns the extended coloring, or a P3Certificate if every
     branch is exhausted; the supporting argument says that cannot happen
     when kappa >= Delta + 2, a hypothesis this function does not check."""
-    u, v = uv
-    if not g.has_edge(u, v):
-        raise ColoringError(f"P3 precondition: {uv} is not an edge")
-    if not (g.has_edge(u, w) and g.has_edge(v, w)):
-        raise ColoringError(f"P3 precondition: {w} does not complete a triangle on {uv}")
-    if peel_kind(g, u, v, kappa) != "P3":
-        raise ColoringError(
-            f"P3 precondition: need 2*deg(v) <= {kappa - 1} and deg(u)+deg(v) "
-            f"exactly {kappa + 1}, got {g.degree(u)} and {g.degree(v)}"
-        )
-    if verify(delete_edge(g, uv), c):
-        raise ColoringError("P3 precondition: the reduced coloring is not proper")
-    return _extend(g, uv, w, c, kappa)
+    return _checked_extend(g, uv, w, c, kappa)
 
 
 def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
@@ -480,12 +482,13 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
     it went."""
     from .reduce import find_p3_edge, find_reducible_edge
 
+    delta = g.max_degree()
     if kappa is None:
-        kappa = g.max_degree() + 2
-    if kappa < g.max_degree() + 1:
+        kappa = delta + 2
+    if kappa < delta + 1:
         raise ColoringError(
             f"no total coloring fits {kappa} colors: it needs at least "
-            f"max degree + 1 = {g.max_degree() + 1}"
+            f"max degree + 1 = {delta + 1}"
         )
     if budget < 0:
         raise ColoringError(f"the exact-core budget must be >= 0, got {budget}")
@@ -493,15 +496,16 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
 
     peeled = []  # (edge, apex or None), outermost first
     current = g
-    while len(current.vertices) + current.num_edges() > budget:
+    size = len(g.vertices) + g.num_edges()  # the core's elements; a peel drops one
+    while size > budget:
         e = find_reducible_edge(current, kappa)
         step = (e, None) if e is not None else find_p3_edge(current, kappa)
         if step is None:
             break
         peeled.append(step)
         current = delete_edge(current, step[0])
+        size -= 1
 
-    size = len(current.vertices) + current.num_edges()
     if size <= budget:
         chi, witness = exact_chi_tt(current, budget=budget)
         trace.append(f"exact core: {size} elements, chi={chi}")

@@ -51,7 +51,7 @@ def close_drawing(faces):
     cycles = []
     remaining = set(missing)
     while remaining:
-        start = sorted(remaining)[0]
+        start = min(remaining)
         cyc = []
         cur = start
         while True:
@@ -80,10 +80,7 @@ def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGra
                 f"new pair {u},{v}: expected exactly one segment, found {len(keys)}"
             )
         emb.segment_origin[keys[0]] = None
-    edges = sorted(
-        {tuple(sorted(o)) for o in emb.segment_origin.values() if o is not None}
-    )
-    g = build_graph(edges)
+    g = build_graph({tuple(sorted(o)) for o in emb.segment_origin.values() if o is not None})
     if set(emb.true_vertices()) != set(g.vertices):
         raise ConfigError("true vertices differ from the reconstructed graph")
     return AugmentedGraph(g=g, base=emb, star=emb, insertions=[])
@@ -126,14 +123,15 @@ def verify_config(cfg: LocalConfig) -> dict:
     ledger = discharge(a)
     got = focal_receipts(cfg, ledger)
     sent = [t for t in ledger.transfers if t.source == cfg.focal]
-    final = ledger.final_of(cfg.focal)
+    final = ledger.final()[cfg.focal]
+    expected = sorted(cfg.expect)
     return {
         "name": cfg.name,
         "final": final,
         "zero": final == 0,
         "receipts": got,
-        "expected": sorted(cfg.expect),
-        "receipts_match": got == sorted(cfg.expect),
+        "expected": expected,
+        "receipts_match": got == expected,
         "focal_sent": len(sent),
         "conserved": ledger.conserved_total() == ledger.initial_total(),
         "ledger": ledger,

@@ -62,6 +62,9 @@ class TransferRecord:
 
 @dataclass
 class ChargeLedger:
+    """The initial charges of G* and every transfer since; final() alone
+    derives final charges from them."""
+
     a: AugmentedGraph
     delta: int
     initial: dict
@@ -88,16 +91,10 @@ class ChargeLedger:
                 out[t.target] += t.amount
         return out
 
-    def final_of(self, element) -> Fraction:
-        return self.final()[element]
-
     def conserved_total(self) -> Fraction:
         """Sum of all final charges plus the pool balance; transfers never
         change it."""
         return _exact_sum(self.final().values()) + self.pool
-
-    def received_by(self, element) -> Fraction:
-        return sum((t.amount for t in self.transfers if t.target == element), Fraction(0))
 
 
 def _exact_sum(xs) -> Fraction:
@@ -142,9 +139,6 @@ def apply_r1(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     star = a.star
     delta = ledger.delta
     receivers = [v for v, c in a.classification.items() if c.kind == TRUE and c.d1 == 3]
-    if not receivers:
-        ledger.applied.append("R1")
-        return
     rset = set(receivers)
     senders = []
     for v in star.vertices():
@@ -290,9 +284,12 @@ class SemiFan:
 
 
 def semi_fans(a: AugmentedGraph, ledger: ChargeLedger, center: object):
-    """Group one sender's outgoing vertex transfers into semi-fans.  The
-    center must be a true vertex of G*-degree at least delta - 2, else
-    DischargeError."""
+    """Group one sender's outgoing vertex transfers into semi-fans: the
+    maximal cyclic runs of rotation positions that carry charge, the run
+    through position 0 first and the rest by first position.  A quiet
+    center gives one empty fan, and a wheel paying on every edge one fan
+    of all of them.  The center must be a true vertex of G*-degree at
+    least delta - 2, else DischargeError."""
     min_degree = ledger.delta - 2
     c = a.classification[center]
     if c.kind != TRUE:
@@ -315,25 +312,21 @@ def semi_fans(a: AugmentedGraph, ledger: ChargeLedger, center: object):
         # no idle edge anywhere: the whole wheel is one fan
         total = sum(out, Fraction(0))
         return [SemiFan(center=center, positions=tuple(range(k)), total=total, faces=k)]
+    # one scan from just past the last idle edge at or before position 0:
+    # a run through 0 comes first, and the idle edge last closes the scan
+    idle = next(i for i in range(0, -k, -1) if out[i] <= 0)
     fans = []
-    i = 0
-    seen = set()
-    while i < k:
-        if out[i] > 0 and i not in seen:
-            start = i
-            while out[(start - 1) % k] > 0:
-                start = (start - 1) % k
-            run = []
-            j = start
-            while out[j] > 0:
-                run.append(j)
-                seen.add(j)
-                j = (j + 1) % k
-            total = sum((out[p] for p in run), Fraction(0))
+    run = []
+    for p in range(idle + 1, idle + k + 1):
+        p %= k
+        if out[p] > 0:
+            run.append(p)
+        elif run:
+            total = sum((out[q] for q in run), Fraction(0))
             fans.append(
                 SemiFan(center=center, positions=tuple(run), total=total, faces=len(run) + 1)
             )
-        i += 1
+            run = []
     return fans
 
 
@@ -349,12 +342,7 @@ class ClaimReport:
     crossing_quiet: list
 
     def holds(self) -> bool:
-        return not (
-            self.no_4_clique
-            or self.one_big_vertex
-            or self.big_face
-            or self.crossing_quiet
-        )
+        return not any(self.counts().values())
 
     def counts(self) -> dict:
         return {

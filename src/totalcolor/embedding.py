@@ -228,6 +228,13 @@ class EmbeddedGraph:
             self._faces = out
         return self._faces
 
+    def face_census(self) -> dict:
+        """The number of faces of each size, in ascending size order."""
+        census: dict = {}
+        for f in self.faces():
+            census[f.size] = census.get(f.size, 0) + 1
+        return dict(sorted(census.items()))
+
     def face_vertices(self, face: Face) -> tuple:
         return tuple(self.owner[d] for d in face.boundary)
 

@@ -64,11 +64,10 @@ def gen_toroidal_grid(m: int, n: int) -> tuple:
     def v(i, j):
         return (i % m) * n + (j % n)
 
-    edges = sorted(
-        {tuple(sorted((v(i, j), v(i + 1, j)))) for i in range(m) for j in range(n)}
-        | {tuple(sorted((v(i, j), v(i, j + 1)))) for i in range(m) for j in range(n)}
+    g = build_graph(
+        {edge_key(v(i, j), v(i + 1, j)) for i in range(m) for j in range(n)}
+        | {edge_key(v(i, j), v(i, j + 1)) for i in range(m) for j in range(n)}
     )
-    g = build_graph(edges)
     faces = [
         (v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1))
         for i in range(m)
@@ -94,7 +93,7 @@ def gen_planar_triangulation(size: int, seed: int = 0) -> tuple:
         a, b, c = faces.pop(rng.randrange(len(faces)))
         faces.extend([(a, b, x), (b, c, x), (c, a, x)])
         edges.update({(a, x), (b, x), (c, x)})
-    g = build_graph(sorted(edges))
+    g = build_graph(edges)
     return g, from_face_cycles(faces, "plane", g=g)
 
 
@@ -111,7 +110,7 @@ def true_graph_of(e: EmbeddedGraph) -> SimpleGraph:
         if origin is None:
             raise GenError("base drawing carries unresolved new segments")
         edges.add(origin)
-    return build_graph(sorted(edges), vertices=e.true_vertices())
+    return build_graph(edges, vertices=e.true_vertices())
 
 
 def _chord_candidates(face: tuple, edges: set, crossings: set) -> list:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -64,8 +64,9 @@ class SimpleGraph:
         return f"SimpleGraph(n={len(self.vertices)}, m={self.num_edges()})"
 
 
-def build_graph(edge_list: Sequence[tuple], vertices: Iterable = ()) -> SimpleGraph:
+def build_graph(edge_list: Iterable[tuple], vertices: Iterable = ()) -> SimpleGraph:
     """Build a simple graph from an edge list (plus optional isolated vertices).
+    The graph does not depend on the order of either argument.
 
     Rejects loops and duplicate edges by name, per the input contract.
     """
@@ -120,7 +121,7 @@ class DiamondWitness:
 
 
 def find_k4s(g: SimpleGraph) -> list[tuple]:
-    """All 4-cliques, each as a sorted vertex tuple, listed once.
+    """All 4-cliques in lexicographic order, each a sorted vertex tuple.
 
     Each clique is discovered through its lexicographically smallest edge:
     scan edges (a,b) with a < b, then pick adjacent pairs among the common
@@ -135,11 +136,12 @@ def find_k4s(g: SimpleGraph) -> list[tuple]:
             for c, d in combinations(common, 2):
                 if g.has_edge(c, d):
                     out.append((a, b, c, d))
-    return sorted(out)
+    return out
 
 
 def find_induced_diamonds(g: SimpleGraph) -> list[DiamondWitness]:
-    """All induced diamonds, keyed by their hub edge.
+    """All induced diamonds, keyed by their hub edge, in (hub_pair,
+    wing_pair) order.
 
     The hub edge of an induced diamond is unique (it is the only edge whose
     endpoints both have degree 3 within the subgraph), so iterating over
@@ -154,7 +156,7 @@ def find_induced_diamonds(g: SimpleGraph) -> list[DiamondWitness]:
             for c, d in combinations(common, 2):
                 if not g.has_edge(c, d):
                     out.append(DiamondWitness(hub_pair=(a, b), wing_pair=(c, d)))
-    return sorted(out, key=lambda w: (w.hub_pair, w.wing_pair))
+    return out
 
 
 @dataclass(frozen=True)

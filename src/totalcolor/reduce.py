@@ -76,7 +76,7 @@ class MinimalityAudit:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results.values() if r.applicable)
+        return not self.failures
 
     @property
     def failures(self) -> list:

@@ -74,6 +74,12 @@ class EndPattern:
     opposite_end_small: bool | None = None
     faces: tuple | None = None  # tuple[FaceToken], anchored at the connecting edge
 
+    def __post_init__(self):
+        # tables parsed and tables built in code both pass here, so a bad
+        # threshold fails before any dart is examined
+        if self.min_degree is not None:
+            resolve_threshold(self.min_degree, 0)
+
 
 @dataclass(frozen=True)
 class LocalRule:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from totalcolor.embedding import from_face_cycles
 from totalcolor.graphs import SimpleGraph, build_graph
 
@@ -37,6 +39,16 @@ def random_graph(n: int, p: float, seed: int) -> SimpleGraph:
     rng = random.Random(seed)
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return build_graph(edges, vertices=range(n))
+
+
+@st.composite
+def graphs_on_range(draw, max_n: int = 9) -> SimpleGraph:
+    """Hypothesis strategy: a graph on the vertices 0..n-1, n <= max_n,
+    with any subset of the possible edges."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph([e for e, k in zip(pairs, keep) if k], vertices=range(n))
 
 
 def cycle_graph(n: int) -> SimpleGraph:

@@ -60,7 +60,7 @@ def test_c6_insertion_trace():
     assert [r.pair for r in a.insertions] == [
         (0, 2), (0, 3), (0, 4), (0, 2), (0, 3), (0, 4),
     ]
-    assert a.face_census() == {3: 8}
+    assert a.star.face_census() == {3: 8}
     got = {v: (c.d1, c.d2, c.size_class) for v, c in a.classification.items()}
     assert got == {
         0: (2, 8, "big"),
@@ -95,7 +95,7 @@ def test_hexagon_center_quad_gets_one_new_edge():
         tuple(sorted(star.owner[d] for d in key)) for key in a.new_segments()
     )
     assert (2, 5) in new_ends  # the alternating central 4-face was closed
-    assert a.face_census() == {3: 12}
+    assert a.star.face_census() == {3: 12}
     assert star.degree(6) == 4 and star.degree(7) == 4
     assert a.new_edge_count() == 4  # one central + three in the outer hexagon
 
@@ -114,7 +114,7 @@ def test_grid_triangulation():
     e, g = torus_grid(3, 3)
     a = build_g_star(e, g)
     assert a.new_edge_count() == 9
-    assert a.face_census() == {3: 18}
+    assert a.star.face_census() == {3: 18}
     assert euler_characteristic(a.star) == 0
 
 

@@ -7,6 +7,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from totalcolor import coloring
 from totalcolor.coloring import (
@@ -36,6 +37,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     elements_conflict,
+    graphs_on_range,
     path_graph,
     random_graph,
     torus_grid,
@@ -767,3 +769,10 @@ def test_golden_solve_tcc_small_connected():
             text += res.coloring.as_text() + "\n".join(res.trace)
     assert (apexes, stalls) == (14, 2)
     assert _sha(text) == "b0381b3f8f206f950ac3889d1bcc2d25f287fb0613edf1edf1e2655f7aea806c"
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs_on_range())
+def test_solver_coloring_text_round_trip(g):
+    c = solve_tcc(g).coloring
+    assert coloring_from_text(c.as_text()) == c

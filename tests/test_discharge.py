@@ -93,7 +93,7 @@ def test_ledger_totals_survive_any_transfer():
     led.transfers.append(TransferRecord("x", 0, 2, Fraction(5, 7)))
     led.transfers.append(TransferRecord("x", ("face", 0), 1, Fraction(1, 6)))
     assert led.conserved_total() == led.initial_total() == -12
-    assert led.final_of(2) == led.initial[2] + Fraction(5, 7)
+    assert led.final()[2] == led.initial[2] + Fraction(5, 7)
 
 
 # -- R1: the pooled payments to degree-3 vertices -----------------------------
@@ -232,7 +232,7 @@ def test_r2_face_with_no_smalls_keeps_its_charge():
     led = make_ledger(a)
     apply_r2(a, led)
     assert [t for t in led.transfers if t.source == ("face", fi)] == []
-    assert led.final_of(("face", fi)) == 2
+    assert led.final()[("face", fi)] == 2
 
 
 def test_r2_counts_occurrences_with_multiplicity():
@@ -244,7 +244,7 @@ def test_r2_counts_occurrences_with_multiplicity():
     apply_r2(a, led)
     assert len(led.transfers) == 6
     assert all(t.amount == 1 for t in led.transfers)
-    assert led.received_by(1) == 2
+    assert led.final()[1] == led.initial[1] + 2
 
 
 def test_r2_shares_exactly_exhaust_each_face():
@@ -257,7 +257,7 @@ def test_r2_shares_exactly_exhaust_each_face():
                 Fraction(0),
             )
             assert paid in (0, 2 * f.size - 6)
-            assert led.final_of(("face", i)) in (0, 2 * f.size - 6)
+            assert led.final()[("face", i)] in (0, 2 * f.size - 6)
 
 
 # -- R3: well-surrounded (5,5)-vertices ---------------------------------------
@@ -284,7 +284,7 @@ def test_r3_three_true_neighbours_pay_one():
     assert (hub.d1, hub.d2, hub.kind) == (5, 5, "true")
     led = make_ledger(a)
     apply_r3(a, led)
-    assert led.received_by(0) == 1
+    assert led.final()[0] == led.initial[0] + 1
     assert sorted((t.source, t.amount) for t in led.transfers) == [
         (1, Fraction(1, 3)), (3, Fraction(1, 3)), (5, Fraction(1, 3)),
     ]
@@ -298,7 +298,8 @@ def test_r3_big_corner_disqualifies():
     assert (c3.d1, c3.d2) == (5, 5)
     led = make_ledger(a)
     apply_r3(a, led)
-    assert led.received_by(3) == 0
+    # vertex 3 pays the hub its third and collects nothing
+    assert led.final()[3] == led.initial[3] - Fraction(1, 3)
     assert all(t.target == 0 for t in led.transfers)
 
 
@@ -307,7 +308,7 @@ def test_r3_five_true_neighbours_pay_five_thirds():
     a = AugmentedGraph(g=g, base=e, star=e, insertions=[])
     led = make_ledger(a)
     apply_r3(a, led)
-    assert led.received_by(0) == Fraction(5, 3)
+    assert led.final()[0] == led.initial[0] + Fraction(5, 3)
     assert len(led.transfers) == 5
 
 
@@ -349,7 +350,7 @@ def test_crossing_settles_with_one_big_face_and_two_halves():
         ("rx-inner-new", Fraction(1, 2)),
         ("rx-inner-new", Fraction(1, 2)),
     ]
-    assert led.final_of(rep_cfg.focal) == 0
+    assert led.final()[rep_cfg.focal] == 0
 
 
 def test_crossing_settles_with_three_two_thirds():
@@ -359,7 +360,7 @@ def test_crossing_settles_with_three_two_thirds():
     led = discharge(a)
     amounts = sorted(t.amount for t in led.transfers if t.target == cfg.focal)
     assert amounts == [Fraction(2, 3)] * 3
-    assert led.final_of(cfg.focal) == 0
+    assert led.final()[cfg.focal] == 0
 
 
 def test_guard_reroutes_to_skipped():
@@ -368,14 +369,14 @@ def test_guard_reroutes_to_skipped():
     assert [(t.rule, t.source, t.target) for t in led.skipped] == [
         ("rx-triangles-mid", 3, 0)
     ]
-    assert led.final_of(0) == Fraction(-2, 3)
+    assert led.final()[0] == Fraction(-2, 3)
     # skipped transfers do not move charge, so conservation still holds
     assert led.conserved_total() == led.initial_total()
     # with the exclusion disabled the same transfer lands
     bare = RuleTable(rules=default_rules().rules, exclusions=())
     led2 = discharge(a, table=bare)
     assert led2.skipped == []
-    assert led2.final_of(0) == led.final_of(0) + Fraction(1, 3)
+    assert led2.final()[0] == led.final()[0] + Fraction(1, 3)
 
 
 def test_discharge_is_deterministic():
@@ -588,6 +589,64 @@ def test_semi_fan_runs_split_on_idle_edges():
             before = (f.positions[0] - 1) % len(rot)
             after = (f.positions[-1] + 1) % len(rot)
             assert not mask[before] and not mask[after]
+
+
+def reference_semi_fans(center, rot, sent):
+    """semi_fans' run detection as it stood before the one-scan rewrite:
+    rewind to each run's start, walk it forward, and mark it seen."""
+    if not sent:
+        return [SemiFan(center=center, positions=(), total=Fraction(0), faces=1)]
+    k = len(rot)
+    out = [sent.get(d, Fraction(0)) for d in rot]
+    if all(x > 0 for x in out):
+        total = sum(out, Fraction(0))
+        return [SemiFan(center=center, positions=tuple(range(k)), total=total, faces=k)]
+    fans = []
+    i = 0
+    seen = set()
+    while i < k:
+        if out[i] > 0 and i not in seen:
+            start = i
+            while out[(start - 1) % k] > 0:
+                start = (start - 1) % k
+            run = []
+            j = start
+            while out[j] > 0:
+                run.append(j)
+                seen.add(j)
+                j = (j + 1) % k
+            total = sum((out[p] for p in run), Fraction(0))
+            fans.append(
+                SemiFan(center=center, positions=tuple(run), total=total, faces=len(run) + 1)
+            )
+        i += 1
+    return fans
+
+
+HUB_DEGREE = 12
+SEND_AMOUNTS = st.sampled_from([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
+IDLE = []
+PAYS = [Fraction(1, 3)]
+
+
+@example([IDLE] * HUB_DEGREE)  # a quiet hub
+@example([PAYS] * HUB_DEGREE)  # the whole wheel pays
+@example([PAYS] * 2 + [IDLE] * (HUB_DEGREE - 4) + [PAYS] * 2)  # one run wraps past 0
+@example([IDLE] + [PAYS] * (HUB_DEGREE - 2) + [IDLE])  # idle at both ends
+@example([PAYS, IDLE] * (HUB_DEGREE // 2))  # every other edge
+@given(st.lists(st.lists(SEND_AMOUNTS, max_size=2), min_size=HUB_DEGREE, max_size=HUB_DEGREE))
+def test_semi_fans_match_the_rewinding_reference(pattern):
+    # pattern[i] lists the transfers the hub makes through rotation position i
+    e, g = wheel_plane(HUB_DEGREE)
+    a = AugmentedGraph(g=g, base=e, star=e, insertions=[])
+    led = make_ledger(a)
+    rot = a.star.rotation[0]
+    sent = {}
+    for d, amounts in zip(rot, pattern):
+        for amount in amounts:
+            led.transfers.append(TransferRecord("x", 0, a.star.other_end(d), amount, dart=d))
+            sent[d] = sent.get(d, Fraction(0)) + amount
+    assert semi_fans(a, led, center=0) == reference_semi_fans(0, rot, sent)
 
 
 # -- structural claims --------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totalcolor.embedding import (
     EmbeddedGraph,
@@ -12,7 +14,14 @@ from totalcolor.embedding import (
     from_face_cycles,
     parse_embedding,
 )
-from totalcolor.gen import gen_planar_triangulation, gen_toroidal_grid
+from totalcolor.augment import build_g_star
+from totalcolor.gen import (
+    gen_crossed,
+    gen_high_degree_P_drawing,
+    gen_planar_triangulation,
+    gen_toroidal_grid,
+    true_graph_of,
+)
 from totalcolor.graphs import build_graph
 
 from helpers import complete_graph
@@ -301,3 +310,38 @@ def test_parse_embedding_rejects_mislabelled_surface():
     assert parse_embedding(text).surface == "plane"
     with pytest.raises(EmbedError, match="not 2-cell for declared surface torus"):
         parse_embedding(text.replace("surface: plane", "surface: torus"))
+
+
+GENERATED_DRAWINGS = st.one_of(
+    st.builds(
+        lambda m, n, pairs, seed: gen_crossed(gen_toroidal_grid(m, n)[1], pairs, seed),
+        st.integers(3, 6),
+        st.integers(3, 6),
+        st.integers(0, 4),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda size, seed: gen_planar_triangulation(size, seed)[1],
+        st.integers(3, 40),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda size, seed: gen_high_degree_P_drawing(11, size, seed)[1],
+        st.one_of(st.just(12), st.integers(23, 40)),  # 13..22 cannot be drawn
+        st.integers(0, 10**6),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATED_DRAWINGS, st.booleans())
+def test_generated_drawing_round_trip(e, augmented):
+    if augmented:
+        # G* carries new segments, written with origin "new"
+        e = build_g_star(e, true_graph_of(e)).star
+    back = parse_embedding(dump_embedding(e))
+    assert back.rotation == e.rotation
+    assert back.twin == e.twin
+    assert back.vertex_kind == e.vertex_kind
+    assert back.segment_origin == e.segment_origin
+    assert back.surface == e.surface

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
 
 from totalcolor.graphs import (
     GraphError,
@@ -22,6 +23,7 @@ from helpers import (
     brute_k4s,
     complete_graph,
     cycle_graph,
+    graphs_on_range,
     random_graph,
 )
 
@@ -242,3 +244,8 @@ def test_vertices_and_rows_stay_sorted_under_edits():
                 brought_in += 1
             _assert_sorted(g)
     assert brought_in > 20
+
+
+@given(graphs_on_range())
+def test_edge_list_round_trip(g):
+    assert parse_edge_list(dump_edge_list(g)) == g

@@ -14,8 +14,10 @@ from totalcolor.ruletable import (
     DEFAULT_TABLE_JSON,
     EndPattern,
     FaceToken,
+    LocalRule,
     MatchContext,
     RuleError,
+    RuleTable,
     default_rules,
     guarded_crossing,
     parse_rule_table,
@@ -227,6 +229,24 @@ def test_resolve_threshold():
         resolve_threshold("delta-3", 9)
     with pytest.raises(RuleError, match="bad degree threshold"):
         resolve_threshold(None, 9)
+
+
+def test_code_built_table_rejects_a_bad_threshold_before_any_dart():
+    # the JSON path checks thresholds; a table built in code must fail as
+    # early, not only when some dart reaches the rule
+    with pytest.raises(RuleError, match="bad degree threshold 'bogus'"):
+        RuleTable(
+            [
+                LocalRule(
+                    "x",
+                    EndPattern(min_degree="bogus"),
+                    EndPattern(kind="crossing"),
+                    Fraction(1, 3),
+                )
+            ]
+        )
+    for good in (None, 0, 7, "delta", "delta-1", "delta-2"):
+        assert EndPattern(min_degree=good).min_degree == good
 
 
 def test_random_menu_amounts_always_parse():
