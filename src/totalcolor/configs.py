@@ -80,7 +80,7 @@ def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGra
                 f"new pair {u},{v}: expected exactly one segment, found {len(keys)}"
             )
         emb.segment_origin[keys[0]] = None
-    g = build_graph({tuple(sorted(o)) for o in emb.segment_origin.values() if o is not None})
+    g = build_graph({o for o in emb.segment_origin.values() if o is not None})
     if set(emb.true_vertices()) != set(g.vertices):
         raise ConfigError("true vertices differ from the reconstructed graph")
     return AugmentedGraph(g=g, base=emb, star=emb, insertions=[])

@@ -142,8 +142,8 @@ class EmbeddedGraph:
         return origins
 
     def _validate_origins(self):
-        keys = set(self.segments())
-        if set(self.segment_origin) != keys:
+        keys = {seg_key(d, self.twin) for d in self.twin}
+        if self.segment_origin.keys() != keys:
             raise EmbedError("segment_origin must cover exactly the segments")
         per_edge: dict = {}
         for key, edge in self.segment_origin.items():

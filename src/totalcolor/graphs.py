@@ -1,9 +1,10 @@
 """Undirected simple graphs plus the K4/diamond structure checks.
 
 Vertices are nonnegative integers (any hashable, order-comparable ids work,
-but the text format only supports ints).  Graphs are immutable: surgery
-functions return new instances, so intermediate graphs can be kept around
-freely during reductions.
+but the text format only supports ints).  A graph is one dict from each
+vertex, ascending, to the ascending tuple of its neighbors.  Graphs are
+immutable: edits return new graphs that share every row they leave
+unchanged, so intermediate graphs can be kept around during reductions.
 """
 from __future__ import annotations
 
@@ -21,18 +22,16 @@ def edge_key(u, v) -> tuple:
 
 
 class SimpleGraph:
-    """Immutable undirected simple graph.
+    """Immutable undirected simple graph: `adj`, stored as given, maps each
+    vertex, ascending, to the ascending tuple of its neighbors, so only
+    `build_graph` and the edits here construct one.  `vertices` is the
+    tuple of its keys, isolated vertices included."""
 
-    `adj` maps each vertex to the sorted tuple of its neighbors; `vertices`
-    is the sorted tuple of all vertex ids (including isolated ones).
-    """
+    __slots__ = ("vertices", "adj")
 
-    __slots__ = ("vertices", "adj", "_nset")
-
-    def __init__(self, vertices: Iterable, adj: dict):
-        self.vertices = tuple(sorted(vertices))
-        self.adj = {v: tuple(adj.get(v, ())) for v in self.vertices}
-        self._nset = {v: frozenset(nbrs) for v, nbrs in self.adj.items()}
+    def __init__(self, adj: dict):
+        self.adj = adj
+        self.vertices = tuple(adj)
 
     def degree(self, v) -> int:
         return len(self.adj[v])
@@ -41,10 +40,12 @@ class SimpleGraph:
         return self.adj[v]
 
     def has_edge(self, u, v) -> bool:
-        return u in self._nset and v in self._nset[u]
+        return v in self.adj.get(u, ())
 
-    def common_neighbors(self, u, v) -> frozenset:
-        return self._nset[u] & self._nset[v]
+    def common_neighbors(self, u, v) -> tuple:
+        """The common neighbors of u and v, ascending."""
+        other = set(self.adj[v])
+        return tuple(x for x in self.adj[u] if x in other)
 
     def edges(self) -> list[tuple]:
         return [(u, w) for u in self.vertices for w in self.adj[u] if u < w]
@@ -58,30 +59,26 @@ class SimpleGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.adj == other.adj
+        return self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={len(self.vertices)}, m={self.num_edges()})"
 
 
 def build_graph(edge_list: Iterable[tuple], vertices: Iterable = ()) -> SimpleGraph:
-    """Build a simple graph from an edge list (plus optional isolated vertices).
-    The graph does not depend on the order of either argument.
-
-    Rejects loops and duplicate edges by name, per the input contract.
-    """
+    """Build a simple graph from an edge list plus optional isolated
+    vertices; the graph does not depend on the order of either.  Rejects
+    loops and duplicate edges by name, per the input contract."""
     adj: dict = {v: set() for v in vertices}
-    seen = set()
     for u, v in edge_list:
         if u == v:
             raise GraphError(f"loop ({u},{v}) is not allowed")
-        key = edge_key(u, v)
-        if key in seen:
+        row = adj.setdefault(u, set())
+        if v in row:
             raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        adj.setdefault(u, set()).add(v)
+        row.add(v)
         adj.setdefault(v, set()).add(u)
-    return SimpleGraph(adj.keys(), {v: tuple(sorted(ns)) for v, ns in adj.items()})
+    return SimpleGraph({v: tuple(sorted(adj[v])) for v in sorted(adj)})
 
 
 def delete_edge(g: SimpleGraph, e: tuple) -> SimpleGraph:
@@ -92,20 +89,12 @@ def delete_edge(g: SimpleGraph, e: tuple) -> SimpleGraph:
     adj = dict(g.adj)
     adj[u] = tuple(x for x in adj[u] if x != v)
     adj[v] = tuple(x for x in adj[v] if x != u)
-    return SimpleGraph(g.vertices, adj)
+    return SimpleGraph(adj)
 
 
 def add_edge(g: SimpleGraph, e: tuple) -> SimpleGraph:
-    u, v = e
-    if u == v:
-        raise GraphError(f"loop ({u},{v}) is not allowed")
-    if g.has_edge(u, v):
-        raise GraphError(f"duplicate edge ({u},{v})")
-    adj = dict(g.adj)
-    adj[u] = tuple(sorted(adj.get(u, ()) + (v,)))
-    adj[v] = tuple(sorted(adj.get(v, ()) + (u,)))
-    verts = set(g.vertices) | {u, v}
-    return SimpleGraph(verts, adj)
+    """g plus e, which may bring in a vertex; rejects a loop or an edge of g."""
+    return build_graph([*g.edges(), e], vertices=g.vertices)
 
 
 @dataclass(frozen=True)
@@ -120,23 +109,28 @@ class DiamondWitness:
     wing_pair: tuple
 
 
+def _edges_with_common_neighbors(g: SimpleGraph):
+    """Each edge (a, b) with a < b, in lexicographic order, with the common
+    neighbors of a and b ascending: b's row read against one set of a's."""
+    for a, row in g.adj.items():
+        row_a = set(row)
+        for b in row:
+            if b > a:
+                yield a, b, [x for x in g.adj[b] if x in row_a]
+
+
 def find_k4s(g: SimpleGraph) -> list[tuple]:
     """All 4-cliques in lexicographic order, each a sorted vertex tuple.
 
-    Each clique is discovered through its lexicographically smallest edge:
-    scan edges (a,b) with a < b, then pick adjacent pairs among the common
-    neighbors that exceed b.
+    Each clique is discovered through its lexicographically smallest edge
+    (a,b): the adjacent pairs among the common neighbors that exceed b.
     """
-    out = []
-    for a in g.vertices:
-        for b in g.adj[a]:
-            if b <= a:
-                continue
-            common = sorted(x for x in g.common_neighbors(a, b) if x > b)
-            for c, d in combinations(common, 2):
-                if g.has_edge(c, d):
-                    out.append((a, b, c, d))
-    return out
+    return [
+        (a, b, c, d)
+        for a, b, common in _edges_with_common_neighbors(g)
+        for c, d in combinations([x for x in common if x > b], 2)
+        if g.has_edge(c, d)
+    ]
 
 
 def find_induced_diamonds(g: SimpleGraph) -> list[DiamondWitness]:
@@ -147,16 +141,12 @@ def find_induced_diamonds(g: SimpleGraph) -> list[DiamondWitness]:
     endpoints both have degree 3 within the subgraph), so iterating over
     edges and nonadjacent common-neighbor pairs finds each witness once.
     """
-    out = []
-    for a in g.vertices:
-        for b in g.adj[a]:
-            if b <= a:
-                continue
-            common = sorted(g.common_neighbors(a, b))
-            for c, d in combinations(common, 2):
-                if not g.has_edge(c, d):
-                    out.append(DiamondWitness(hub_pair=(a, b), wing_pair=(c, d)))
-    return out
+    return [
+        DiamondWitness(hub_pair=(a, b), wing_pair=(c, d))
+        for a, b, common in _edges_with_common_neighbors(g)
+        for c, d in combinations(common, 2)
+        if not g.has_edge(c, d)
+    ]
 
 
 @dataclass(frozen=True)

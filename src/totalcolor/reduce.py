@@ -50,10 +50,8 @@ def find_p3_edge(g: SimpleGraph, kappa: int):
     """The first edge in P3's tight case that lies on a triangle, as
     ((u, v), w) with w the smallest apex, or None."""
     for u, v in g.edges():
-        if peel_kind(g, u, v, kappa) == "P3":
-            common = g.common_neighbors(u, v)
-            if common:
-                return (u, v), min(common)
+        if peel_kind(g, u, v, kappa) == "P3" and (common := g.common_neighbors(u, v)):
+            return (u, v), common[0]
     return None
 
 
@@ -139,7 +137,7 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
         (e, w)
         for e, kind in kinds.items()
         if kind == "P3"
-        for w in sorted(g.common_neighbors(*e))
+        for w in g.common_neighbors(*e)
     ]
     results["P3"] = CheckResult("P3", True, not p3_bad, tuple(p3_bad))
 
@@ -165,7 +163,7 @@ def audit_minimality(g: SimpleGraph, kappa: int) -> MinimalityAudit:
             for w in g.neighbors(v):
                 shared = g.common_neighbors(v, w)
                 if len(shared) >= 2:
-                    p5_bad.append(((v, w), tuple(sorted(shared))))
+                    p5_bad.append(((v, w), shared))
     results["P5"] = CheckResult("P5", p5_app, not p5_bad, tuple(p5_bad))
 
     has_p = check_property_P(g).holds
@@ -340,7 +338,7 @@ def brute_validate_extensions(
                 for u, v in g.edges():
                     kind = peel_kind(g, u, v, kappa)
                     p1_ok = kind == "P1"
-                    p3_apexes = sorted(g.common_neighbors(u, v)) if kind == "P3" else []
+                    p3_apexes = g.common_neighbors(u, v) if kind == "P3" else ()
                     if not p1_ok and not p3_apexes:
                         continue
                     instance_no += 1

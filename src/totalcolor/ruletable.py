@@ -140,11 +140,12 @@ _THRESHOLDS = {"delta": 0, "delta-1": 1, "delta-2": 2}
 
 
 def resolve_threshold(value, delta: int) -> int:
-    if isinstance(value, int):
+    """A non-negative int as is, a _THRESHOLDS name counted down from delta."""
+    if _is_count(value):
         return value
-    if value not in _THRESHOLDS:
-        raise RuleError(f"bad degree threshold {value!r}")
-    return delta - _THRESHOLDS[value]
+    if isinstance(value, str) and value in _THRESHOLDS:
+        return delta - _THRESHOLDS[value]
+    raise RuleError(f"bad degree threshold {value!r}")
 
 
 def _class_matches(p: EndPattern, c) -> bool:
@@ -294,7 +295,7 @@ _CLASS_KEYS = {
 _END_KEYS = {
     "sender": {
         **_CLASS_KEYS,
-        "min_degree": lambda v: _is_count(v) or (isinstance(v, str) and v in _THRESHOLDS),
+        "min_degree": lambda v: resolve_threshold(v, 0) is not None,  # or raises
         "via_new_edge": _is_flag,
     },
     "receiver": {

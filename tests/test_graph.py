@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from totalcolor.graphs import (
     check_property_P,
     delete_edge,
     dump_edge_list,
+    edge_key,
     find_induced_diamonds,
     find_k4s,
     parse_edge_list,
@@ -76,6 +78,37 @@ def test_delete_then_add_restores():
     g = random_graph(8, 0.5, seed=7)
     e = g.edges()[3]
     assert add_edge(delete_edge(g, e), e) == g
+
+
+def test_add_edge_rejects_loops_and_duplicates():
+    g = cycle_graph(4)
+    with pytest.raises(GraphError, match=re.escape("loop (2,2)")):
+        add_edge(g, (2, 2))
+    with pytest.raises(GraphError, match=re.escape("duplicate edge (1,0)")):
+        add_edge(g, (1, 0))
+
+
+def test_add_edge_brings_in_a_fresh_vertex():
+    g = add_edge(build_graph([(0, 2)], vertices=range(3)), (5, 1))
+    assert g.vertices == (0, 1, 2, 5)
+    assert g.adj == {0: (2,), 1: (5,), 2: (0,), 5: (1,)}
+
+
+@given(graphs_on_range())
+def test_queries_read_the_rows_and_edits_share_them(g):
+    edges = set(g.edges())
+    absent = len(g.vertices)
+    for u in g.vertices:
+        assert not g.has_edge(u, absent) and not g.has_edge(absent, u)
+        for v in g.vertices:
+            assert g.has_edge(u, v) == (edge_key(u, v) in edges)
+            # a reference kept here: the set intersection, sorted
+            common = tuple(sorted(set(g.neighbors(u)) & set(g.neighbors(v))))
+            assert g.common_neighbors(u, v) == common
+    for u, v in edges:
+        h = delete_edge(g, (u, v))
+        assert set(h.edges()) == edges - {(u, v)}
+        assert all(h.adj[x] is g.adj[x] for x in g.vertices if x not in (u, v))
 
 
 def test_find_k4s_examples():

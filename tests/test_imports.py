@@ -1,4 +1,6 @@
-"""Every name a library, test or demo module imports is used in that module."""
+"""AST checks over the library, test, bench and demo modules: every
+imported name is used, every definition is named somewhere, and only
+graphs.py constructs a SimpleGraph."""
 from __future__ import annotations
 
 import ast
@@ -111,3 +113,32 @@ def test_every_definition_is_named_somewhere():
     assert dead == []
     # an allowlist entry that the library starts naming is no longer needed
     assert not {q.rsplit(".", 1)[-1] for q in READ_BY_ACCEPTANCE_TESTS} & used
+
+
+def calls_to(source: str, name: str) -> list:
+    """Line of every call to `name`, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_calls_are_found():
+    source = "g = SimpleGraph({})\nh = graphs.SimpleGraph(adj)\nSimpleGraph\nf(SimpleGraph)\n"
+    assert calls_to(source, "SimpleGraph") == [1, 2]
+
+
+def test_only_graphs_py_constructs_a_simple_graph():
+    # SimpleGraph stores its dict as given, so its sorted rows hold only
+    # while build_graph and the edits in graphs.py make every graph
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for sub in NAMING_DIRS
+        for path in sorted((ROOT / sub).glob("*.py"))
+        if path.name != "graphs.py"
+        for line in calls_to(path.read_text(), "SimpleGraph")
+    ]
+    assert found == []
+    assert calls_to((ROOT / "src/totalcolor/graphs.py").read_text(), "SimpleGraph")

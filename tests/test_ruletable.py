@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,22 +230,25 @@ def test_resolve_threshold():
         resolve_threshold("delta-3", 9)
     with pytest.raises(RuleError, match="bad degree threshold"):
         resolve_threshold(None, 9)
+    with pytest.raises(RuleError, match="bad degree threshold True"):
+        resolve_threshold(True, 9)
 
 
 def test_code_built_table_rejects_a_bad_threshold_before_any_dart():
     # the JSON path checks thresholds; a table built in code must fail as
     # early, not only when some dart reaches the rule
-    with pytest.raises(RuleError, match="bad degree threshold 'bogus'"):
-        RuleTable(
-            [
-                LocalRule(
-                    "x",
-                    EndPattern(min_degree="bogus"),
-                    EndPattern(kind="crossing"),
-                    Fraction(1, 3),
-                )
-            ]
-        )
+    for bad in ("bogus", True, -3):
+        with pytest.raises(RuleError, match=re.escape(f"bad degree threshold {bad!r}")):
+            RuleTable(
+                [
+                    LocalRule(
+                        "x",
+                        EndPattern(min_degree=bad),
+                        EndPattern(kind="crossing"),
+                        Fraction(1, 3),
+                    )
+                ]
+            )
     for good in (None, 0, 7, "delta", "delta-1", "delta-2"):
         assert EndPattern(min_degree=good).min_degree == good
 
