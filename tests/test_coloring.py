@@ -27,7 +27,7 @@ from totalcolor.coloring import (
     total_elements,
     verify,
 )
-from totalcolor.gen import gen_high_degree_P
+from totalcolor.gen import gen_high_degree_P, gen_high_degree_P_drawing
 from totalcolor.graphs import build_graph, delete_edge
 from totalcolor.reduce import _proper_colorings, enum_graphs
 
@@ -769,6 +769,41 @@ def test_golden_solve_tcc_small_connected():
             text += res.coloring.as_text() + "\n".join(res.trace)
     assert (apexes, stalls) == (14, 2)
     assert _sha(text) == "b0381b3f8f206f950ac3889d1bcc2d25f287fb0613edf1edf1e2655f7aea806c"
+
+
+def _solve_text(g, **kw):
+    res = solve_tcc(g, **kw)
+    return res.coloring.as_text() + "\n".join(res.trace)
+
+
+def test_golden_solve_tcc_criterion_8_instances():
+    # the 50 high-degree instances of the acceptance test's criterion 8
+    rng = random.Random(20240819)
+    text = ""
+    for i in range(50):
+        delta = 11 + i % 4
+        size = rng.choice([delta + 1, 2 * delta + 1, 60, 120, 200, 300])
+        if delta + 1 < size < 2 * delta + 1:
+            size = 2 * delta + 1
+        text += _solve_text(gen_high_degree_P_drawing(delta, size, seed=i)[0])
+    assert _sha(text) == "2bc65446eba6c19f385799c817510761ae946b90e5360cb34266b58103825942"
+
+
+def test_golden_solve_tcc_wheel_sum_2000():
+    text = _solve_text(gen_high_degree_P(12, 2000, seed=1))
+    assert _sha(text) == "b4e1595a7681929a46284ae05df342f2a352fe25c7cf3388077ac38d88a7bef2"
+
+
+def test_golden_solve_tcc_p3_after_p1():
+    # random graphs with triangles where, at both palettes, a P3 edge is
+    # peeled after some P1 edge
+    text = ""
+    for n, p, seed in [(16, 0.5, 4), (18, 0.45, 7), (20, 0.5, 2), (20, 0.55, 7)]:
+        g = random_graph(n, p, seed)
+        for extra in (1, 2):
+            text += _solve_text(g, kappa=g.max_degree() + extra, budget=0)
+    assert text.count("via apex") == 16
+    assert _sha(text) == "5a3a5f9bcdcab11025eea2fafd1b55788df6dd671371848aa0b4ef5c517ba9cf"
 
 
 @settings(max_examples=50, deadline=None)
