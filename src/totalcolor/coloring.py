@@ -17,6 +17,7 @@ progress is then a flat list of colors indexed the same way, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 # no module in src/ calls add_edge any more; it is imported only because
 # the benchmark's tracer binds coloring.add_edge
@@ -279,7 +280,11 @@ def peel_kind(g: SimpleGraph, u, v, kappa: int) -> str | None:
     must have degree at most floor((kappa-1)/2); then "P1" when the degree
     sum is at most kappa, "P3" in the tight case kappa+1 (which also needs
     a triangle apex, left to the caller), and None otherwise."""
-    du, dv = g.degree(u), g.degree(v)
+    return _peel_rule(g.degree(u), g.degree(v), kappa)
+
+
+def _peel_rule(du: int, dv: int, kappa: int) -> str | None:
+    """peel_kind for an edge whose ends have degrees du and dv."""
     if 2 * min(du, dv) > kappa - 1:
         return None
     if du + dv <= kappa:
@@ -315,7 +320,7 @@ def _checked_extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
         )
     if verify(delete_edge(g, uv), c):
         raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
-    return _extend(g, uv, w, c, kappa)
+    return _extend(g, uv, w, c.copy(), kappa)
 
 
 @dataclass(frozen=True)
@@ -350,7 +355,10 @@ def extend_p3(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
 def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     """The extension step shared by P1 (w is None) and P3 (w the apex).
     g may hold edges that c leaves uncolored, uv among them; only colored
-    edges count.  Picks the low end v, erases it, colors uv, recolors v."""
+    edges count.  Picks the low end v, erases it, colors uv, recolors v.
+    Works in place: c becomes the extended coloring, which is returned.
+    A returned P3Certificate leaves c with the same colored edges, v's
+    color erased."""
     u, v = uv
     used_u, used_v = colors_at(g, c, u), colors_at(g, c, v)
     # c is proper, so an end shows one color per colored edge plus its
@@ -358,15 +366,14 @@ def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     du, dv = len(used_u), len(used_v)
     if (w is None and 2 * dv > kappa - 1) or (w is not None and du < dv):
         u, v, used_u, used_v = v, u, used_v, used_u
-    out = c.copy()
-    out.kappa = kappa
-    used_v.discard(out.vertex_color.pop(v, None))
+    c.kappa = kappa
+    used_v.discard(c.vertex_color.pop(v, None))
     uvk = edge_key(u, v)
     theta = _free_color(kappa, used_u, used_v)
     if theta is not None:
-        out.edge_color[uvk] = theta
-        _recolor_vertex(g, out, v, kappa)
-        return out
+        c.edge_color[uvk] = theta
+        _recolor_vertex(g, c, v, kappa)
+        return c
     if w is None:
         raise ColoringError("edge color cannot run out: deg sums leave slack")
 
@@ -374,19 +381,19 @@ def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     # slide it onto uv and recolor wv
     wvk = edge_key(w, v)
     uwk = edge_key(u, w)
-    pivot = out.edge_color[wvk]
-    out.edge_color[uvk] = pivot
-    del out.edge_color[wvk]
-    fresh = _free_color(kappa, colors_at(g, out, w), colors_at(g, out, v))
+    pivot = c.edge_color[wvk]
+    c.edge_color[uvk] = pivot
+    del c.edge_color[wvk]
+    fresh = _free_color(kappa, colors_at(g, c, w), colors_at(g, c, v))
     if fresh is not None:
-        out.edge_color[wvk] = fresh
-        _recolor_vertex(g, out, v, kappa)
-        return out
+        c.edge_color[wvk] = fresh
+        _recolor_vertex(g, c, v, kappa)
+        return c
 
     # undo the slide; swap through uw instead
-    out.edge_color[wvk] = pivot
-    del out.edge_color[uvk]
-    used_w_full = colors_at(g, out, w)
+    c.edge_color[wvk] = pivot
+    del c.edge_color[uvk]
+    used_w_full = colors_at(g, c, w)
     alpha = _free_color(kappa, used_u, used_w_full)
     if alpha is None:
         return P3Certificate(
@@ -397,10 +404,10 @@ def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
             v_used=frozenset(used_v),
             w_used=frozenset(used_w_full),
         )
-    out.edge_color[uvk] = out.edge_color[uwk]
-    out.edge_color[uwk] = alpha
-    _recolor_vertex(g, out, v, kappa)
-    return out
+    c.edge_color[uvk] = c.edge_color[uwk]
+    c.edge_color[uwk] = alpha
+    _recolor_vertex(g, c, v, kappa)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +480,60 @@ def _repair_into(g: SimpleGraph, c: TotalColoring, kappa: int) -> bool:
         _paint(c, els, colors)
 
 
+def _peel(g: SimpleGraph, kappa: int, limit: int) -> tuple:
+    """(steps, core): up to `limit` peel steps, outermost first, and the
+    graph they leave.  Each step is reduce.find_reducible_edge's (edge,
+    None) or else reduce.find_p3_edge's (edge, apex) on the graph so far.
+
+    Set rows and a heap of candidates per kind replace the rescans: a peel
+    re-offers only the edges at its ends.  Degrees only fall, so a P1 edge
+    stays P1 until peeled.  A P3 entry is checked when popped; one that
+    fails never passes again, as degree sums fall and triangles vanish."""
+    adj = {v: set(row) for v, row in g.adj.items()}
+    p1, p3, queued = [], [], set()
+
+    def offer(e):
+        kind = _peel_rule(len(adj[e[0]]), len(adj[e[1]]), kappa)
+        if kind == "P3":
+            heappush(p3, e)
+        elif kind == "P1" and e not in queued:
+            queued.add(e)
+            heappush(p1, e)
+
+    for e in g.edges():
+        offer(e)
+    steps = []
+    while len(steps) < limit:
+        step = (heappop(p1), None) if p1 else None
+        while step is None and p3:
+            u, v = e = heappop(p3)
+            if v in adj[u] and _peel_rule(len(adj[u]), len(adj[v]), kappa) == "P3":
+                common = adj[u] & adj[v]
+                step = (e, min(common)) if common else None
+        if step is None:
+            break
+        steps.append(step)
+        u, v = step[0]
+        adj[u].remove(v)
+        adj[v].remove(u)
+        for x in (u, v):
+            for y in adj[x]:
+                offer(edge_key(x, y))
+    rest = [(u, v) for u, row in adj.items() for v in row if u < v]
+    return steps, build_graph(rest, vertices=g.vertices)
+
+
 def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> SolveResult:
     """Aim for a proper total coloring within kappa (default: max degree
     plus two) by peeling reducible edges, solving a small core exactly,
     and extending back out; greedy first-fit plus bounded repair covers
     whatever the reduction cannot reach.  The returned coloring is always
     proper; only the palette bound can be missed, and the trace says how
-    it went."""
-    from .reduce import find_p3_edge, find_reducible_edge
+    it went.
 
+    Cost: O(deg(u) + deg(v) + log m) per peel step uv, one build of the
+    core, and per extension only the rows at uv's ends (and apex), colored
+    in place; the core search and the final verify see the whole graph."""
     delta = g.max_degree()
     if kappa is None:
         kappa = delta + 2
@@ -494,17 +546,9 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
         raise ColoringError(f"the exact-core budget must be >= 0, got {budget}")
     trace = []
 
-    peeled = []  # (edge, apex or None), outermost first
-    current = g
     size = len(g.vertices) + g.num_edges()  # the core's elements; a peel drops one
-    while size > budget:
-        e = find_reducible_edge(current, kappa)
-        step = (e, None) if e is not None else find_p3_edge(current, kappa)
-        if step is None:
-            break
-        peeled.append(step)
-        current = delete_edge(current, step[0])
-        size -= 1
+    peeled, current = _peel(g, kappa, size - budget)  # (edge, apex or None)
+    size -= len(peeled)
 
     if size <= budget:
         chi, witness = exact_chi_tt(current, budget=budget)
@@ -523,15 +567,13 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
 
     while peeled:
         e, apex = peeled.pop()
-        ext = _extend(g, e, apex, result, result.kappa)
-        if isinstance(ext, P3Certificate):
+        if isinstance(_extend(g, e, apex, result, result.kappa), P3Certificate):
             trace.append(f"triangle cascade stalled at {e}; greedy fallback")
             current = build_graph([*result.edge_color, e], vertices=g.vertices)
             result = greedy_total(current)
             _repair_into(current, result, kappa)
             result.kappa = max(kappa, result.colors_used())
         else:
-            result = ext
             via = "" if apex is None else f" via apex {apex}"
             trace.append(f"extended across {e}{via}")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,8 @@ from totalcolor.coloring import (
     verify,
 )
 from totalcolor.gen import gen_high_degree_P, gen_high_degree_P_drawing
-from totalcolor.graphs import build_graph, delete_edge
-from totalcolor.reduce import _proper_colorings, enum_graphs
+from totalcolor.graphs import SimpleGraph, build_graph, delete_edge
+from totalcolor.reduce import _proper_colorings, enum_graphs, find_p3_edge, find_reducible_edge
 
 from helpers import (
     brute_chi_tt,
@@ -491,6 +492,29 @@ def test_extend_p3_rejections():
         extend_p3(P3_GADGET, (0, 1), 2, broken, 7)
 
 
+def test_public_extensions_leave_their_input_unchanged():
+    # extend_p1 and extend_p3 return a new coloring and leave the one
+    # passed in as it was, also when the cascade runs dry
+    g = path_graph(3)
+    cases = [(g, (0, 1), None, greedy_total(delete_edge(g, (0, 1))), 13)]
+    colorings, _ = _proper_colorings(delete_edge(P3_GADGET, (0, 1)), 7, 20, random.Random(5))
+    cases += [(P3_GADGET, (0, 1), 2, c, 7) for c in colorings]
+    g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 5), (2, 6)])
+    c = TotalColoring(
+        5,
+        vertex_color={0: 1, 1: 2, 2: 3, 3: 2, 4: 2, 5: 2, 6: 1},
+        edge_color={(0, 2): 2, (0, 3): 3, (0, 4): 4, (1, 2): 5, (2, 5): 1, (2, 6): 4},
+    )
+    cases.append((g, (0, 1), 2, c, 5))  # kappa = Delta + 1: a certificate
+    kinds = set()
+    for g, uv, w, c, kappa in cases:
+        before = c.copy()
+        out = extend_p1(g, uv, c, kappa) if w is None else extend_p3(g, uv, w, c, kappa)
+        assert out is not c and c == before
+        kinds.add(type(out))
+    assert kinds == {TotalColoring, P3Certificate}
+
+
 def test_extend_p3_randomized_never_certifies_at_target():
     # at kappa >= Delta + 2 the cascade must always land
     rng = random.Random(20240819)
@@ -539,6 +563,79 @@ def test_solve_cascade_stalls_only_below_delta_plus_2():
 
 # ---------------------------------------------------------------------------
 # solve_tcc
+
+
+def _rescan_peel(g, kappa, limit):
+    """The plain peel loop that solve_tcc's worklist stands in for: rescan
+    for the first P1 edge, else the first P3 edge, delete it, repeat."""
+    steps = []
+    while len(steps) < limit:
+        e = find_reducible_edge(g, kappa)
+        step = (e, None) if e is not None else find_p3_edge(g, kappa)
+        if step is None:
+            break
+        steps.append(step)
+        g = delete_edge(g, step[0])
+    return steps, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_on_range())
+def test_peel_worklist_matches_the_rescan_loop(g):
+    limit = len(g.vertices) + g.num_edges()  # budget 0
+    for extra in (1, 2, 3):
+        kappa = g.max_degree() + extra
+        assert coloring._peel(g, kappa, limit) == _rescan_peel(g, kappa, limit)
+
+
+def test_peel_finds_an_edge_made_p3_by_a_p1_peel():
+    # at kappa = 5, edge 1-4 has degree sum 3 + 4 = kappa + 2; peeling the
+    # P1 edge 0-1 lowers deg(1), and 1-4 becomes P3 with apex 5
+    g = build_graph(
+        [(0, 1), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+    )
+    assert peel_kind(g, 1, 4, 5) is None
+    steps, core = coloring._peel(g, 5, 99)
+    assert steps[:2] == [((0, 1), None), ((1, 4), 5)]
+    assert (steps, core) == _rescan_peel(g, 5, 99)
+
+
+def test_peel_drops_a_p3_candidate_whose_apex_edge_is_peeled():
+    # at kappa = 5, edge 0-4 is P3 with one apex, 3; the P1 edge 0-3 goes
+    # first, leaving 0-4 without a triangle, and it is then peeled as P1
+    g = build_graph([(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
+    assert peel_kind(g, 0, 4, 5) == "P3" and g.common_neighbors(0, 4) == (3,)
+    steps, core = coloring._peel(g, 5, 99)
+    assert steps[:2] == [((0, 3), None), ((0, 4), None)]
+    assert (steps, core) == _rescan_peel(g, 5, 99)
+
+
+def test_solve_makes_a_constant_number_of_whole_graph_passes(monkeypatch):
+    # counted, not timed: calls that cost O(m) each (listing the edges,
+    # deleting an edge, copying a coloring) must not grow with the
+    # number of peel steps
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    graphs = [gen_high_degree_P(12, 240), gen_high_degree_P(12, 2000)]
+    monkeypatch.setattr(SimpleGraph, "edges", counted("edges", SimpleGraph.edges))
+    monkeypatch.setattr(coloring, "delete_edge", counted("delete_edge", delete_edge))
+    monkeypatch.setattr(TotalColoring, "copy", counted("copy", TotalColoring.copy))
+    seen = []
+    for g in graphs:
+        counts.clear()
+        res = solve_tcc(g)
+        assert sum("extended across" in t for t in res.trace) > len(g.vertices)
+        seen.append(dict(counts))
+    # one edge list each for the worklist, the core's elements and the
+    # final verify; no edge deletion and no coloring copy
+    assert seen == [{"edges": 3}] * 2
 
 
 def test_solve_k4():
