@@ -66,12 +66,6 @@ class TotalColoring:
             return self.vertex_color.get(element[1])
         return self.edge_color.get(edge_key(element[1], element[2]))
 
-    def set_color(self, element, color) -> None:
-        if element[0] == "v":
-            self.vertex_color[element[1]] = color
-        else:
-            self.edge_color[edge_key(element[1], element[2])] = color
-
     def colors_used(self) -> int:
         vals = list(self.vertex_color.values()) + list(self.edge_color.values())
         return max(vals, default=0)
@@ -117,7 +111,10 @@ def coloring_from_text(text: str) -> TotalColoring:
 def _paint(c: TotalColoring, els: list, colors: list) -> TotalColoring:
     """Write a flat color list, indexed like els, into c."""
     for el, color in zip(els, colors):
-        c.set_color(el, color)
+        if el[0] == "v":
+            c.vertex_color[el[1]] = color
+        else:
+            c.edge_color[el[1:]] = color
     return c
 
 
@@ -133,10 +130,36 @@ def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
 # Verification
 
 
+def _is_proper(g: SimpleGraph, c: TotalColoring, absent=None) -> bool:
+    """Whether c colors exactly the elements of g, less the edge `absent`
+    (a canonical edge of g) if one is given, properly and within 1..kappa.
+    One pass over c's entries; odd input gives False, never an exception."""
+    vc, ec, adj, kappa = c.vertex_color, c.edge_color, g.adj, c.kappa
+    m = g.num_edges() - (absent is not None)
+    if len(vc) != len(adj) or len(ec) != m or absent in ec:
+        return False
+    try:
+        if not all(v in adj and 1 <= color <= kappa for v, color in vc.items()):
+            return False
+        seen = set(vc.items())  # (x, color) for each color at vertex x
+        for (u, v), color in ec.items():
+            if not (u < v and v in adj.get(u, ()) and 1 <= color <= kappa):
+                return False
+            if vc[u] == vc[v] or (u, color) in seen or (v, color) in seen:
+                return False
+            seen.update(((u, color), (v, color)))
+    except (TypeError, ValueError):  # a None color, a key that is no pair
+        return False
+    return True
+
+
 def verify(g: SimpleGraph, c: TotalColoring) -> list:
     """Every color outside 1..kappa as ("range", element, color), then all
     conflicting same-colored element pairs; empty means proper.  A partial
-    coloring, or one that colors elements g lacks, is rejected outright."""
+    coloring, or one that colors elements g lacks, is rejected outright.
+    Cost: one pass over c when c is proper; the ordered listing if not."""
+    if _is_proper(g, c):
+        return []
     vc, ec = c.vertex_color, c.edge_color
     edges = g.edges()
     missing = [("v", v) for v in g.vertices if v not in vc]
@@ -150,12 +173,10 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
         extra += [("e",) + e for e in ec if e not in known]
         raise ColoringError(f"coloring names elements the graph lacks: {extra[:8]}")
     bad = []
-    used = {*vc.values(), *ec.values()}
-    if used and not 1 <= min(used) <= max(used) <= c.kappa:
-        for el in total_elements(g):
-            color = c.color_of(el)
-            if not 1 <= color <= c.kappa:
-                bad.append(("range", el, color))
+    for el in total_elements(g):
+        color = c.color_of(el)
+        if not 1 <= color <= c.kappa:
+            bad.append(("range", el, color))
     for u, v in edges:
         if vc[u] == vc[v]:
             bad.append(("vv", u, v))
@@ -168,8 +189,6 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
     for v in g.vertices:
         nbrs = g.neighbors(v)
         row = [ec[edge_key(v, a)] for a in nbrs]
-        if len(set(row)) == len(row):
-            continue  # the edges at v all differ
         for i, a in enumerate(nbrs):
             for j in range(i + 1, len(nbrs)):
                 if row[i] == row[j]:
@@ -302,7 +321,8 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
 def _checked_extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     """extend_p1 (w is None) and extend_p3 (w the apex): check that uv is
     an edge, w completes a triangle on it, peel_kind gives the step's kind
-    and c properly colors g - uv, raising ColoringError if not; then _extend."""
+    and c properly colors g - uv, raising ColoringError if not; then _extend.
+    c is checked on g itself, uv absent; only a rejected c builds g - uv."""
     u, v = uv
     kind = "P1" if w is None else "P3"
     if not g.has_edge(u, v):
@@ -318,7 +338,7 @@ def _checked_extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
         raise ColoringError(
             f"{kind} precondition: need {need}, got {g.degree(u)} and {g.degree(v)}"
         )
-    if verify(delete_edge(g, uv), c):
+    if not _is_proper(g, c, edge_key(u, v)) and verify(delete_edge(g, uv), c):
         raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
     return _extend(g, uv, w, c.copy(), kappa)
 

@@ -6,9 +6,11 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from totalcolor import coloring
 from totalcolor.coloring import (
@@ -199,6 +201,11 @@ def test_verify_flags_colors_off_the_palette():
     assert verify(g, c) == []
 
 
+def _slot(c, el):
+    """The dict of c that holds element el's color, and el's key in it."""
+    return (c.vertex_color, el[1]) if el[0] == "v" else (c.edge_color, el[1:])
+
+
 def _pairset(violations):
     out = set()
     for item in violations:
@@ -223,7 +230,8 @@ def test_verify_matches_brute_conflict_scan():
         colors = {el: rng.randint(1, palette) for el in els}
         c = TotalColoring(palette)
         for el, col in colors.items():
-            c.set_color(el, col)
+            table, key = _slot(c, el)
+            table[key] = col
         brute = {frozenset(p) for p in brute_conflicts(g, colors)}
         assert _pairset(verify(g, c)) == brute
 
@@ -235,6 +243,155 @@ def test_proper_random_colorings_pass_both_checkers():
         assert verify(g, c) == []
         colors = {el: c.color_of(el) for el in total_elements(g)}
         assert brute_conflicts(g, colors) == []
+
+
+def _listing_verify(g, c):
+    """The reference for verify: its ordered listing as it ran on every
+    coloring before the one-pass check of a proper one, with the range
+    pre-check and the skip of a vertex whose edges all differ."""
+    vc, ec = c.vertex_color, c.edge_color
+    edges = g.edges()
+    missing = [("v", v) for v in g.vertices if v not in vc]
+    missing += [("e",) + e for e in edges if e not in ec]
+    if missing:
+        raise ColoringError(f"coloring is partial; uncolored: {missing[:8]}")
+    # nothing is missing, so equal counts mean nothing is extra
+    if len(vc) != len(g.vertices) or len(ec) != len(edges):
+        extra = [("v", v) for v in vc if v not in g.adj]
+        known = set(edges)
+        extra += [("e",) + e for e in ec if e not in known]
+        raise ColoringError(f"coloring names elements the graph lacks: {extra[:8]}")
+    bad = []
+    used = {*vc.values(), *ec.values()}
+    if used and not 1 <= min(used) <= max(used) <= c.kappa:
+        for el in total_elements(g):
+            color = c.color_of(el)
+            if not 1 <= color <= c.kappa:
+                bad.append(("range", el, color))
+    for u, v in edges:
+        if vc[u] == vc[v]:
+            bad.append(("vv", u, v))
+    for u, v in edges:
+        cuv = ec[(u, v)]
+        if cuv == vc[u]:
+            bad.append(("ve", u, (u, v)))
+        if cuv == vc[v]:
+            bad.append(("ve", v, (u, v)))
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        row = [ec[edge_key(v, a)] for a in nbrs]
+        if len(set(row)) == len(row):
+            continue  # the edges at v all differ
+        for i, a in enumerate(nbrs):
+            for j in range(i + 1, len(nbrs)):
+                if row[i] == row[j]:
+                    bad.append(("ee", edge_key(v, a), edge_key(v, nbrs[j])))
+    return bad
+
+
+def _outcome(run):
+    """run()'s result, or what it raised: a ColoringError with its message,
+    or a TypeError by type alone (a None color fails a comparison, and the
+    message names whichever operator met it first)."""
+    try:
+        return run()
+    except ColoringError as exc:
+        return "ColoringError", str(exc)
+    except TypeError:
+        return "TypeError"
+
+
+@st.composite
+def drawn_colorings(draw, g, uv=None):
+    """A coloring of g, or of g - uv when uv is given: greedy's proper one
+    under a palette one short of it, equal or one wider, or random colors
+    that may overrun a drawn palette; then changed by up to two drawn
+    edits (when uv is given, among them coloring uv too, or instead of
+    another edge)."""
+    base = g if uv is None else delete_edge(g, uv)
+    els, nbrs = conflict_lists(base)
+    if draw(st.booleans()):
+        colors = [greedy_total(base).color_of(el) for el in els]
+        kappa = max(colors, default=1) + draw(st.integers(-1, 1))
+    else:
+        kappa = draw(st.integers(1, 2 * g.max_degree() + 2))
+        colors = draw(st.lists(st.integers(0, kappa + 1), min_size=len(els), max_size=len(els)))
+    c = TotalColoring(kappa)
+    for el, color in zip(els, colors):
+        table, key = _slot(c, el)
+        table[key] = color
+    n = len(g.vertices)
+    edits = ["drop", "clash", "extra vertex", "extra edge", "reversed key", "None color"]
+    edits += ["color uv", "uv for an edge"] * (uv is not None)
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=2)):
+        if edit == "drop" and els:
+            table, key = _slot(c, draw(st.sampled_from(els)))
+            table.pop(key, None)
+        elif edit == "clash" and base.num_edges():
+            # one element takes the color of an element it conflicts with
+            i = draw(st.sampled_from([i for i, near in enumerate(nbrs) if near]))
+            table, key = _slot(c, els[i])
+            other, other_key = _slot(c, els[draw(st.sampled_from(nbrs[i]))])
+            table[key] = other.get(other_key)
+        elif edit == "extra vertex":
+            c.vertex_color[n] = draw(st.integers(1, kappa + 1))
+        elif edit == "extra edge":
+            pairs = [e for e in combinations(range(n + 2), 2) if not base.has_edge(*e)]
+            c.edge_color[draw(st.sampled_from(pairs))] = draw(st.integers(1, kappa + 1))
+        elif edit == "reversed key" and c.edge_color:
+            a, b = draw(st.sampled_from(sorted(c.edge_color)))
+            c.edge_color[b, a] = c.edge_color.pop((a, b))
+        elif edit == "None color" and els:
+            table, key = _slot(c, draw(st.sampled_from(els)))
+            table[key] = None
+        elif edit == "color uv":
+            c.edge_color[edge_key(*uv)] = draw(st.integers(1, kappa + 1))
+        elif edit == "uv for an edge" and c.edge_color:
+            c.edge_color[edge_key(*uv)] = c.edge_color.pop(
+                draw(st.sampled_from(sorted(c.edge_color)))
+            )
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_on_range(max_n=7), st.data())
+def test_verify_matches_the_reference_listing(g, data):
+    # the one-pass check only decides when to skip the listing: every
+    # list, and every ColoringError message, is the reference's
+    c = data.draw(drawn_colorings(g))
+    expected = _outcome(lambda: _listing_verify(g, c))
+    assert _outcome(lambda: verify(g, c)) == expected
+    assert coloring._is_proper(g, c) == (expected == [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_on_range(max_n=7), st.data())
+def test_extension_gate_matches_the_reference_gate(g, data):
+    # the gate used to run verify(delete_edge(g, uv), c); it must reject
+    # the same colorings with the same message, whichever way uv is given
+    assume(g.num_edges())
+    u, v = data.draw(st.sampled_from(g.edges()))
+    c = data.draw(drawn_colorings(g, (u, v)))
+    uv = data.draw(st.sampled_from([(u, v), (v, u)]))
+    steps = [(None, 2 * g.max_degree() + 1)]  # P1: any edge at this palette
+    tight = g.degree(u) + g.degree(v) - 1  # P3 needs the degree sum kappa + 1
+    if peel_kind(g, u, v, tight) == "P3":
+        steps += [(w, tight) for w in g.common_neighbors(u, v)]
+    for w, kappa in steps:
+        kind = "P1" if w is None else "P3"
+
+        def reference_gate():
+            if _listing_verify(delete_edge(g, uv), c):
+                raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
+            return "passed"
+
+        def gate():
+            extend_p1(g, uv, c, kappa) if w is None else extend_p3(g, uv, w, c, kappa)
+            return "passed"
+
+        expected = _outcome(reference_gate)
+        assert _outcome(gate) == expected
+        assert coloring._is_proper(g, c, (u, v)) == (expected == "passed")
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +515,15 @@ def test_extend_p1_rejects_non_edge_and_improper_base():
     broken.vertex_color[1] = broken.vertex_color[2]
     with pytest.raises(ColoringError, match="not proper"):
         extend_p1(g, (0, 1), broken, 13)
+
+
+def test_extend_p1_rejects_a_base_that_colors_uv_instead_of_an_edge():
+    # as many colored edges as g - uv has, all proper on g, but uv is
+    # among them and 1-2 is not
+    g = path_graph(3)
+    c = TotalColoring(5, vertex_color={0: 1, 1: 2, 2: 3}, edge_color={(0, 1): 4})
+    with pytest.raises(ColoringError, match=r"partial; uncolored: \[\('e', 1, 2\)\]"):
+        extend_p1(g, (1, 0), c, 5)
 
 
 def test_extend_p1_randomized_trials():
@@ -633,9 +799,10 @@ def test_solve_makes_a_constant_number_of_whole_graph_passes(monkeypatch):
         res = solve_tcc(g)
         assert sum("extended across" in t for t in res.trace) > len(g.vertices)
         seen.append(dict(counts))
-    # one edge list each for the worklist, the core's elements and the
-    # final verify; no edge deletion and no coloring copy
-    assert seen == [{"edges": 3}] * 2
+    # one edge list each for the worklist and the core's elements; the
+    # final verify lists no edges on a proper coloring; no edge deletion
+    # and no coloring copy
+    assert seen == [{"edges": 2}] * 2
 
 
 def test_solve_k4():
@@ -770,7 +937,7 @@ def test_coloring_text_errors():
 def test_edge_key_normalizes():
     assert edge_key(4, 2) == (2, 4) == edge_key(2, 4)
     c = TotalColoring(3)
-    c.set_color(("e", 5, 1), 2)
+    c.edge_color[edge_key(5, 1)] = 2
     assert c.color_of(("e", 1, 5)) == 2
 
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from totalcolor import reduce
+from totalcolor import coloring, reduce
 from totalcolor.coloring import P3Certificate, greedy_total
-from totalcolor.graphs import build_graph, delete_edge
+from totalcolor.graphs import SimpleGraph, build_graph, delete_edge
 from totalcolor.reduce import (
     ExtensionReport,
     ReduceError,
@@ -276,6 +277,31 @@ def test_harness_cap_truncates():
     assert rep.truncated == 39  # only one instance has 10 or fewer colorings
     assert rep.checks == 399
     assert rep.failures == 0
+
+
+def test_harness_builds_each_reduced_graph_once(monkeypatch):
+    # counted, not timed: an extension check tests its reduced coloring on
+    # g itself, so g - uv is built once per instance, for its colorings,
+    # and no check lists the edges of a graph
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    graphs = sum(len(enum_graphs(n, connected=True)) for n in range(2, 5))
+    for module in (reduce, coloring):
+        monkeypatch.setattr(module, "delete_edge", counted("delete_edge", delete_edge))
+    monkeypatch.setattr(SimpleGraph, "edges", counted("edges", SimpleGraph.edges))
+    rep = brute_validate_extensions(4, coloring_cap=3)
+    assert rep.failures == 0 and rep.checks == 120
+    assert counts["delete_edge"] == rep.instances
+    # one edge list per (graph, palette) for its eligible edges, and one
+    # per instance for the elements of its colorings
+    assert counts["edges"] == 2 * graphs + rep.instances < rep.checks
 
 
 def test_harness_json_shape():
