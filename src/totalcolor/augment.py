@@ -43,7 +43,8 @@ class VertexClass:
 
 class AugmentedGraph:
     """G* together with its provenance: base G†, the underlying simple
-    graph, the insertion log, and the per-vertex classification."""
+    graph, the insertion log, and the per-vertex classification.  With an
+    empty insertion log, star and base are the same object."""
 
     def __init__(self, g, base, star, insertions):
         self.g: SimpleGraph = g
@@ -56,7 +57,7 @@ class AugmentedGraph:
         return self.star.faces()
 
     def new_segments(self) -> list[tuple]:
-        return [k for k in self.star.segments() if self.star.is_new(k[0])]
+        return sorted(k for k, edge in self.star.segment_origin.items() if edge is None)
 
     def new_edge_count(self) -> int:
         return len(self.new_segments())
@@ -91,18 +92,17 @@ def _eligible_pair(boundary, owner, kinds, g):
 def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
     """Run the insertion loop to its fixpoint and classify the result.
 
+    When no face is eligible the insertion log is empty and G* is gd
+    itself (`a.star is a.base`): nothing is copied, validated or traced
+    again.  Otherwise G* is a new EmbeddedGraph, validated in full.
+
     Deterministic order: among eligible faces pick the one whose boundary
     holds the smallest dart id, then the smallest vertex pair within it.
     A pair already adjacent in G may still receive a (parallel) new edge
     through another face region, as the paper's rule allows.
     """
-    rotation = {v: list(rot) for v, rot in gd.rotation.items()}
-    twin = dict(gd.twin)
-    origins = dict(gd.segment_origin)
-    owner = dict(gd.owner)
+    owner = gd.owner
     kinds = gd.vertex_kind
-    next_dart = max(twin, default=-1) + 1
-    log: list[InsertionRecord] = []
     # (smallest dart, boundary, pick) per eligible face; every dart lies in
     # exactly one face, so the smallest dart identifies the face and popping
     # the heap follows the deterministic order above
@@ -116,6 +116,15 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
 
     for f in gd.faces():
         push(list(f.boundary))
+    if not heap:
+        # nothing to insert: G* is the validated base drawing itself
+        return AugmentedGraph(g, gd, gd, [])
+    rotation = {v: list(rot) for v, rot in gd.rotation.items()}
+    twin = dict(gd.twin)
+    origins = dict(gd.segment_origin)
+    owner = dict(gd.owner)
+    next_dart = max(twin, default=-1) + 1
+    log: list[InsertionRecord] = []
     while heap:
         _, fb, (i, j, u, v) = heapq.heappop(heap)
         a, b = next_dart, next_dart + 1
@@ -157,6 +166,7 @@ def classify_vertices(a: AugmentedGraph) -> dict:
     """
     table = {}
     star = a.star
+    new_darts = star.new_darts()
     for v in star.vertices():
         kind = star.vertex_kind[v]
         d2 = star.degree(v)
@@ -167,7 +177,7 @@ def classify_vertices(a: AugmentedGraph) -> dict:
             d2=d2,
             kind=kind,
             size_class="big" if big else "small",
-            new_incident=any(star.is_new(d) for d in star.rotation[v]),
+            new_incident=not new_darts.isdisjoint(star.rotation[v]),
         )
     return table
 

@@ -130,11 +130,13 @@ def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
 # Verification
 
 
-def _is_proper(g: SimpleGraph, c: TotalColoring, absent=None) -> bool:
+def _is_proper(g: SimpleGraph, c: TotalColoring, absent=None, kappa=None) -> bool:
     """Whether c colors exactly the elements of g, less the edge `absent`
-    (a canonical edge of g) if one is given, properly and within 1..kappa.
-    One pass over c's entries; odd input gives False, never an exception."""
-    vc, ec, adj, kappa = c.vertex_color, c.edge_color, g.adj, c.kappa
+    (a canonical edge of g) if one is given, properly and within 1..c.kappa
+    (and 1..kappa, if a kappa is given).  One pass over c's entries; odd
+    input gives False, never an exception."""
+    vc, ec, adj = c.vertex_color, c.edge_color, g.adj
+    kappa = c.kappa if kappa is None else min(kappa, c.kappa)
     m = g.num_edges() - (absent is not None)
     if len(vc) != len(adj) or len(ec) != m or absent in ec:
         return False
@@ -156,7 +158,8 @@ def _is_proper(g: SimpleGraph, c: TotalColoring, absent=None) -> bool:
 def verify(g: SimpleGraph, c: TotalColoring) -> list:
     """Every color outside 1..kappa as ("range", element, color), then all
     conflicting same-colored element pairs; empty means proper.  A partial
-    coloring, or one that colors elements g lacks, is rejected outright.
+    coloring, one that colors elements g lacks, or one with a None color is
+    rejected outright.
     Cost: one pass over c when c is proper; the ordered listing if not."""
     if _is_proper(g, c):
         return []
@@ -175,6 +178,8 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
     bad = []
     for el in total_elements(g):
         color = c.color_of(el)
+        if color is None:
+            raise ColoringError(f"coloring gives {el} the color None")
         if not 1 <= color <= c.kappa:
             bad.append(("range", el, color))
     for u, v in edges:
@@ -321,8 +326,9 @@ def extend_p1(g: SimpleGraph, uv: tuple, c: TotalColoring, kappa: int) -> TotalC
 def _checked_extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     """extend_p1 (w is None) and extend_p3 (w the apex): check that uv is
     an edge, w completes a triangle on it, peel_kind gives the step's kind
-    and c properly colors g - uv, raising ColoringError if not; then _extend.
-    c is checked on g itself, uv absent; only a rejected c builds g - uv."""
+    and c properly colors g - uv within 1..kappa, raising ColoringError if
+    not; then _extend.  c is checked on g itself, uv absent; only a
+    rejected c builds g - uv."""
     u, v = uv
     kind = "P1" if w is None else "P3"
     if not g.has_edge(u, v):
@@ -338,8 +344,10 @@ def _checked_extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
         raise ColoringError(
             f"{kind} precondition: need {need}, got {g.degree(u)} and {g.degree(v)}"
         )
-    if not _is_proper(g, c, edge_key(u, v)) and verify(delete_edge(g, uv), c):
-        raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
+    if not _is_proper(g, c, edge_key(u, v), kappa):
+        if verify(delete_edge(g, uv), c):
+            raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
+        raise ColoringError(f"{kind} precondition: the reduced coloring has a color above {kappa}")
     return _extend(g, uv, w, c.copy(), kappa)
 
 

@@ -69,6 +69,7 @@ def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGra
     underlying simple graph, and wrap everything as an augmented graph."""
     full = close_drawing(faces)
     emb = from_face_cycles(full, surface, crossing_vertices=frozenset(crossings))
+    # origins are edited before any query fills emb's cached new-dart set
     for u, v in new_pairs:
         keys = [
             k

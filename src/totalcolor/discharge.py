@@ -122,10 +122,12 @@ def element_label(e) -> str:
 
 def initial_charges(a: AugmentedGraph) -> dict:
     star = a.star
-    charges = {v: Fraction(star.degree(v) - 6) for v in star.vertices()}
+    charges = {v: star.degree(v) - 6 for v in star.vertices()}
     for i, f in enumerate(star.faces()):
-        charges[("face", i)] = Fraction(2 * f.size - 6)
-    return charges
+        charges[("face", i)] = 2 * f.size - 6
+    # a Fraction is immutable, so one per distinct charge is shared
+    shared = {k: Fraction(k) for k in set(charges.values())}
+    return {el: shared[k] for el, k in charges.items()}
 
 
 def make_ledger(a: AugmentedGraph) -> ChargeLedger:

@@ -64,6 +64,7 @@ class EmbeddedGraph:
         "surface",
         "segment_origin",
         "_faces",
+        "_new_darts",
     )
 
     def __init__(
@@ -85,6 +86,7 @@ class EmbeddedGraph:
                     raise EmbedError(f"dart {d} appears in two rotations")
                 self.owner[d] = v
         self._faces = None
+        self._new_darts = None
         self._validate_structure()
         if segment_origin is None:
             self.segment_origin = self._derive_origins()
@@ -199,10 +201,17 @@ class EmbeddedGraph:
     def other_end(self, d: int):
         return self.owner[self.twin[d]]
 
+    def new_darts(self) -> frozenset:
+        """The darts on new segments (those with no origin edge), found once."""
+        if self._new_darts is None:
+            self._new_darts = frozenset(
+                d for key, edge in self.segment_origin.items() if edge is None for d in key
+            )
+        return self._new_darts
+
     def is_new(self, d: int) -> bool:
         """Whether dart d lies on a new segment (one with no origin edge)."""
-        e = self.twin[d]
-        return self.segment_origin[(d, e) if d < e else (e, d)] is None
+        return d in self.new_darts()
 
     def faces(self) -> list[Face]:
         """All faces, each boundary starting at its smallest dart id."""
@@ -427,11 +436,12 @@ def dump_embedding(e: EmbeddedGraph) -> str:
     if cross:
         lines.append("crossings:")
         lines.append(" ".join(str(v) for v in cross))
+    segments = e.segments()
     lines.append("twins:")
-    for a, b in e.segments():
+    for a, b in segments:
         lines.append(f"{a} {b}")
     lines.append("origins:")
-    for key in e.segments():
+    for key in segments:
         edge = e.segment_origin[key]
         tail = "new" if edge is None else f"{edge[0]} {edge[1]}"
         lines.append(f"{key[0]} {key[1]} -> {tail}")

@@ -105,7 +105,8 @@ class MatchContext:
         self.faces = star.faces()
         dart_face = dart_face_index(self.faces)
         self.face_size = [f.size for f in self.faces]
-        self.face_new = [any(star.is_new(d) for d in f.boundary) for f in self.faces]
+        new_darts = star.new_darts()
+        self.face_new = [not new_darts.isdisjoint(f.boundary) for f in self.faces]
         self.face_bigs = []
         self.face_smalls = []
         for f in self.faces:
@@ -120,12 +121,12 @@ class MatchContext:
         self.corner = {
             v: [dart_face[d] for d in star.rotation[v]] for v in star.rotation
         }
-        self.crossing_nbrs = {
-            v: sum(
-                1 for d in star.rotation[v] if star.vertex_kind[star.other_end(d)] == CROSSING
-            )
-            for v in star.rotation
-        }
+        # each dart at a crossing x is one neighbour slot, at its other end
+        self.crossing_nbrs = dict.fromkeys(star.rotation, 0)
+        for x, kind in star.vertex_kind.items():
+            if kind == CROSSING:
+                for d in star.rotation[x]:
+                    self.crossing_nbrs[star.other_end(d)] += 1
 
     def face_share(self, fi: int) -> Fraction | None:
         """Per-small-occurrence redistribution share; None when the face has

@@ -1,6 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totalcolor import augment
 from totalcolor.augment import (
@@ -10,10 +13,16 @@ from totalcolor.augment import (
     build_g_star,
     check_fixpoint,
 )
+from totalcolor.configs import all_configs
+from totalcolor.discharge import check_claims, discharge, final_report
 from totalcolor.embedding import (
+    CROSSING,
     EmbeddedGraph,
+    dump_embedding,
     euler_characteristic,
     from_face_cycles,
+    parse_embedding,
+    seg_key,
 )
 from totalcolor.gen import (
     gen_crossed,
@@ -22,6 +31,8 @@ from totalcolor.gen import (
     gen_toroidal_grid,
     true_graph_of,
 )
+
+from totalcolor.ruletable import MatchContext
 
 from helpers import (
     c6_plane,
@@ -263,3 +274,86 @@ def test_each_face_tested_once(monkeypatch):
     a = build_g_star(e, g)
     assert len(a.insertions) > 0
     assert len(calls) <= len(e.faces()) + 2 * len(a.insertions)
+
+
+def test_zero_insertion_op_builds_and_traces_one_drawing(monkeypatch):
+    # counted, not timed: the drawing op (parse, G*, discharge, claims,
+    # report) builds and traces a drawing with no insertion once; G* is
+    # the parsed object itself.  A drawing that gets insertions builds
+    # and traces its G* as a second drawing.
+    counts = Counter()
+    init, faces = EmbeddedGraph.__init__, EmbeddedGraph.faces
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_faces(self):
+        counts["traced"] += self._faces is None
+        return faces(self)
+
+    monkeypatch.setattr(EmbeddedGraph, "__init__", counted_init)
+    monkeypatch.setattr(EmbeddedGraph, "faces", counted_faces)
+
+    def op(e):
+        text = dump_embedding(e)
+        counts.clear()
+        e = parse_embedding(text)
+        a = build_g_star(e, true_graph_of(e))
+        ledger = discharge(a)
+        check_claims(a, ledger)
+        json.dumps(final_report(ledger), sort_keys=True)
+        return a, dict(counts)
+
+    a, seen = op(gen_planar_triangulation(300, seed=1)[1])
+    assert a.insertions == [] and a.star is a.base
+    assert seen == {"built": 1, "traced": 1}
+    a, seen = op(crossed_grid(8, 6)[0])
+    assert a.insertions and a.star is not a.base
+    assert seen == {"built": 2, "traced": 2}
+
+
+def _reparsed_g_star(e):
+    """G* of e, dumped with its "-> new" origins and parsed back: a base
+    drawing with new segments that gets no insertion."""
+    a = build_g_star(e, true_graph_of(e))
+    return build_g_star(parse_embedding(dump_embedding(a.star)), a.g)
+
+
+_BASE_DRAWINGS = st.one_of(
+    st.builds(
+        lambda side, pairs, seed: crossed_grid(side, pairs, seed)[0],
+        st.integers(3, 8),
+        st.integers(0, 6),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda size, seed: gen_planar_triangulation(size, seed)[1],
+        st.integers(3, 40),
+        st.integers(0, 10**6),
+    ),
+)
+AUGMENTED_GRAPHS = st.one_of(
+    _BASE_DRAWINGS.map(lambda e: build_g_star(e, true_graph_of(e))),
+    st.sampled_from(all_configs()).map(lambda cfg: cfg.build()),
+    _BASE_DRAWINGS.map(_reparsed_g_star),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(AUGMENTED_GRAPHS)
+def test_new_segment_and_crossing_facts_match_a_recount(a):
+    star = a.star
+    new = {d for d in star.twin if star.segment_origin[seg_key(d, star.twin)] is None}
+    assert [star.is_new(d) for d in star.twin] == [d in new for d in star.twin]
+    assert {v: c.new_incident for v, c in a.classification.items()} == {
+        v: any(d in new for d in star.rotation[v]) for v in star.vertices()
+    }
+    ctx = MatchContext(a)
+    assert ctx.face_new == [any(d in new for d in f.boundary) for f in star.faces()]
+    assert ctx.crossing_nbrs == {
+        v: sum(star.vertex_kind[star.other_end(d)] == CROSSING for d in rot)
+        for v, rot in star.rotation.items()
+    }
+    if not a.insertions:
+        assert a.star is a.base

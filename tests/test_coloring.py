@@ -248,7 +248,8 @@ def test_proper_random_colorings_pass_both_checkers():
 def _listing_verify(g, c):
     """The reference for verify: its ordered listing as it ran on every
     coloring before the one-pass check of a proper one, with the range
-    pre-check and the skip of a vertex whose edges all differ."""
+    pre-check and the skip of a vertex whose edges all differ, and with a
+    None color rejected by name once the coloring is known to be total."""
     vc, ec = c.vertex_color, c.edge_color
     edges = g.edges()
     missing = [("v", v) for v in g.vertices if v not in vc]
@@ -261,6 +262,9 @@ def _listing_verify(g, c):
         known = set(edges)
         extra += [("e",) + e for e in ec if e not in known]
         raise ColoringError(f"coloring names elements the graph lacks: {extra[:8]}")
+    for el in total_elements(g):
+        if c.color_of(el) is None:
+            raise ColoringError(f"coloring gives {el} the color None")
     bad = []
     used = {*vc.values(), *ec.values()}
     if used and not 1 <= min(used) <= max(used) <= c.kappa:
@@ -290,15 +294,11 @@ def _listing_verify(g, c):
 
 
 def _outcome(run):
-    """run()'s result, or what it raised: a ColoringError with its message,
-    or a TypeError by type alone (a None color fails a comparison, and the
-    message names whichever operator met it first)."""
+    """run()'s result, or the ColoringError it raised, with its message."""
     try:
         return run()
     except ColoringError as exc:
         return "ColoringError", str(exc)
-    except TypeError:
-        return "TypeError"
 
 
 @st.composite
@@ -368,7 +368,9 @@ def test_verify_matches_the_reference_listing(g, data):
 @given(graphs_on_range(max_n=7), st.data())
 def test_extension_gate_matches_the_reference_gate(g, data):
     # the gate used to run verify(delete_edge(g, uv), c); it must reject
-    # the same colorings with the same message, whichever way uv is given
+    # the same colorings with the same message, whichever way uv is given,
+    # and also a coloring that passes it but has a color above the kappa
+    # it is extended within
     assume(g.num_edges())
     u, v = data.draw(st.sampled_from(g.edges()))
     c = data.draw(drawn_colorings(g, (u, v)))
@@ -383,6 +385,10 @@ def test_extension_gate_matches_the_reference_gate(g, data):
         def reference_gate():
             if _listing_verify(delete_edge(g, uv), c):
                 raise ColoringError(f"{kind} precondition: the reduced coloring is not proper")
+            if any(color > kappa for color in (*c.vertex_color.values(), *c.edge_color.values())):
+                raise ColoringError(
+                    f"{kind} precondition: the reduced coloring has a color above {kappa}"
+                )
             return "passed"
 
         def gate():
@@ -391,7 +397,7 @@ def test_extension_gate_matches_the_reference_gate(g, data):
 
         expected = _outcome(reference_gate)
         assert _outcome(gate) == expected
-        assert coloring._is_proper(g, c, (u, v)) == (expected == "passed")
+        assert coloring._is_proper(g, c, (u, v), kappa) == (expected == "passed")
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +530,33 @@ def test_extend_p1_rejects_a_base_that_colors_uv_instead_of_an_edge():
     c = TotalColoring(5, vertex_color={0: 1, 1: 2, 2: 3}, edge_color={(0, 1): 4})
     with pytest.raises(ColoringError, match=r"partial; uncolored: \[\('e', 1, 2\)\]"):
         extend_p1(g, (1, 0), c, 5)
+
+
+def test_extensions_reject_a_color_above_the_kappa_they_extend_within():
+    # proper on g - uv under its own palette of 9, but the step is asked
+    # for a kappa-5 coloring: the gate must refuse, not return color 9
+    g = path_graph(3)
+    c = TotalColoring(9, vertex_color={0: 9, 1: 1, 2: 2}, edge_color={(1, 2): 3})
+    assert coloring._is_proper(g, c, (0, 1)) and not coloring._is_proper(g, c, (0, 1), 5)
+    with pytest.raises(ColoringError, match="P1 precondition: .* has a color above 5"):
+        extend_p1(g, (0, 1), c, 5)
+    # triangle 0-1-2 with two pendant edges at 0: uv = 01 is tight P3 at 5
+    g = build_graph([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
+    assert peel_kind(g, 0, 1, 5) == "P3"
+    c = greedy_total(delete_edge(g, (0, 1)))
+    assert c.kappa <= 5
+    c = TotalColoring(9, {**c.vertex_color, 3: 9}, dict(c.edge_color))
+    with pytest.raises(ColoringError, match="P3 precondition: .* has a color above 5"):
+        extend_p3(g, (0, 1), 2, c, 5)
+
+
+def test_verify_names_an_element_with_no_color():
+    g = path_graph(3)
+    c = TotalColoring(5, vertex_color={0: 1, 1: None, 2: 3}, edge_color={(0, 1): 4, (1, 2): 5})
+    with pytest.raises(ColoringError, match=r"coloring gives \('v', 1\) the color None"):
+        verify(g, c)
+    with pytest.raises(ColoringError, match=r"coloring gives \('v', 1\) the color None"):
+        extend_p1(g, (0, 1), TotalColoring(5, {0: 1, 1: None, 2: 3}, {(1, 2): 5}), 5)
 
 
 def test_extend_p1_randomized_trials():
