@@ -11,7 +11,7 @@ machinery then powers a practical solver.
 from totalcolor.coloring import exact_chi_tt, solve_tcc, verify
 from totalcolor.gen import gen_high_degree_P, gen_high_degree_P_drawing
 from totalcolor.graphs import build_graph
-from totalcolor.reduce import brute_validate_extensions, find_p3_edge, find_reducible_edge
+from totalcolor.reduce import brute_validate_extensions
 
 # 1. Exact values on desk-size graphs.  chi_tt(K4) = 5, chi_tt(C5) = 4.
 k4 = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -40,18 +40,7 @@ print(
 )
 assert report.failures == 0
 
-# 3. Which edge goes first.  The solver peels the first edge (in
-#    lexicographic order) that P1 admits, or, when none does, the first
-#    edge in P3's tight case that lies on a triangle.  On this graph at
-#    kappa = 7, edge 0-2 has degree sum 5 + 2 <= 7, and edge 0-1 has
-#    degree sum 5 + 3 = kappa + 1 with vertex 2 as its apex.
-gadget = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 6)])
-first_p1 = find_reducible_edge(gadget, 7)
-first_p3 = find_p3_edge(gadget, 7)
-print("\nfirst P1 edge:", first_p1, " first P3 edge and apex:", first_p3)
-assert (first_p1, first_p3) == ((0, 2), ((0, 1), 2))
-
-# 4. The solver on a member of the high-degree planar family the theory
+# 3. The solver on a member of the high-degree planar family the theory
 #    targets: hub degree 11, quadrangulated rings, triangle-free.
 delta = 11
 g = gen_high_degree_P(delta, 2 * delta + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .augment import AugmentedGraph
 from .discharge import _frac_str, discharge
-from .embedding import from_face_cycles
+from .embedding import EmbeddedGraph, from_face_cycles
 from .graphs import build_graph
 
 
@@ -65,22 +65,19 @@ def close_drawing(faces):
 
 
 def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGraph:
-    """Close the drawing, embed it, mark the new edges, reconstruct the
-    underlying simple graph, and wrap everything as an augmented graph."""
-    full = close_drawing(faces)
-    emb = from_face_cycles(full, surface, crossing_vertices=frozenset(crossings))
-    # origins are edited before any query fills emb's cached new-dart set
+    """Close and embed the drawing, its new pairs' segments origin-less, and
+    wrap it with its underlying simple graph as an augmented graph."""
+    drawn = from_face_cycles(close_drawing(faces), surface, crossing_vertices=crossings)
+    origins = dict(drawn.segment_origin)
     for u, v in new_pairs:
-        keys = [
-            k
-            for k in emb.segments()
-            if {emb.owner[k[0]], emb.owner[k[1]]} == {u, v}
-        ]
+        keys = [k for k in origins if {drawn.owner[k[0]], drawn.owner[k[1]]} == {u, v}]
         if len(keys) != 1:
             raise ConfigError(
                 f"new pair {u},{v}: expected exactly one segment, found {len(keys)}"
             )
-        emb.segment_origin[keys[0]] = None
+        origins[keys[0]] = None
+    # emb is built with its final origins, so its constructor validates them
+    emb = EmbeddedGraph(drawn.rotation, drawn.twin, drawn.vertex_kind, surface, origins)
     g = build_graph({o for o in emb.segment_origin.values() if o is not None})
     if set(emb.true_vertices()) != set(g.vertices):
         raise ConfigError("true vertices differ from the reconstructed graph")

@@ -32,6 +32,7 @@ from .ruletable import (
     default_rules,
     guarded_crossing,
     receiver_matches,
+    resolve_threshold,
     sender_matches,
 )
 
@@ -217,15 +218,18 @@ def apply_rule_table(
         table = default_rules()
     ctx = ledger.ctx
     star = a.star
-    delta = ledger.delta
     use_guard = "guarded-crossing" in table.exclusions
+    resolved = []  # each rule with its sender threshold, resolved once
+    for rule in table.rules:
+        m = rule.sender.min_degree
+        resolved.append((rule, None if m is None else resolve_threshold(m, ledger.delta)))
     by_class: dict = {}  # VertexClass -> the rules its receivers can match
     for r in star.vertices():
         c = a.classification[r]
         rules = by_class.get(c)
         if rules is None:
             rules = by_class[c] = [
-                rule for rule in table.rules if _class_matches(rule.receiver, c)
+                (rule, m) for rule, m in resolved if _class_matches(rule.receiver, c)
             ]
         if not rules:
             continue
@@ -233,8 +237,8 @@ def apply_rule_table(
             s = star.other_end(r_dart)
             hits = [
                 rule
-                for rule in rules
-                if sender_matches(rule.sender, ctx, s, r_dart, delta)
+                for rule, min_degree in rules
+                if sender_matches(rule.sender, ctx, s, r_dart, min_degree)
                 and receiver_matches(rule.receiver, ctx, r, r_dart)
             ]
             if len(hits) > 1:

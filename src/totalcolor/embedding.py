@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import SimpleGraph
-
 TRUE = "true"
 CROSSING = "crossing"
 SURFACES = ("plane", "torus")
@@ -286,7 +284,6 @@ def from_face_cycles(
     face_cycles: Sequence[Sequence[int]],
     surface: str,
     crossing_vertices: Iterable[int] = (),
-    g: SimpleGraph | None = None,
 ) -> EmbeddedGraph:
     """Build an embedding from its oriented face cycles.
 
@@ -294,6 +291,8 @@ def from_face_cycles(
     reverse (w, u) in exactly one (possibly the same) face.  The rotation
     at each vertex is recovered from the face corners; if the corners do
     not chain into a single cycle the face set is not a valid embedding.
+    Every crossing id must name a vertex.  Origins are derived (see
+    EmbeddedGraph), so the drawing fixes its graph (gen.true_graph_of).
     """
     dart_of: dict = {}
     for cyc in face_cycles:
@@ -331,29 +330,15 @@ def from_face_cycles(
         if len(cycle) != len(darts):
             raise EmbedError(f"corners at vertex {v} do not close into one rotation")
         rotation[v] = tuple(cycle)
-    crossing = set(crossing_vertices)
-    kinds = {v: CROSSING if v in crossing else TRUE for v in rotation}
-    e = EmbeddedGraph(rotation, twin, kinds, surface)
-    if g is not None:
-        check_against_graph(e, g)
-    return e
+    kinds = _vertex_kinds(rotation, set(crossing_vertices))
+    return EmbeddedGraph(rotation, twin, kinds, surface)
 
 
-def check_against_graph(e: EmbeddedGraph, g: SimpleGraph) -> None:
-    """Verify that e is the associated graph of g (pre-augmentation)."""
-    if set(e.true_vertices()) != set(g.vertices):
-        raise EmbedError("true vertices differ from the graph's vertex set")
-    counts: dict = {}
-    for key, edge in e.segment_origin.items():
-        if edge is None:
-            raise EmbedError(f"segment {key} has no origin edge")
-        counts[edge] = counts.get(edge, 0) + 1
-    for edge in counts:
-        if not g.has_edge(*edge):
-            raise EmbedError(f"segment origin {edge} is not an edge of the graph")
-    missing = [edge for edge in g.edges() if edge not in counts]
-    if missing:
-        raise EmbedError(f"graph edge {missing[0]} is not drawn")
+def _vertex_kinds(rotation: Mapping, crossings: set) -> dict:
+    """Label each rotation vertex, rejecting a crossing id with no vertex."""
+    if not crossings <= rotation.keys():
+        raise EmbedError(f"crossing {min(crossings - rotation.keys())} names no vertex")
+    return {v: CROSSING if v in crossings else TRUE for v in rotation}
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +404,7 @@ def parse_embedding(text: str) -> EmbeddedGraph:
             raise EmbedError(f"line {lineno}: {exc}") from None
     if surface is None:
         raise EmbedError("missing 'surface:' line")
-    if not crossings <= rotation.keys():
-        raise EmbedError(f"crossing {min(crossings - rotation.keys())} names no vertex")
-    kinds = {v: CROSSING if v in crossings else TRUE for v in rotation}
+    kinds = _vertex_kinds(rotation, crossings)
     e = EmbeddedGraph(rotation, twin, kinds, surface, origins if have_origins else None)
     check_two_cell(e)
     return e

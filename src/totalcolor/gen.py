@@ -64,16 +64,13 @@ def gen_toroidal_grid(m: int, n: int) -> tuple:
     def v(i, j):
         return (i % m) * n + (j % n)
 
-    g = build_graph(
-        {edge_key(v(i, j), v(i + 1, j)) for i in range(m) for j in range(n)}
-        | {edge_key(v(i, j), v(i, j + 1)) for i in range(m) for j in range(n)}
-    )
     faces = [
         (v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1))
         for i in range(m)
         for j in range(n)
     ]
-    return g, from_face_cycles(faces, "torus", g=g)
+    e = from_face_cycles(faces, "torus")
+    return true_graph_of(e), e
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +85,11 @@ def gen_planar_triangulation(size: int, seed: int = 0) -> tuple:
         raise GenError(f"triangulation needs at least 3 vertices, got {size}")
     rng = Lcg64(seed)
     faces = [(0, 1, 2), (2, 1, 0)]
-    edges = {(0, 1), (0, 2), (1, 2)}
     for x in range(3, size):
         a, b, c = faces.pop(rng.randrange(len(faces)))
         faces.extend([(a, b, x), (b, c, x), (c, a, x)])
-        edges.update({(a, x), (b, x), (c, x)})
-    g = build_graph(edges)
-    return g, from_face_cycles(faces, "plane", g=g)
+    e = from_face_cycles(faces, "plane")
+    return true_graph_of(e), e
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +159,17 @@ def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph
             (x, *face[k : l + 1]),
             (x, *face[l:], *face[: i + 1]),
         ]
-    g = build_graph(edges, vertices=base.true_vertices())
-    return from_face_cycles(faces, base.surface, crossing_vertices=crossings, g=g)
+    return from_face_cycles(faces, base.surface, crossing_vertices=crossings)
 
 
 # ---------------------------------------------------------------------------
 # high-degree triangle-free instances
 
 
-def _radial_quad_drawing(delta: int, size: int):
-    """Edges and faces of a hub of degree delta inside nested rings of
+def _radial_quad_drawing(delta: int, size: int) -> list:
+    """Face cycles of a hub of degree delta inside nested rings of
     quadrilaterals; bipartite by construction, so triangle-free, and
-    planar by construction."""
+    planar by construction.  The drawing fixes the edges."""
     rings = max(1, (size - 1) // delta)
     if rings == 1:
         if size != delta + 1:
@@ -184,8 +178,7 @@ def _radial_quad_drawing(delta: int, size: int):
                 f"and two full rings; got {size} for delta {delta}"
             )
         # bare star: the minimal member of the family
-        cyc = tuple(v for i in range(delta) for v in (0, 1 + i))
-        return [(0, 1 + i) for i in range(delta)], [cyc]
+        return [tuple(v for i in range(delta) for v in (0, 1 + i))]
 
     def ring(k):
         # the hub stands in for the ring inside ring 1
@@ -193,13 +186,11 @@ def _radial_quad_drawing(delta: int, size: int):
             return [0] * delta
         return list(range(1 + (k - 1) * delta, 1 + k * delta))
 
-    edges = [(0, a) for a in ring(1)]
     faces = []
     for k in range(2, rings + 1):
         prev, inner, outer = ring(k - 2), ring(k - 1), ring(k)
         for i in range(delta):
             j = (i + 1) % delta
-            edges += [(inner[i], outer[i]), (outer[i], inner[j])]
             faces.append((prev[j], inner[i], outer[i], inner[j]))
     # outer boundary, oriented against the quad faces: rim and last ring
     # alternate going clockwise
@@ -209,7 +200,7 @@ def _radial_quad_drawing(delta: int, size: int):
         boundary.extend([last[i], rim[i]])
     boundary.append(last[0])
     faces.append(tuple(boundary))
-    return edges, faces
+    return faces
 
 
 def gen_high_degree_P(delta: int, size: int, seed: int = 0) -> SimpleGraph:
@@ -226,8 +217,9 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
         raise GenError(f"the high-degree family starts at delta 11, got {delta}")
     if size < delta + 1:
         raise GenError(f"cannot reach degree {delta} on {size} vertices")
-    edges, faces = _radial_quad_drawing(delta, size)
-    degree = Counter(v for e in edges for v in e)
+    faces = _radial_quad_drawing(delta, size)
+    # each face corner is one dart, so corners count degrees
+    degree = Counter(v for f in faces for v in f)
     rng = Lcg64(seed)
     # pad to the exact size by splitting quad faces across a diagonal;
     # a degree-2 vertex on a diagonal keeps the graph bipartite
@@ -250,14 +242,13 @@ def gen_high_degree_P_drawing(delta: int, size: int, seed: int = 0) -> tuple:
             continue
         x = next_id
         next_id += 1
-        edges += [(u, x), (w, x)]
         degree.update((u, w, x, x))
         if u == a:
             faces[fi : fi + 1] = [(a, b, c, x), (c, d, a, x)]
         else:
             faces[fi : fi + 1] = [(b, c, d, x), (d, a, b, x)]
-    g = build_graph(edges)
-    return g, from_face_cycles(faces, "plane", g=g)
+    e = from_face_cycles(faces, "plane")
+    return true_graph_of(e), e
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +294,7 @@ def generate(spec: GenSpec) -> tuple:
         return gen_planar_triangulation(p[0], spec.seed)
     if fam == "crossed_grid":
         m, n, pairs = p
-        g, e = gen_toroidal_grid(m, n)
-        crossed = gen_crossed(e, pairs, spec.seed)
+        crossed = gen_crossed(gen_toroidal_grid(m, n)[1], pairs, spec.seed)
         return true_graph_of(crossed), crossed
     return gen_high_degree_P_drawing(p[0], p[1], spec.seed)  # wheel_sum
 

@@ -160,14 +160,15 @@ def _class_matches(p: EndPattern, c) -> bool:
     )
 
 
-def sender_matches(p: EndPattern, ctx: MatchContext, s, r_dart: int, delta: int) -> bool:
+def sender_matches(p: EndPattern, ctx: MatchContext, s, r_dart: int, min_degree) -> bool:
+    """min_degree is p.min_degree resolved against the ledger's delta, or None."""
     c = ctx.a.classification[s]
     if not _class_matches(p, c):
         return False
-    if p.min_degree is not None:
+    if min_degree is not None:
         # degree thresholds refer to the original graph for true vertices
         degree = c.d1 if c.kind == TRUE else c.d2
-        if degree < resolve_threshold(p.min_degree, delta):
+        if degree < min_degree:
             return False
     if p.via_new_edge is not None and ctx.star.is_new(r_dart) != p.via_new_edge:
         return False

@@ -11,6 +11,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from totalcolor.embedding import from_face_cycles
+from totalcolor.gen import true_graph_of
 from totalcolor.graphs import SimpleGraph, build_graph
 
 
@@ -65,9 +66,16 @@ def path_graph(n: int) -> SimpleGraph:
 
 # -- embedded test instances -------------------------------------------------
 
+def embed(faces, surface, g, crossings=()):
+    """The drawing with these face cycles, checked to depict exactly g."""
+    e = from_face_cycles(faces, surface, crossing_vertices=crossings)
+    assert true_graph_of(e) == g
+    return e
+
+
 def c6_plane():
     g = cycle_graph(6)
-    e = from_face_cycles([(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)], "plane", g=g)
+    e = embed([(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)], "plane", g)
     return e, g
 
 
@@ -88,7 +96,7 @@ def torus_grid(m: int, n: int):
         for i in range(m)
         for j in range(n)
     ]
-    return from_face_cycles(faces, "torus", g=g), g
+    return embed(faces, "torus", g), g
 
 
 def wheel_plane(n: int = 5):
@@ -97,14 +105,14 @@ def wheel_plane(n: int = 5):
     g = build_graph([(0, i) for i in range(1, n + 1)] + rim)
     faces = [(0, i, i % n + 1) for i in range(1, n + 1)]
     faces.append(tuple(range(n, 0, -1)))
-    return from_face_cycles(faces, "plane", g=g), g
+    return embed(faces, "plane", g), g
 
 
 def quad_with_crossing():
     """A square with crossing diagonals; crossing vertex 4."""
     faces = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4), (3, 2, 1, 0)]
     g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
-    return from_face_cycles(faces, "plane", crossing_vertices={4}, g=g), g
+    return embed(faces, "plane", g, crossings={4}), g
 
 
 def hexagon_two_crossings():
@@ -124,7 +132,7 @@ def hexagon_two_crossings():
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
          (0, 2), (1, 5), (2, 4), (3, 5)]
     )
-    e = from_face_cycles(faces, "plane", crossing_vertices={6, 7}, g=g)
+    e = embed(faces, "plane", g, crossings={6, 7})
     return e, g
 
 
@@ -146,7 +154,7 @@ def wrap_drawing(faces, surface="plane", crossings=(), g=None):
 
     if g is None:
         g = graph_from_faces(faces)
-    e = from_face_cycles(faces, surface, crossing_vertices=frozenset(crossings), g=g)
+    e = embed(faces, surface, g, crossings=crossings)
     return AugmentedGraph(g=g, base=e, star=e, insertions=[])
 
 

@@ -20,7 +20,6 @@ from totalcolor.embedding import (
     EmbeddedGraph,
     dump_embedding,
     euler_characteristic,
-    from_face_cycles,
     parse_embedding,
     seg_key,
 )
@@ -37,6 +36,7 @@ from totalcolor.ruletable import MatchContext
 from helpers import (
     c6_plane,
     complete_graph,
+    embed,
     hexagon_two_crossings,
     quad_with_crossing,
     torus_grid,
@@ -50,12 +50,12 @@ def k5_crossed():
         (1, 2, 3), (0, 3, 2), (1, 4, 2), (0, 2, 4),
     ]
     g = complete_graph(5)
-    return from_face_cycles(faces, "plane", crossing_vertices={5}, g=g), g
+    return embed(faces, "plane", g, crossings={5}), g
 
 
 def test_all_triangles_is_noop():
     for e, g in [
-        (from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)], "plane"),
+        (embed([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)], "plane", complete_graph(4)),
          complete_graph(4)),
         k5_crossed(),
     ]:

@@ -2,6 +2,7 @@
 element at exactly zero under the default rules, receipt for receipt."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from totalcolor.configs import (
     verify_config,
 )
 from totalcolor.discharge import discharge
+from totalcolor.embedding import EmbedError
 
 
 def test_catalog_size():
@@ -99,3 +101,13 @@ def test_assemble_marks_new_segments():
         if o is None
     ]
     assert news == [{1, 4}]
+
+
+def test_assemble_validates_the_new_pairs_origins():
+    # 3 is a crossing of alternating-quads, so its segment to 0 must keep
+    # the origin edge it interleaves; the constructor sees the final origins
+    cfg = get_config("alternating-quads")
+    assert 3 in cfg.crossings
+    bad = replace(cfg, new_pairs=cfg.new_pairs + ((3, 0),))
+    with pytest.raises(EmbedError, match="segment at crossing 3 lacks an origin edge"):
+        bad.build()

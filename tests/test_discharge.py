@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import totalcolor.discharge as discharge_module
+import totalcolor.ruletable as ruletable_module
 from totalcolor.augment import AugmentedGraph, augment_report, build_g_star
 from totalcolor.configs import all_configs, assemble, get_config
 from totalcolor.discharge import (
@@ -44,6 +45,7 @@ from totalcolor.ruletable import (
     default_rules,
     guarded_crossing,
     receiver_matches,
+    resolve_threshold,
     rule_table_from_dict,
     sender_matches,
 )
@@ -388,15 +390,20 @@ def test_discharge_is_deterministic():
 
 def _every_rule_on_every_dart(a, ledger, table):
     """The rule table without the receiver-class index: every rule is tried
-    on every dart."""
+    on every dart, each threshold resolved where it is tested."""
     ctx, star = ledger.ctx, a.star
+
+    def threshold(rule):
+        m = rule.sender.min_degree
+        return None if m is None else resolve_threshold(m, ledger.delta)
+
     for r in star.vertices():
         for r_dart in star.rotation[r]:
             s = star.other_end(r_dart)
             hits = [
                 rule
                 for rule in table.rules
-                if sender_matches(rule.sender, ctx, s, r_dart, ledger.delta)
+                if sender_matches(rule.sender, ctx, s, r_dart, threshold(rule))
                 and receiver_matches(rule.receiver, ctx, r, r_dart)
             ]
             if len(hits) > 1:
@@ -452,6 +459,25 @@ def test_receiver_class_index_matches_every_rule_on_every_dart():
                     fired[rec.rule] = fired.get(rec.rule, 0) + 1
     # both tables actually fire, guard skips included
     assert {"free", "deg3", "cross", "rx-triangles-mid"} <= fired.keys()
+
+
+def test_a_discharge_resolves_each_rule_threshold_at_most_once(monkeypatch):
+    """A rule's sender threshold is fixed once the ledger's delta is known,
+    so the rule table resolves it once per call, not once per dart."""
+    table = default_rules()
+    g, e = gen_planar_triangulation(300, seed=1)
+    a = build_g_star(e, g)
+    calls = []
+
+    def counted(value, delta):
+        calls.append(value)
+        return resolve_threshold(value, delta)
+
+    monkeypatch.setattr(ruletable_module, "resolve_threshold", counted)
+    monkeypatch.setattr(discharge_module, "resolve_threshold", counted, raising=False)
+    ledger = discharge(a, table)
+    assert ledger.transfers
+    assert 0 < len(calls) <= len(table.rules)
 
 
 @pytest.mark.parametrize("order", [("pinned", "free"), ("free", "pinned")])

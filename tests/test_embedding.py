@@ -6,7 +6,6 @@ from totalcolor.embedding import (
     EmbeddedGraph,
     EmbedError,
     charge_sum_identity,
-    check_against_graph,
     check_two_cell,
     dart_face_index,
     dump_embedding,
@@ -22,9 +21,8 @@ from totalcolor.gen import (
     gen_toroidal_grid,
     true_graph_of,
 )
-from totalcolor.graphs import build_graph
 
-from helpers import complete_graph
+from helpers import complete_graph, embed, quad_with_crossing
 
 
 K4_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -43,11 +41,11 @@ K5X_FACES = [
 
 
 def planar_k4():
-    return from_face_cycles(K4_FACES, "plane", g=complete_graph(4))
+    return embed(K4_FACES, "plane", complete_graph(4))
 
 
 def k5_crossed():
-    return from_face_cycles(K5X_FACES, "plane", crossing_vertices={5}, g=complete_graph(5))
+    return embed(K5X_FACES, "plane", complete_graph(5), crossings={5})
 
 
 def torus_grid(m, n):
@@ -161,6 +159,12 @@ def test_crossing_degree_must_be_four():
         from_face_cycles(K4_FACES, "plane", crossing_vertices={0})
 
 
+def test_from_face_cycles_rejects_a_crossing_that_names_no_vertex():
+    # the same check, with the same message, as parse_embedding's
+    with pytest.raises(EmbedError, match="crossing 9 names no vertex"):
+        from_face_cycles(K5X_FACES, "plane", crossing_vertices={5, 9})
+
+
 def test_adjacent_crossings_rejected():
     rotation = {
         0: (11,),
@@ -189,12 +193,6 @@ def test_twin_not_involution_rejected():
 def test_loop_segment_rejected():
     with pytest.raises(EmbedError, match="loop"):
         EmbeddedGraph({0: (1, 2)}, {1: 2, 2: 1}, {0: "true"}, "plane")
-
-
-def quad_with_crossing():
-    faces = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4), (3, 2, 1, 0)]
-    g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
-    return from_face_cycles(faces, "plane", crossing_vertices={4}, g=g), g
 
 
 def test_quad_crossing_origins():
@@ -273,15 +271,6 @@ def test_parse_rejects_repeated_or_dangling_entries(edit, wanted):
     assert parse_embedding(text).surface == "torus"
     with pytest.raises(EmbedError, match=wanted):
         parse_embedding(edit(text))
-
-
-def test_check_against_graph_mismatches():
-    e = planar_k4()
-    with pytest.raises(EmbedError, match="not an edge"):
-        check_against_graph(e, build_graph([(0, 1), (1, 2), (2, 0)], vertices=range(4)))
-    bigger = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
-    with pytest.raises(EmbedError, match="vertices differ"):
-        check_against_graph(e, bigger)
 
 
 def test_embedding_text_roundtrip():

@@ -15,6 +15,7 @@ from totalcolor.embedding import (
     parse_embedding,
 )
 from totalcolor.gen import (
+    FAMILIES,
     GenError,
     GenSpec,
     Lcg64,
@@ -24,6 +25,7 @@ from totalcolor.gen import (
     gen_planar_triangulation,
     gen_toroidal_grid,
     generate,
+    true_graph_of,
     write_corpus,
 )
 from totalcolor.graphs import (
@@ -340,6 +342,22 @@ def test_write_corpus(tmp_path):
     # second run reproduces every checksum
     again = write_corpus(specs, str(tmp_path))
     assert again == manifest
+
+
+def test_every_corpus_edge_list_is_the_graph_its_drawing_depicts(tmp_path):
+    small = {
+        "grid": (3, 4),
+        "planar_triangulation": (12,),
+        "crossed_grid": (5, 5, 4),
+        "wheel_sum": (11, 40),
+    }
+    assert small.keys() == FAMILIES.keys()
+    specs = [GenSpec(family, params, seed) for family, params in small.items() for seed in (1, 2)]
+    manifest = write_corpus(specs, str(tmp_path))
+    for entry in manifest["entries"]:
+        g = parse_edge_list((tmp_path / entry["files"]["graph"]).read_text())
+        e = parse_embedding((tmp_path / entry["files"]["drawing"]).read_text())
+        assert g == true_graph_of(e), entry["name"]
 
 
 def test_golden_crossed_and_padded_drawings(tmp_path):

@@ -1,6 +1,8 @@
 """AST checks over the library, test, bench and demo modules: every
-imported name is used, every definition is named somewhere, and only
-graphs.py constructs a SimpleGraph."""
+imported name is used, every definition is named somewhere, only
+graphs.py constructs a SimpleGraph, and only embedding.py writes into a
+drawing.  An attribute that the benchmark's tracer rebinds counts as
+named and as used."""
 from __future__ import annotations
 
 import ast
@@ -11,9 +13,34 @@ MODULES = sorted(
     path for sub in ("src/totalcolor", "tests", "demos") for path in (ROOT / sub).glob("*.py")
 )
 
-# no module in src/ calls add_edge any more, but the benchmark's tracer
-# rebinds coloring.add_edge, so the name must stay importable from coloring
-KEPT = {("coloring.py", "add_edge")}
+
+def traced_attributes(source: str) -> set:
+    """(owner, attribute) of every TRACE_TARGETS entry, read from the
+    benchmark's source without importing it; the owner is the module or
+    class expression the tracer rebinds the attribute on."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "TRACE_TARGETS" for t in node.targets
+        ):
+            return {(ast.unparse(row.elts[0]), row.elts[1].value) for row in node.value.elts}
+    return set()
+
+
+TRACED = traced_attributes((ROOT / "bench/workloads.py").read_text())
+
+
+def test_traced_attributes_are_found():
+    source = (
+        "X = [(a, 'no')]\nTRACE_TARGETS = [\n    (coloring, 'add_edge', 'graphs.edit', None),\n"
+        "    (embedding.EmbeddedGraph, 'faces', 'embedding.faces', None),\n]\n"
+    )
+    assert traced_attributes(source) == {
+        ("coloring", "add_edge"),
+        ("embedding.EmbeddedGraph", "faces"),
+    }
+    # no module in src/ calls add_edge any more, but the tracer rebinds
+    # coloring.add_edge, so coloring must keep importing it
+    assert ("coloring", "add_edge") in TRACED
 
 
 def unused_imports(source: str) -> list:
@@ -42,7 +69,7 @@ def test_no_module_imports_a_name_it_never_uses():
         f"{path.relative_to(ROOT)}:{line} {name}"
         for path in MODULES
         for line, name in unused_imports(path.read_text())
-        if (path.name, name) not in KEPT
+        if (path.stem, name) not in TRACED
     ]
     assert found == []
 
@@ -99,7 +126,7 @@ def test_definitions_and_names_are_found():
 
 
 def test_every_definition_is_named_somewhere():
-    used = set()
+    used = {attr for _, attr in TRACED}
     for sub in NAMING_DIRS:
         for path in (ROOT / sub).glob("*.py"):
             used |= named(path.read_text())
@@ -142,3 +169,54 @@ def test_only_graphs_py_constructs_a_simple_graph():
     ]
     assert found == []
     assert calls_to((ROOT / "src/totalcolor/graphs.py").read_text(), "SimpleGraph")
+
+
+DRAWING_FIELDS = {"segment_origin", "rotation", "twin", "owner", "vertex_kind"}
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def drawing_edits(source: str) -> list:
+    """Line of every store, deletion or dict-mutating call into one of
+    DRAWING_FIELDS, whole or by item, on any object."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            target = node
+            while isinstance(target, ast.Subscript):
+                target = target.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr in DRAWING_FIELDS:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_drawing_edits_are_found():
+    source = (
+        "e.segment_origin[k] = None\n"
+        "e.rotation = {}\n"
+        "del e.twin[d]\n"
+        "e.owner.update(x)\n"
+        "a.b, e.vertex_kind[v] = 1, 2\n"
+        "x[e.owner[d]] = 1\n"
+        "e.rotation.get(v)\n"
+        "y = e.twin[d]\n"
+    )
+    assert drawing_edits(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_embedding_py_writes_into_a_drawing():
+    # an EmbeddedGraph validates its fields once, in its constructor, and
+    # caches what it derives from them, so nothing else may edit them
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for sub in NAMING_DIRS
+        for path in sorted((ROOT / sub).glob("*.py"))
+        if path.name != "embedding.py"
+        for line in drawing_edits(path.read_text())
+    ]
+    assert found == []

@@ -360,20 +360,27 @@ def test_min_share_is_vacuous_without_small_occurrences():
     assert FaceToken(min_share=Fraction(99, 6) / 6).matches(ctx, fi)
 
 
+def sends(p, ctx, s, r_dart, delta):
+    """sender_matches with p's threshold resolved against delta, as the
+    rule table resolves it."""
+    m = None if p.min_degree is None else resolve_threshold(p.min_degree, delta)
+    return sender_matches(p, ctx, s, r_dart, m)
+
+
 def test_sender_degree_thresholds_use_original_degree():
     ctx = quad_ctx()
     star = ctx.star
     d = dart_towards(star, 1, 0)  # receiver 1, sender 0
     # delta of the square-with-diagonals is 3; true senders measure d1
-    assert sender_matches(EndPattern(kind="true", min_degree="delta"), ctx, 0, d, 3)
-    assert sender_matches(EndPattern(kind="true", min_degree="delta-2"), ctx, 0, d, 3)
-    assert not sender_matches(EndPattern(kind="true", min_degree=4), ctx, 0, d, 3)
-    assert not sender_matches(EndPattern(kind="crossing"), ctx, 0, d, 3)
+    assert sends(EndPattern(kind="true", min_degree="delta"), ctx, 0, d, 3)
+    assert sends(EndPattern(kind="true", min_degree="delta-2"), ctx, 0, d, 3)
+    assert not sends(EndPattern(kind="true", min_degree=4), ctx, 0, d, 3)
+    assert not sends(EndPattern(kind="crossing"), ctx, 0, d, 3)
     # the crossing vertex measures its star degree instead
     dx = dart_towards(star, 1, 4)
-    assert sender_matches(EndPattern(kind="crossing", min_degree=4), ctx, 4, dx, 3)
-    assert sender_matches(EndPattern(d2=4), ctx, 4, dx, 3)
-    assert not sender_matches(EndPattern(d1=3), ctx, 4, dx, 3)
+    assert sends(EndPattern(kind="crossing", min_degree=4), ctx, 4, dx, 3)
+    assert sends(EndPattern(d2=4), ctx, 4, dx, 3)
+    assert not sends(EndPattern(d1=3), ctx, 4, dx, 3)
 
 
 def test_anchored_view_and_mirror():
@@ -427,12 +434,12 @@ def test_via_new_edge():
     star = a.star
     new_dart = dart_towards(star, 4, 1)   # the inserted segment 1-4
     old_dart = dart_towards(star, 4, 0)
-    assert sender_matches(EndPattern(via_new_edge=True), ctx, 1, new_dart, 8)
-    assert not sender_matches(EndPattern(via_new_edge=False), ctx, 1, new_dart, 8)
-    assert sender_matches(EndPattern(via_new_edge=False), ctx, 0, old_dart, 8)
+    assert sends(EndPattern(via_new_edge=True), ctx, 1, new_dart, 8)
+    assert not sends(EndPattern(via_new_edge=False), ctx, 1, new_dart, 8)
+    assert sends(EndPattern(via_new_edge=False), ctx, 0, old_dart, 8)
     # endpoint census of the new edge
-    assert sender_matches(EndPattern(new_incident=True), ctx, 1, new_dart, 8)
-    assert not sender_matches(EndPattern(new_incident=False), ctx, 1, new_dart, 8)
+    assert sends(EndPattern(new_incident=True), ctx, 1, new_dart, 8)
+    assert not sends(EndPattern(new_incident=False), ctx, 1, new_dart, 8)
 
 
 def test_guarded_crossing_flags():
