@@ -2,6 +2,7 @@
 element at exactly zero under the default rules, receipt for receipt."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from totalcolor.configs import (
     verify_config,
 )
 from totalcolor.discharge import discharge
-from totalcolor.embedding import EmbedError
+from totalcolor.embedding import EmbedError, dump_embedding
 
 
 def test_catalog_size():
@@ -26,6 +27,15 @@ def test_catalog_size():
     golden = [c for c in cfgs if c.golden]
     assert len(golden) >= 10  # the worked-case floor
     assert len(golden) == 25
+
+
+def test_catalog_drawings_are_pinned():
+    # from_face_cycles numbers darts in listing order, so this pins every
+    # face's orientation and position in its entry, not just the reports
+    dumps = "".join(dump_embedding(c.build().star) for c in all_configs())
+    assert hashlib.sha256(dumps.encode()).hexdigest() == (
+        "54665924b078e5cea40dd9f0560737c4ce5d890a379c7cd6b71be8785c4af583"
+    )
 
 
 def test_get_config_round_trip():
