@@ -7,11 +7,13 @@ must rescue.  Running the full pipeline on the drawing must bring the
 focal vertex to exactly zero, via exactly the expected transfers.
 
 Drawings are given as interior face cycles; `close_drawing` derives the
-outer boundary automatically.  High-degree "anchor" vertices (the senders,
-degree >= 6, plus an occasional degree-8 mast that fixes the table's
-degree threshold) get their degree from petal fans in the outer region.
-The focal arithmetic only ever uses the focal vertex's receipts, so the
-support structure is free to be charge-imbalanced.
+outer boundary automatically.  Every drawing names its focal vertex 0
+(`LocalConfig.focal`).  High-degree "anchor" vertices (the senders,
+degree >= 6) get their degree from petal fans in the outer region; where
+needed, a degree-8 mast fixes the table's degree threshold.  Most entries
+splice in the shared one, `_mast(a, b)`; pool-pair and five-wheel fan out
+a vertex of their own.  The focal arithmetic only ever uses the focal
+vertex's receipts, so the support is free to be charge-imbalanced.
 """
 from __future__ import annotations
 
@@ -86,13 +88,13 @@ def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGra
 
 @dataclass(frozen=True)
 class LocalConfig:
+    # the catalog's convention: every drawing names its focal vertex 0
+    focal = 0
     name: str
     description: str
-    focal: int
     faces: tuple
     crossings: tuple = ()
     new_pairs: tuple = ()
-    surface: str = "plane"
     # sorted (rule, amount-string) pairs expected to arrive at the focal vertex
     expect: tuple = ()
     # golden configs must end at exactly zero; non-golden ones are
@@ -100,18 +102,7 @@ class LocalConfig:
     golden: bool = True
 
     def build(self) -> AugmentedGraph:
-        return assemble(
-            [list(f) for f in self.faces],
-            crossings=self.crossings,
-            new_pairs=self.new_pairs,
-            surface=self.surface,
-        )
-
-
-def focal_receipts(cfg: LocalConfig, ledger) -> list:
-    return sorted(
-        (t.rule, _frac_str(t.amount)) for t in ledger.transfers if t.target == cfg.focal
-    )
+        return assemble(self.faces, self.crossings, self.new_pairs)
 
 
 def verify_config(cfg: LocalConfig) -> dict:
@@ -119,7 +110,9 @@ def verify_config(cfg: LocalConfig) -> dict:
     Returns a report dict; callers assert on its fields."""
     a = cfg.build()
     ledger = discharge(a)
-    got = focal_receipts(cfg, ledger)
+    got = sorted(
+        (t.rule, _frac_str(t.amount)) for t in ledger.transfers if t.target == cfg.focal
+    )
     sent = [t for t in ledger.transfers if t.source == cfg.focal]
     final = ledger.final()[cfg.focal]
     expected = sorted(cfg.expect)
@@ -150,6 +143,13 @@ def _add(cfg: LocalConfig):
     CONFIGS[cfg.name] = cfg
 
 
+def _mast(a, b):
+    """The degree-8 mast: vertex 50 hung off the side (a, b) and fanned out
+    through petals 40-45, so that delta is 8 and the senders' `delta-2`
+    threshold stays out of reach of the small core vertices."""
+    return ((a, b, 50), (40, 50, b), *((p + 1, 50, p) for p in range(40, 45)))
+
+
 # --- trivial rescues: R1 alone, R3 alone -----------------------------------
 
 # A 3-vertex that picked up two new edges: degree 5 around it, rescued
@@ -158,7 +158,6 @@ _add(LocalConfig(
     name="pool-pair",
     description="degree-3 original vertex with two new edges; the pool's "
                 "unit payment alone restores it to zero",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5),
         (0, 5, 6, 1),
@@ -176,7 +175,6 @@ _add(LocalConfig(
     name="five-wheel",
     description="small (5,5) vertex with five 3-faces and three "
                 "original-vertex neighbors; collects 1/3 from each",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
         (4, 3, 20), (4, 20, 21), (1, 5, 22),
@@ -197,7 +195,6 @@ _add(LocalConfig(
     name="quad-quad-triangle",
     description="(3,3) vertex: 3-face plus two 4-faces; pool pays 1, the "
                 "richer 4-face pays 1, the other 2/3, one neighbor 1/3",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 4, 3), (0, 3, 5, 1),
         (4, 2, 6), (7, 3, 4),
@@ -214,7 +211,6 @@ _add(LocalConfig(
     name="pentagon-opposite",
     description="(3,3) vertex: two 3-faces flanking its original neighbor "
                 "and a 5-face opposite; 1 + 4/3 + 2/3 rescues it",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 3, 1), (0, 2, 20, 21, 3),
         (20, 2, 6), (6, 2, 1), (22, 3, 21), (1, 3, 22),
@@ -236,7 +232,6 @@ _add(LocalConfig(
     name="new-edge-quad",
     description="(3,4) vertex whose new edge touches a one-anchor 4-face; "
                 "pool 1, quad 2/3, plus 1/3 across the triangle fan",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 3), (0, 3, 21, 4), (0, 4, 1),
         (30, 1, 4), (31, 1, 30), (32, 1, 31),
@@ -254,7 +249,6 @@ _add(LocalConfig(
     description="(3,4) vertex whose new edge is wedged between two "
                 "3-faces; the old 4-face (crossing flanks) pays 2/3, "
                 "one neighbor 1/3",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 21, 1),
         (2, 1, 33), (21, 4, 34),
@@ -274,16 +268,13 @@ _add(LocalConfig(
     name="alternating-quads",
     description="(4,4) vertex with faces 4,3,4,3 and two crossing "
                 "neighbors; quads pay 1 + 2/3, both true neighbors 1/6",
-    focal=0,
     faces=(
         (0, 1, 21, 2), (0, 2, 3), (0, 3, 22, 4), (0, 4, 1),
         (22, 3, 5), (1, 4, 6),
         (21, 1, 30), (30, 1, 31),
         (32, 2, 21), (33, 2, 32), (34, 2, 33),
         (36, 22, 5), (37, 22, 36), (38, 22, 37),
-        # mast
-        (30, 31, 50), (40, 50, 31), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(30, 31),
     ),
     crossings=(3, 4),
     expect=(("R2", "1"), ("R2", "2/3"),
@@ -296,16 +287,13 @@ _add(LocalConfig(
     name="triple-crossing",
     description="(4,4) vertex with three crossing neighbors; each quad "
                 "pays 2/3 and the single true neighbor pays 2/3",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 21, 3), (0, 3, 22, 4), (0, 4, 1),
         (21, 2, 5), (22, 3, 6), (1, 4, 7),
         (30, 1, 7), (31, 1, 30),
         (32, 21, 5), (33, 21, 32), (34, 21, 33),
         (35, 22, 6), (36, 22, 35), (37, 22, 36),
-        # mast
-        (1, 31, 50), (40, 50, 31), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(1, 31),
     ),
     crossings=(2, 3, 4),
     expect=(("R2", "2/3"), ("R2", "2/3"), ("r44-three-crossings", "2/3")),
@@ -317,7 +305,6 @@ _add(LocalConfig(
     name="double-crossing",
     description="(4,4) vertex with two crossing neighbors; quads pay "
                 "1 and 2/3, the true neighbor tops up 1/3",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 21, 3), (0, 3, 22, 4), (0, 4, 1),
         (21, 2, 5), (22, 3, 6),
@@ -325,9 +312,7 @@ _add(LocalConfig(
         (30, 4, 33), (33, 4, 34),
         (35, 21, 5), (36, 21, 35), (37, 21, 36),
         (38, 22, 6), (39, 22, 38), (29, 22, 39),
-        # mast
-        (1, 32, 50), (40, 50, 32), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(1, 32),
     ),
     crossings=(2, 3),
     expect=(("R2", "1"), ("R2", "2/3"), ("r44-two-crossings", "1/3")),
@@ -341,7 +326,6 @@ _add(LocalConfig(
     description="(4,4) vertex behind three 3-faces and a 4-face whose "
                 "flanks are crossings; the face and two anchors pay "
                 "2/3 each",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 21, 1),
         (2, 1, 33), (21, 4, 34),
@@ -360,15 +344,12 @@ _add(LocalConfig(
     name="triangle-run-flank",
     description="(4,4) vertex, three 3-faces and a two-anchor 4-face; "
                 "receives 1 + 2/3 + 1/3 from face, run and flank",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 21, 1),
         (2, 1, 30), (30, 1, 31), (31, 1, 32),
         (4, 3, 33), (33, 3, 34), (34, 3, 35),
         (36, 21, 4), (37, 21, 36), (38, 21, 37), (39, 21, 38),
-        # mast
-        (34, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(34, 35),
     ),
     expect=(("R2", "1"),
             ("r44-one-quad-flank", "1/3"), ("r44-triple-triangle", "2/3")),
@@ -382,15 +363,12 @@ _add(LocalConfig(
     name="twin-anchors",
     description="crossing between two one-anchor 4-faces; each quad pays "
                 "2/3 and the anchor between the triangles pays 2/3",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 21, 3), (0, 3, 22, 4), (0, 4, 1),
         (30, 1, 4), (31, 1, 30), (32, 1, 31),
         (21, 2, 33), (33, 2, 34), (34, 2, 35),
         (30, 4, 36), (36, 4, 37),
-        # mast
-        (1, 32, 50), (40, 50, 32), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(1, 32),
     ),
     crossings=(0,),
     expect=(("R2", "2/3"), ("R2", "2/3"), ("rx-twin-bigs", "2/3")),
@@ -402,14 +380,11 @@ _add(LocalConfig(
     name="quad-split",
     description="crossing with a two-anchor quad and a one-anchor quad; "
                 "faces pay 1 + 2/3, the quad-flanked anchor pays 1/3",
-    focal=0,
     faces=(
         (0, 1, 2), (0, 2, 21, 3), (0, 3, 22, 4), (0, 4, 1),
         (21, 2, 33), (33, 2, 34), (34, 2, 35),
         (22, 3, 36), (36, 3, 37), (37, 3, 38),
-        # mast
-        (34, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(34, 35),
     ),
     crossings=(0,),
     expect=(("R2", "1"), ("R2", "2/3"), ("rx-quad-flank", "1/3")),
@@ -421,14 +396,11 @@ _add(LocalConfig(
     name="cross-alternating",
     description="crossing with alternating 3- and 4-faces; both quads pay "
                 "2/3 and both anchors pay 1/3 across the crossing",
-    focal=0,
     faces=(
         (0, 1, 23, 2), (0, 2, 3), (0, 3, 22, 4), (0, 4, 1),
         (30, 2, 23), (31, 2, 30), (32, 2, 31),
         (22, 3, 33), (33, 3, 34), (34, 3, 35),
-        # mast
-        (34, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(34, 35),
     ),
     crossings=(0,),
     new_pairs=((1, 4),),
@@ -443,15 +415,12 @@ _add(LocalConfig(
     name="cross-shielded",
     description="alternating crossing where two anchors face each other "
                 "and stay silent; 1 + 2/3 from the quads plus one 1/3",
-    focal=0,
     faces=(
         (0, 1, 23, 2), (0, 2, 3), (0, 3, 22, 4), (0, 4, 1),
         (30, 1, 4), (31, 1, 30), (32, 1, 31),
         (33, 2, 23), (34, 2, 33), (35, 2, 34),
         (22, 3, 36), (36, 3, 37), (37, 3, 38),
-        # mast
-        (37, 38, 50), (40, 50, 38), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(37, 38),
     ),
     crossings=(0,),
     expect=(("R2", "1"), ("R2", "2/3"), ("rx-alternating", "1/3")),
@@ -468,7 +437,6 @@ _add(LocalConfig(
     name="fan-run",
     description="crossing beside a minimum-degree center: 4-face pays 1, "
                 "center and opposite anchor pay 1/2 each",
-    focal=0,
     faces=(
         (0, 1, 5, 2), (0, 3, 1), (0, 4, 3), (0, 2, 4),
         (1, 3, 7), (1, 7, 6), (1, 6, 8, 11),
@@ -476,9 +444,7 @@ _add(LocalConfig(
         (9, 6, 7), (7, 10, 9), (8, 6, 9),
         (30, 2, 5), (31, 2, 30), (32, 2, 31),
         (11, 8, 33), (33, 8, 34), (34, 8, 35),
-        # mast
-        (34, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(34, 35),
     ),
     crossings=(0, 6),
     new_pairs=((3, 4), (7, 9)),
@@ -491,15 +457,12 @@ _add(LocalConfig(
     name="cross-new-rich",
     description="crossing with a new-edge triangle against a two-anchor "
                 "4-face; 1 + 2/3 + 1/3 from face and both anchors",
-    focal=0,
     faces=(
         (0, 1, 23, 4), (0, 2, 1), (0, 3, 2), (0, 4, 3),
         (2, 3, 30), (30, 3, 31), (31, 3, 32),
         (3, 4, 33), (33, 4, 34), (34, 4, 35),
         (4, 23, 36), (36, 23, 37), (37, 23, 38), (38, 23, 39),
-        # mast
-        (34, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(34, 35),
     ),
     crossings=(0,),
     new_pairs=((1, 2),),
@@ -512,14 +475,11 @@ _add(LocalConfig(
     name="cross-new-lone",
     description="crossing with a new-edge triangle against a one-anchor "
                 "4-face; the face and both anchors pay 2/3 each",
-    focal=0,
     faces=(
         (0, 1, 23, 4), (0, 2, 1), (0, 3, 2), (0, 4, 3),
         (2, 3, 30), (30, 3, 31), (31, 3, 32),
         (3, 4, 33), (33, 4, 34), (34, 4, 35),
-        # mast
-        (34, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(34, 35),
     ),
     crossings=(0,),
     new_pairs=((1, 2),),
@@ -532,15 +492,12 @@ _add(LocalConfig(
     name="triangle-shield",
     description="crossing behind a triangle run and a two-anchor 4-face; "
                 "1 from the face and 1/3 from three anchors",
-    focal=0,
     faces=(
         (0, 1, 23, 4), (0, 2, 1), (0, 3, 2), (0, 4, 3),
         (30, 1, 2), (31, 1, 30), (32, 1, 31),
         (2, 3, 33), (33, 3, 34), (34, 3, 35),
         (3, 4, 36), (36, 4, 37), (37, 4, 38),
-        # mast
-        (37, 38, 50), (40, 50, 38), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(37, 38),
     ),
     crossings=(0,),
     expect=(("R2", "1"), ("rx-triangles-mid", "1/3"),
@@ -555,15 +512,12 @@ _add(LocalConfig(
     name="guard-stop",
     description="triangle run whose mid anchor is silenced by the crossing "
                 "guard; the focal crossing keeps a -2/3 deficit",
-    focal=0,
     faces=(
         (0, 1, 23, 4), (0, 2, 1), (0, 3, 2), (0, 4, 3),
         (30, 1, 2), (31, 1, 30), (32, 1, 31),
         (2, 3, 33), (33, 3, 34), (34, 3, 35),
         (4, 23, 36), (36, 23, 37), (37, 23, 38), (38, 23, 39),
-        # mast
-        (38, 39, 50), (40, 50, 39), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(38, 39),
     ),
     crossings=(0,),
     expect=(("R2", "1"), ("rx-triangles-side", "1/3")),
@@ -579,16 +533,13 @@ _add(LocalConfig(
     name="calm-quad",
     description="(4,5) vertex, new edge opposite a one-anchor 4-face; the "
                 "quad pays 2/3 and the flanking anchors pay 1/6 each",
-    focal=0,
     faces=(
         (0, 2, 1), (0, 3, 2), (0, 4, 20, 3), (0, 5, 4), (0, 1, 5),
         (2, 3, 21), (20, 4, 22),
         (1, 2, 30), (30, 2, 31),
         (32, 5, 1), (33, 5, 32), (34, 5, 33),
         (35, 20, 22), (36, 20, 35), (37, 20, 36),
-        # mast
-        (30, 31, 50), (40, 50, 31), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(30, 31),
     ),
     crossings=(3, 4),
     new_pairs=((0, 1),),
@@ -601,15 +552,12 @@ _add(LocalConfig(
     name="shifted-quad",
     description="(4,5) vertex, new edge one step from the 4-face; quad "
                 "pays 2/3 and the anchor behind the old faces pays 1/3",
-    focal=0,
     faces=(
         (0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 20, 3), (0, 5, 4),
         (2, 3, 21), (20, 4, 22),
         (32, 5, 1), (33, 5, 32), (34, 5, 33),
         (35, 20, 22), (36, 20, 35), (37, 20, 36),
-        # mast
-        (5, 34, 50), (40, 50, 34), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(5, 34),
     ),
     crossings=(3, 4),
     new_pairs=((0, 2),),
@@ -622,15 +570,12 @@ _add(LocalConfig(
     name="near-new-quad",
     description="(4,5) vertex whose new edge borders the 4-face; the quad "
                 "pays 2/3 and the near-side anchor pays 1/3",
-    focal=0,
     faces=(
         (0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 20, 3), (0, 5, 4),
         (4, 5, 23),
         (30, 1, 2), (31, 1, 30), (32, 1, 31),
         (3, 20, 33), (33, 20, 34), (34, 20, 35), (35, 20, 36),
-        # mast
-        (1, 32, 50), (40, 50, 32), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(1, 32),
     ),
     crossings=(5,),
     new_pairs=((0, 3),),
@@ -643,15 +588,12 @@ _add(LocalConfig(
     name="far-new-quad",
     description="(4,5) vertex whose new edge borders the 4-face; the quad "
                 "pays 2/3 and the far-side anchor pays 1/3",
-    focal=0,
     faces=(
         (0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 20, 3), (0, 5, 4),
         (5, 1, 23),
         (30, 5, 23), (31, 5, 30),
         (3, 20, 33), (33, 20, 34), (34, 20, 35), (35, 20, 36),
-        # mast
-        (5, 31, 50), (40, 50, 31), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(5, 31),
     ),
     crossings=(1,),
     new_pairs=((0, 3),),
@@ -664,15 +606,12 @@ _add(LocalConfig(
     name="double-fan",
     description="(4,5) vertex in a full triangle fan whose middle anchors "
                 "are bridged by a second new edge; both pay 1/2",
-    focal=0,
     faces=(
         (0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 3), (0, 5, 4),
         (1, 2, 21), (4, 5, 22),
         (30, 3, 4), (30, 4, 33), (33, 4, 34),
         (31, 3, 30), (32, 3, 31), (35, 3, 32),
-        # mast
-        (3, 35, 50), (40, 50, 35), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(3, 35),
     ),
     crossings=(2, 5),
     new_pairs=((0, 1), (3, 4)),
@@ -685,15 +624,12 @@ _add(LocalConfig(
     name="split-fan",
     description="(4,5) vertex in a full triangle fan with anchors split "
                 "around a crossing; mid and far patterns pay 1/2 each",
-    focal=0,
     faces=(
         (0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 3), (0, 5, 4),
         (2, 3, 21), (4, 5, 22),
         (1, 2, 30), (30, 2, 31),
         (33, 4, 22), (34, 4, 33),
-        # mast
-        (30, 31, 50), (40, 50, 31), (41, 50, 40), (42, 50, 41),
-        (43, 50, 42), (44, 50, 43), (45, 50, 44),
+        *_mast(30, 31),
     ),
     crossings=(3, 5),
     new_pairs=((0, 1),),

@@ -261,11 +261,14 @@ def euler_characteristic(e: EmbeddedGraph) -> int:
 
 def check_two_cell(e: EmbeddedGraph) -> None:
     """Reject embeddings whose Euler characteristic contradicts the surface."""
-    chi = euler_characteristic(e)
-    expected = 2 if e.surface == "plane" else 0
+    _check_euler(e.surface, euler_characteristic(e))
+
+
+def _check_euler(surface: str, chi: int) -> None:
+    expected = 2 if surface == "plane" else 0
     if chi != expected:
         raise EmbedError(
-            f"not 2-cell for declared surface {e.surface}: "
+            f"not 2-cell for declared surface {surface}: "
             f"V-E+F = {chi}, expected {expected}"
         )
 
@@ -291,7 +294,8 @@ def from_face_cycles(
     reverse (w, u) in exactly one (possibly the same) face.  The rotation
     at each vertex is recovered from the face corners; if the corners do
     not chain into a single cycle the face set is not a valid embedding.
-    Every crossing id must name a vertex.  Origins are derived (see
+    Every crossing id must name a vertex, and the drawing must be 2-cell on
+    `surface` (see check_two_cell).  Origins are derived (see
     EmbeddedGraph), so the drawing fixes its graph (gen.true_graph_of).
     """
     dart_of: dict = {}
@@ -331,7 +335,10 @@ def from_face_cycles(
             raise EmbedError(f"corners at vertex {v} do not close into one rotation")
         rotation[v] = tuple(cycle)
     kinds = _vertex_kinds(rotation, set(crossing_vertices))
-    return EmbeddedGraph(rotation, twin, kinds, surface)
+    e = EmbeddedGraph(rotation, twin, kinds, surface)
+    # the given cycles are exactly the faces, so V-E+F needs no face trace
+    _check_euler(surface, len(rotation) - len(twin) // 2 + len(face_cycles))
+    return e
 
 
 def _vertex_kinds(rotation: Mapping, crossings: set) -> dict:

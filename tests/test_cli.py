@@ -6,9 +6,15 @@ import json
 
 import pytest
 
+from totalcolor.augment import build_g_star
 from totalcolor.cli import main
-from totalcolor.embedding import dump_embedding
-from totalcolor.gen import gen_crossed, gen_planar_triangulation, gen_toroidal_grid
+from totalcolor.embedding import dump_embedding, parse_embedding
+from totalcolor.gen import (
+    gen_crossed,
+    gen_planar_triangulation,
+    gen_toroidal_grid,
+    true_graph_of,
+)
 from totalcolor.graphs import build_graph, dump_edge_list
 
 
@@ -342,6 +348,20 @@ def test_origin_off_its_segment_exits_2(capsys, grid_file, tmp_path, verb, origi
     code, out, err = run(capsys, [verb, str(p)])
     assert (code, out) == (2, "")
     assert err.startswith("error: segment (0, 10) ends at ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["discharge", "gstar"])
+def test_a_g_star_dump_as_input_exits_2(capsys, crossed_file, tmp_path, verb):
+    # G*'s new segments have no origin edge, so it depicts no single graph
+    e = parse_embedding(open(crossed_file).read())
+    star = build_g_star(e, true_graph_of(e)).star
+    text = dump_embedding(star)
+    assert "-> new\n" in text
+    p = tmp_path / "gstar.emb"
+    p.write_text(text)
+    code, out, err = run(capsys, [verb, str(p)])
+    assert (code, out) == (2, "")
+    assert err == "error: base drawing carries unresolved new segments\n"
 
 
 @pytest.mark.parametrize(

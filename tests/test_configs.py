@@ -3,7 +3,7 @@ element at exactly zero under the default rules, receipt for receipt."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from totalcolor.configs import (
     CONFIGS,
     ConfigError,
+    LocalConfig,
     all_configs,
     assemble,
     get_config,
@@ -36,6 +37,13 @@ def test_catalog_drawings_are_pinned():
     assert hashlib.sha256(dumps.encode()).hexdigest() == (
         "54665924b078e5cea40dd9f0560737c4ce5d890a379c7cd6b71be8785c4af583"
     )
+
+
+def test_every_field_varies_across_the_catalog():
+    # a value every entry shares is a convention of the catalog (like
+    # LocalConfig.focal), not a fact each entry should restate
+    for f in fields(LocalConfig):
+        assert len({getattr(c, f.name) for c in all_configs()}) >= 2, f.name
 
 
 def test_get_config_round_trip():
@@ -98,6 +106,13 @@ def test_assemble_rejects_ambiguous_new_pairs():
     faces = [[0, 1, 2], [0, 2, 3]]
     with pytest.raises(ConfigError, match="new pair"):
         assemble(faces, new_pairs=((0, 4),))
+
+
+def test_assemble_rejects_a_drawing_off_its_surface():
+    # closed, these two triangles are a plane drawing (V-E+F = 2); called
+    # a torus they once discharged to a conserved -12 total
+    with pytest.raises(EmbedError, match="not 2-cell for declared surface torus"):
+        assemble([(0, 1, 2), (0, 2, 3)], surface="torus")
 
 
 def test_assemble_marks_new_segments():

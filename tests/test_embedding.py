@@ -99,17 +99,21 @@ def test_plane_c5_two_faces():
 
 
 def test_two_cell_mismatch_rejected():
-    def v(i, j):
-        return (i % 3) * 3 + (j % 3)
-
-    faces = [
-        (v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1))
-        for i in range(3)
-        for j in range(3)
-    ]
-    e = from_face_cycles(faces, "plane")  # really a torus embedding
+    t = torus_grid(3, 3)
+    # really a torus embedding; from_face_cycles would refuse "plane"
+    e = EmbeddedGraph(t.rotation, t.twin, t.vertex_kind, "plane")
     with pytest.raises(EmbedError, match="not 2-cell"):
         check_two_cell(e)
+
+
+def test_from_face_cycles_rejects_a_drawing_off_its_surface():
+    # the given cycles are the faces, so V-E+F is known without a face trace
+    with pytest.raises(EmbedError, match=r"surface torus: V-E\+F = 2, expected 0"):
+        from_face_cycles(K4_FACES, "torus")
+    t = torus_grid(3, 3)
+    faces = [t.face_vertices(f) for f in t.faces()]
+    with pytest.raises(EmbedError, match=r"surface plane: V-E\+F = 0, expected 2"):
+        from_face_cycles(faces, "plane")
 
 
 @pytest.mark.parametrize("make", [planar_k4, k5_crossed, lambda: torus_grid(3, 4)])
