@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import itemgetter
 
 # no module in src/ calls add_edge any more; it is imported only because
 # the benchmark's tracer binds coloring.add_edge
@@ -36,17 +37,21 @@ def conflict_lists(g: SimpleGraph) -> tuple:
     """(els, nbrs): the elements in total_elements order, and for each the
     sorted indices of the elements it conflicts with."""
     els = total_elements(g)
-    index = {el: i for i, el in enumerate(els)}
-    nbrs = []
-    for i, el in enumerate(els):
-        ends = el[1:]
-        near = {index[("e",) + edge_key(x, w)] for x in ends for w in g.neighbors(x)}
-        if el[0] == "v":
-            near |= {index["v", w] for w in g.neighbors(el[1])}
-        else:
-            near |= {index["v", x] for x in ends}
-        near.discard(i)  # an edge is among the edges at its own ends
-        nbrs.append(sorted(near))
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    at = {v: [] for v in g.vertices}  # the indices of the edges at v, ascending
+    for i in range(n, len(els)):
+        _, u, v = els[i]
+        at[u].append(i)
+        at[v].append(i)
+    # a vertex: its neighbors, then its edges; indices ascend as ids do
+    nbrs = [[index[w] for w in g.adj[v]] + at[v] for v in g.vertices]
+    for i in range(n, len(els)):
+        _, u, v = els[i]
+        near = sorted(at[u] + at[v])
+        near.remove(i)  # the edge is among the edges at each of its ends
+        near.remove(i)
+        nbrs.append([index[u], index[v], *near])
     return els, nbrs
 
 
@@ -133,26 +138,31 @@ def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
 def _is_proper(g: SimpleGraph, c: TotalColoring, absent=None, kappa=None) -> bool:
     """Whether c colors exactly the elements of g, less the edge `absent`
     (a canonical edge of g) if one is given, properly and within 1..c.kappa
-    (and 1..kappa, if a kappa is given).  One pass over c's entries; odd
-    input gives False, never an exception."""
+    (and 1..kappa, if a kappa is given).  Odd input gives False, never an
+    exception.
+
+    Only one test runs in Python per edge entry: that its key is an edge
+    of g, ends ascending, whose ends differ in color.  The key set, the
+    color range and a color repeated at a vertex (its own and an edge's,
+    or two edges') are each decided by one call over all entries."""
     vc, ec, adj = c.vertex_color, c.edge_color, g.adj
     kappa = c.kappa if kappa is None else min(kappa, c.kappa)
     m = g.num_edges() - (absent is not None)
-    if len(vc) != len(adj) or len(ec) != m or absent in ec:
+    if len(ec) != m or absent in ec or vc.keys() != adj.keys():
         return False
     try:
-        if not all(v in adj and 1 <= color <= kappa for v, color in vc.items()):
+        colors = [*vc.values(), *ec.values()]
+        if colors and not (1 <= min(colors) and max(colors) <= kappa):
             return False
-        seen = set(vc.items())  # (x, color) for each color at vertex x
-        for (u, v), color in ec.items():
-            if not (u < v and v in adj.get(u, ()) and 1 <= color <= kappa):
+        for u, v in ec:
+            if not (u < v and v in adj.get(u, ())) or vc[u] == vc[v]:
                 return False
-            if vc[u] == vc[v] or (u, color) in seen or (v, color) in seen:
-                return False
-            seen.update(((u, color), (v, color)))
+        # (x, color) for each color at vertex x: its own, then its edges'
+        pairs = [*vc.items(), *zip(map(itemgetter(0), ec), ec.values())]
+        pairs += zip(map(itemgetter(1), ec), ec.values())
+        return len(set(pairs)) == len(pairs)
     except (TypeError, ValueError):  # a None color, a key that is no pair
         return False
-    return True
 
 
 def verify(g: SimpleGraph, c: TotalColoring) -> list:

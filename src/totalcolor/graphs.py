@@ -25,13 +25,15 @@ class SimpleGraph:
     """Immutable undirected simple graph: `adj`, stored as given, maps each
     vertex, ascending, to the ascending tuple of its neighbors, so only
     `build_graph` and the edits here construct one.  `vertices` is the
-    tuple of its keys, isolated vertices included."""
+    tuple of its keys, isolated vertices included.  The edge count is
+    summed over the rows on first use and kept."""
 
-    __slots__ = ("vertices", "adj")
+    __slots__ = ("vertices", "adj", "_num_edges")
 
     def __init__(self, adj: dict):
         self.adj = adj
         self.vertices = tuple(adj)
+        self._num_edges = None
 
     def degree(self, v) -> int:
         return len(self.adj[v])
@@ -51,7 +53,9 @@ class SimpleGraph:
         return [(u, w) for u in self.vertices for w in self.adj[u] if u < w]
 
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+        if self._num_edges is None:
+            self._num_edges = sum(map(len, self.adj.values())) // 2
+        return self._num_edges
 
     def max_degree(self) -> int:
         return max((len(n) for n in self.adj.values()), default=0)

@@ -19,7 +19,7 @@ from itertools import islice, permutations
 from .coloring import (
     P3Certificate,
     TotalColoring,
-    _paint,
+    _is_proper,
     _search,
     conflict_lists,
     extend_p1,
@@ -307,8 +307,13 @@ def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng) -> tuple:
     """Up to cap distinct proper colorings, found by backtracking with a
     shuffled color order at each node (so a truncated run is not just a
     lexicographic prefix).  Second result: True when more colorings exist
-    beyond the cap."""
+    beyond the cap.  The search runs on to a (cap+1)-th coloring only to
+    detect that truncation; that coloring is never built.  Each one that
+    is built costs two dict(zip(...)) calls, over the vertex ids and the
+    edge keys read from the elements once."""
     els, nbrs = conflict_lists(g)
+    n = len(g.vertices)
+    edges = [el[1:] for el in els[n:]]
 
     def shuffled(assigned, r):
         colors = list(range(1, kappa + 1))
@@ -316,8 +321,11 @@ def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng) -> tuple:
         return colors
 
     search = _search(nbrs, range(len(els)), shuffled)
-    found = [_paint(TotalColoring(kappa), els, colors) for colors in islice(search, cap + 1)]
-    return found[:cap], len(found) > cap
+    found = [
+        TotalColoring(kappa, dict(zip(g.vertices, colors)), dict(zip(edges, colors[n:])))
+        for colors in islice(search, cap)
+    ]
+    return found, next(search, None) is not None
 
 
 def brute_validate_extensions(
@@ -327,7 +335,13 @@ def brute_validate_extensions(
     most n_max vertices, both palette sizes Delta+2 and Delta+3, and every
     eligible edge, feeding each up to coloring_cap proper colorings of the
     reduced graph.  Any exception, failed verification, or cascade
-    certificate is recorded as a failure."""
+    certificate is recorded as a failure.
+
+    Cost per check: two properness passes (`coloring._is_proper`), one on
+    the reduced coloring in the extension's gate and one on its output;
+    `verify` lists conflicts only for an extension that fails.  Per
+    instance, g - uv is built once, and its colorings are enumerated up
+    to one past the cap, the extra one only to detect truncation."""
     if n_max > 7:
         raise ReduceError("extension validation is capped at 7 vertices")
     report = ExtensionReport()
@@ -375,11 +389,10 @@ def _run_extension(report, g, uv, apex, c, kappa) -> None:
                 "u_used": sorted(out.u_used),
                 "w_used": sorted(out.w_used),
             }
+        elif _is_proper(g, out, kappa=kappa):
+            return
         else:
-            bad = verify(g, out)
-            if not bad and out.colors_used() <= kappa:
-                return
-            failure = {"kind": f"bad extension: {bad[:3]}"}
+            failure = {"kind": f"bad extension: {verify(g, out)[:3]}"}
     report.failures += 1
     report.certificates.append(
         {"edges": [list(e) for e in g.edges()], "edge": list(uv), "apex": apex, "kappa": kappa}

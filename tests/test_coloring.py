@@ -301,6 +301,11 @@ def _outcome(run):
         return "ColoringError", str(exc)
 
 
+def pair_keys(c):
+    """c's edge keys that are pairs, sorted."""
+    return sorted(key for key in c.edge_color if len(key) == 2)
+
+
 @st.composite
 def drawn_colorings(draw, g, uv=None):
     """A coloring of g, or of g - uv when uv is given: greedy's proper one
@@ -321,7 +326,9 @@ def drawn_colorings(draw, g, uv=None):
         table, key = _slot(c, el)
         table[key] = color
     n = len(g.vertices)
-    edits = ["drop", "clash", "extra vertex", "extra edge", "reversed key", "None color"]
+    edits = [
+        "drop", "clash", "extra vertex", "extra edge", "reversed key", "non-pair key", "None color"
+    ]
     edits += ["color uv", "uv for an edge"] * (uv is not None)
     for edit in draw(st.lists(st.sampled_from(edits), max_size=2)):
         if edit == "drop" and els:
@@ -338,9 +345,13 @@ def drawn_colorings(draw, g, uv=None):
         elif edit == "extra edge":
             pairs = [e for e in combinations(range(n + 2), 2) if not base.has_edge(*e)]
             c.edge_color[draw(st.sampled_from(pairs))] = draw(st.integers(1, kappa + 1))
-        elif edit == "reversed key" and c.edge_color:
-            a, b = draw(st.sampled_from(sorted(c.edge_color)))
+        elif edit == "reversed key" and pair_keys(c):
+            a, b = draw(st.sampled_from(pair_keys(c)))
             c.edge_color[b, a] = c.edge_color.pop((a, b))
+        elif edit == "non-pair key" and pair_keys(c):
+            # an edge's color moves to a key of one or three vertices
+            a, b = key = draw(st.sampled_from(pair_keys(c)))
+            c.edge_color[draw(st.sampled_from([(a,), (a, b, b)]))] = c.edge_color.pop(key)
         elif edit == "None color" and els:
             table, key = _slot(c, draw(st.sampled_from(els)))
             table[key] = None

@@ -242,6 +242,8 @@ def _assert_sorted(g):
     for row in g.adj.values():
         assert isinstance(row, tuple)
         assert list(row) == sorted(row)
+    # the cached count, against a recount of the rows
+    assert g.num_edges() == sum(len(row) for row in g.adj.values()) // 2
 
 
 def test_vertices_and_rows_stay_sorted_under_edits():

@@ -6,11 +6,20 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from totalcolor import coloring, reduce
-from totalcolor.coloring import P3Certificate, greedy_total
+from totalcolor.coloring import (
+    P3Certificate,
+    TotalColoring,
+    extend_p1,
+    extend_p3,
+    greedy_total,
+    peel_kind,
+    verify,
+)
 from totalcolor.graphs import SimpleGraph, build_graph, delete_edge
 from totalcolor.reduce import (
     ExtensionReport,
@@ -282,7 +291,9 @@ def test_harness_cap_truncates():
 def test_harness_builds_each_reduced_graph_once(monkeypatch):
     # counted, not timed: an extension check tests its reduced coloring on
     # g itself, so g - uv is built once per instance, for its colorings,
-    # and no check lists the edges of a graph
+    # and no check lists the edges of a graph.  A check costs two
+    # properness passes, the gate's on its input and one on its output,
+    # and lists conflicts only when an extension fails
     counts = Counter()
 
     def counted(name, fn):
@@ -293,15 +304,64 @@ def test_harness_builds_each_reduced_graph_once(monkeypatch):
         return wrapper
 
     graphs = sum(len(enum_graphs(n, connected=True)) for n in range(2, 5))
-    for module in (reduce, coloring):
-        monkeypatch.setattr(module, "delete_edge", counted("delete_edge", delete_edge))
+    for name in ("delete_edge", "_is_proper", "verify"):
+        wrapper = counted(name, getattr(coloring, name))
+        for module in (reduce, coloring):
+            monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(SimpleGraph, "edges", counted("edges", SimpleGraph.edges))
     rep = brute_validate_extensions(4, coloring_cap=3)
     assert rep.failures == 0 and rep.checks == 120
     assert counts["delete_edge"] == rep.instances
+    assert counts["_is_proper"] == 2 * rep.checks
+    assert counts["verify"] == 0
     # one edge list per (graph, palette) for its eligible edges, and one
     # per instance for the elements of its colorings
     assert counts["edges"] == 2 * graphs + rep.instances < rep.checks
+
+
+def _renamed(c, kappa, perm):
+    """c with color x renamed perm[x - 1]."""
+    return TotalColoring(
+        kappa,
+        {x: perm[color - 1] for x, color in c.vertex_color.items()},
+        {e: perm[color - 1] for e, color in c.edge_color.items()},
+    )
+
+
+def test_extension_success_survives_renaming_the_colors():
+    # enumerating reduced colorings up to palette renaming covers every
+    # coloring only if renaming the colors never turns an extension that
+    # succeeds into one that fails.  Every instance at n <= 4 (all P1),
+    # and every P3 instance at n = 6 for the triangle cascade, whose branch
+    # depends on which colors are free
+    rng = random.Random(20261019)
+    checks = Counter()
+    for n, cap in ((2, 20), (3, 20), (4, 20), (6, 10)):
+        for g in enum_graphs(n, connected=True):
+            for kappa in (g.max_degree() + 2, g.max_degree() + 3):
+                for u, v in g.edges():
+                    kind = peel_kind(g, u, v, kappa)
+                    if kind == "P1" and n <= 4:
+                        apexes = [None]
+                    elif kind == "P3":
+                        apexes = g.common_neighbors(u, v)
+                    else:
+                        continue
+                    reduced = delete_edge(g, (u, v))
+                    colorings, _ = reduce._proper_colorings(reduced, kappa, cap, rng)
+                    perms = [rng.sample(range(1, kappa + 1), kappa) for _ in range(3)]
+                    for c, perm in product(colorings, perms):
+                        renamed = _renamed(c, kappa, perm)
+                        assert verify(reduced, renamed) == []
+                        for w in apexes:
+                            if w is None:
+                                out = extend_p1(g, (u, v), renamed, kappa)
+                            else:
+                                out = extend_p3(g, (u, v), w, renamed, kappa)
+                            assert isinstance(out, TotalColoring)
+                            assert out.kappa == kappa and verify(g, out) == []
+                            checks["P1" if w is None else "P3"] += 1
+    assert checks == {"P1": 2355, "P3": 4440}
 
 
 def test_harness_json_shape():
