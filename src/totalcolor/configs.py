@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 from .augment import AugmentedGraph
 from .discharge import _frac_str, discharge
-from .embedding import EmbeddedGraph, from_face_cycles
+from .embedding import (
+    EmbeddedGraph,
+    _check_two_cell,
+    _derived_origins,
+    _face_rotation,
+    _vertex_kinds,
+)
 from .graphs import build_graph
 
 
@@ -69,17 +75,21 @@ def close_drawing(faces):
 def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGraph:
     """Close and embed the drawing, its new pairs' segments origin-less, and
     wrap it with its underlying simple graph as an augmented graph."""
-    drawn = from_face_cycles(close_drawing(faces), surface, crossing_vertices=crossings)
-    origins = dict(drawn.segment_origin)
+    cycles = close_drawing(faces)
+    rotation, twin = _face_rotation(cycles)
+    kinds = _vertex_kinds(rotation, set(crossings))
+    owner = {d: v for v, rot in rotation.items() for d in rot}
+    origins = _derived_origins(rotation, twin, owner, kinds)
     for u, v in new_pairs:
-        keys = [k for k in origins if {drawn.owner[k[0]], drawn.owner[k[1]]} == {u, v}]
+        keys = [k for k in origins if {owner[k[0]], owner[k[1]]} == {u, v}]
         if len(keys) != 1:
             raise ConfigError(
                 f"new pair {u},{v}: expected exactly one segment, found {len(keys)}"
             )
         origins[keys[0]] = None
     # emb is built with its final origins, so its constructor validates them
-    emb = EmbeddedGraph(drawn.rotation, drawn.twin, drawn.vertex_kind, surface, origins)
+    emb = EmbeddedGraph(rotation, twin, kinds, surface, origins)
+    _check_two_cell(emb, len(cycles))
     g = build_graph({o for o in emb.segment_origin.values() if o is not None})
     if set(emb.true_vertices()) != set(g.vertices):
         raise ConfigError("true vertices differ from the reconstructed graph")

@@ -15,6 +15,7 @@ incidences matter downstream.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -87,7 +88,9 @@ class EmbeddedGraph:
         self._new_darts = None
         self._validate_structure()
         if segment_origin is None:
-            self.segment_origin = self._derive_origins()
+            self.segment_origin = _derived_origins(
+                self.rotation, self.twin, self.owner, self.vertex_kind
+            )
         else:
             self.segment_origin = dict(segment_origin)
         self._validate_origins()
@@ -97,16 +100,16 @@ class EmbeddedGraph:
     def _validate_structure(self):
         if self.surface not in SURFACES:
             raise EmbedError(f"unknown surface {self.surface!r}")
-        darts = set(self.owner)
-        if set(self.twin) != darts:
+        twin, owner = self.twin, self.owner
+        if twin.keys() != owner.keys():
             raise EmbedError("twin map does not cover exactly the darts in rotations")
-        for d, e in self.twin.items():
+        for d, e in twin.items():
             if e == d:
                 raise EmbedError(f"dart {d} is its own twin")
-            if self.twin.get(e) != d:
+            if twin.get(e) != d:
                 raise EmbedError(f"twin is not an involution at dart {d}")
-            if self.owner[d] == self.owner[e]:
-                raise EmbedError(f"loop segment at vertex {self.owner[d]}")
+            if owner[d] == owner[e]:
+                raise EmbedError(f"loop segment at vertex {owner[d]}")
         if set(self.vertex_kind) != set(self.rotation):
             raise EmbedError("vertex_kind must label exactly the rotation vertices")
         for v, kind in self.vertex_kind.items():
@@ -123,35 +126,18 @@ class EmbeddedGraph:
                     if self.vertex_kind[w] == CROSSING:
                         raise EmbedError(f"adjacent crossing vertices {v} and {w}")
 
-    def _derive_origins(self) -> dict:
-        origins: dict = {}
-        for key in self.segments():
-            u, w = self.owner[key[0]], self.owner[key[1]]
-            if self.vertex_kind[u] == TRUE and self.vertex_kind[w] == TRUE:
-                origins[key] = (u, w) if u < w else (w, u)
-        for x, kind in self.vertex_kind.items():
-            if kind != CROSSING:
-                continue
-            rot = self.rotation[x]
-            for d, opp in ((rot[0], rot[2]), (rot[1], rot[3])):
-                a = self.owner[self.twin[d]]
-                b = self.owner[self.twin[opp]]
-                edge = (a, b) if a < b else (b, a)
-                origins[seg_key(d, self.twin)] = edge
-                origins[seg_key(opp, self.twin)] = edge
-        return origins
-
     def _validate_origins(self):
-        keys = {seg_key(d, self.twin) for d in self.twin}
-        if self.segment_origin.keys() != keys:
+        twin, owner, vertex_kind = self.twin, self.owner, self.vertex_kind
+        origin = self.segment_origin
+        if origin.keys() != {(d, e) for d, e in twin.items() if d < e}:
             raise EmbedError("segment_origin must cover exactly the segments")
         per_edge: dict = {}
-        for key, edge in self.segment_origin.items():
+        for key, edge in origin.items():
             if edge is None:
                 continue
             for d in key:
-                v = self.owner[d]
-                if self.vertex_kind[v] == TRUE and v not in edge:
+                v = owner[d]
+                if vertex_kind[v] == TRUE and v not in edge:
                     raise EmbedError(f"segment {key} ends at {v}, off its origin {edge}")
             per_edge.setdefault(edge, []).append(key)
         for edge, segs in per_edge.items():
@@ -159,16 +145,16 @@ class EmbeddedGraph:
                 raise EmbedError(f"edge {edge} crosses twice")
             if len(segs) == 2:
                 for key in segs:
-                    kinds = {self.vertex_kind[self.owner[d]] for d in key}
+                    kinds = {vertex_kind[owner[d]] for d in key}
                     if CROSSING not in kinds:
                         raise EmbedError(
                             f"edge {edge} has a parallel uncrossed segment"
                         )
-        for x, kind in self.vertex_kind.items():
+        for x, kind in vertex_kind.items():
             if kind != CROSSING:
                 continue
             rot = self.rotation[x]
-            o = [self.segment_origin[seg_key(d, self.twin)] for d in rot]
+            o = [origin[seg_key(d, twin)] for d in rot]
             if any(e is None for e in o):
                 raise EmbedError(f"segment at crossing {x} lacks an origin edge")
             if o[0] != o[2] or o[1] != o[3] or o[0] == o[1]:
@@ -191,7 +177,7 @@ class EmbeddedGraph:
         return len(self.rotation[v])
 
     def segments(self) -> list[tuple]:
-        return sorted({seg_key(d, self.twin) for d in self.twin})
+        return sorted((d, e) for d, e in self.twin.items() if d < e)
 
     def num_segments(self) -> int:
         return len(self.twin) // 2
@@ -214,23 +200,21 @@ class EmbeddedGraph:
     def faces(self) -> list[Face]:
         """All faces, each boundary starting at its smallest dart id."""
         if self._faces is None:
+            twin = self.twin
             succ = {}
             for rot in self.rotation.values():
-                for i, d in enumerate(rot):
-                    succ[d] = rot[(i + 1) % len(rot)]
+                succ.update(zip(rot, rot[1:] + rot[:1]))
             seen = set()
             out = []
             for d0 in sorted(succ):
                 if d0 in seen:
                     continue
-                walk = []
-                d = d0
-                while True:
+                walk = [d0]
+                d = succ[twin[d0]]
+                while d != d0:
                     walk.append(d)
-                    seen.add(d)
-                    d = succ[self.twin[d]]
-                    if d == d0:
-                        break
+                    d = succ[twin[d]]
+                seen.update(walk)
                 out.append(Face(tuple(walk)))
             self._faces = out
         return self._faces
@@ -244,6 +228,30 @@ class EmbeddedGraph:
 
     def face_vertices(self, face: Face) -> tuple:
         return tuple(self.owner[d] for d in face.boundary)
+
+
+def _derived_origins(
+    rotation: Mapping, twin: Mapping, owner: Mapping, vertex_kind: Mapping
+) -> dict:
+    """The origins a drawing implies (see EmbeddedGraph): each true-true
+    segment in segment order, then the four segments at each crossing.  A
+    crossing not of degree 4 gets none; the constructor rejects it."""
+    origins: dict = {}
+    for d, e in sorted((d, e) for d, e in twin.items() if d < e):
+        u, w = owner[d], owner[e]
+        if vertex_kind[u] == TRUE and vertex_kind[w] == TRUE:
+            origins[d, e] = (u, w) if u < w else (w, u)
+    for x, kind in vertex_kind.items():
+        rot = rotation[x]
+        if kind != CROSSING or len(rot) != 4:
+            continue
+        for d, opp in ((rot[0], rot[2]), (rot[1], rot[3])):
+            a = owner[twin[d]]
+            b = owner[twin[opp]]
+            edge = (a, b) if a < b else (b, a)
+            origins[seg_key(d, twin)] = edge
+            origins[seg_key(opp, twin)] = edge
+    return origins
 
 
 def dart_face_index(faces: Iterable[Face]) -> dict:
@@ -260,16 +268,36 @@ def euler_characteristic(e: EmbeddedGraph) -> int:
 
 
 def check_two_cell(e: EmbeddedGraph) -> None:
-    """Reject embeddings whose Euler characteristic contradicts the surface."""
-    _check_euler(e.surface, euler_characteristic(e))
+    """Reject embeddings whose Euler characteristic contradicts the surface,
+    and disconnected ones: V-E+F adds up over components, so a torus drawn
+    beside a sphere would pass as a plane."""
+    _check_two_cell(e, len(e.faces()))
 
 
-def _check_euler(surface: str, chi: int) -> None:
-    expected = 2 if surface == "plane" else 0
+def _check_two_cell(e: EmbeddedGraph, faces: int) -> None:
+    """check_two_cell, given the number of faces."""
+    chi = len(e.rotation) - e.num_segments() + faces
+    expected = 2 if e.surface == "plane" else 0
     if chi != expected:
         raise EmbedError(
-            f"not 2-cell for declared surface {surface}: "
+            f"not 2-cell for declared surface {e.surface}: "
             f"V-E+F = {chi}, expected {expected}"
+        )
+    rotation, twin, owner = e.rotation, e.twin, e.owner
+    seen: set = set()
+    parts = 0
+    for v in rotation:
+        if v in seen:
+            continue
+        parts += 1
+        reached = {v}
+        while reached:
+            seen |= reached
+            reached = {owner[twin[d]] for u in reached for d in rotation[u]} - seen
+    if parts != 1:
+        raise EmbedError(
+            f"not 2-cell for declared surface {e.surface}: "
+            f"the drawing has {parts} connected components, expected 1"
         )
 
 
@@ -298,47 +326,55 @@ def from_face_cycles(
     `surface` (see check_two_cell).  Origins are derived (see
     EmbeddedGraph), so the drawing fixes its graph (gen.true_graph_of).
     """
-    dart_of: dict = {}
-    for cyc in face_cycles:
-        if len(cyc) < 2:
-            raise EmbedError(f"face cycle {cyc} too short")
-        for i, u in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            if u == w:
-                raise EmbedError(f"face cycle {cyc} repeats vertex {u} consecutively")
-            if (u, w) in dart_of:
-                raise EmbedError(f"directed side ({u},{w}) used twice")
-            dart_of[(u, w)] = len(dart_of)
-    twin = {}
-    for (u, w), d in dart_of.items():
-        if (w, u) not in dart_of:
-            raise EmbedError(f"side ({u},{w}) has no reverse side")
-        twin[d] = dart_of[(w, u)]
-    succ: dict = {}
-    for cyc in face_cycles:
-        k = len(cyc)
-        for i in range(k):
-            u, w, x = cyc[i], cyc[(i + 1) % k], cyc[(i + 2) % k]
-            succ[dart_of[(w, u)]] = dart_of[(w, x)]
-    at_vertex: dict = {}
-    for (u, w), d in dart_of.items():
-        at_vertex.setdefault(u, []).append(d)
-    rotation = {}
-    for v, darts in at_vertex.items():
-        start = min(darts)
-        cycle = [start]
-        d = succ[start]
-        while d != start:
-            cycle.append(d)
-            d = succ[d]
-        if len(cycle) != len(darts):
-            raise EmbedError(f"corners at vertex {v} do not close into one rotation")
-        rotation[v] = tuple(cycle)
+    rotation, twin = _face_rotation(face_cycles)
     kinds = _vertex_kinds(rotation, set(crossing_vertices))
     e = EmbeddedGraph(rotation, twin, kinds, surface)
     # the given cycles are exactly the faces, so V-E+F needs no face trace
-    _check_euler(surface, len(rotation) - len(twin) // 2 + len(face_cycles))
+    _check_two_cell(e, len(face_cycles))
     return e
+
+
+def _face_rotation(face_cycles: Sequence[Sequence[int]]) -> tuple:
+    """(rotation, twin) of the drawing whose oriented faces are
+    `face_cycles`, numbering darts in the order of the faces' sides."""
+    dart_of: dict = {}
+    # the next dart along the same face; a face's darts are numbered in a row
+    face_next: list = []
+    for cyc in face_cycles:
+        if len(cyc) < 2:
+            raise EmbedError(f"face cycle {cyc} too short")
+        first = len(dart_of)
+        for side in zip(cyc, cyc[1:] + cyc[:1]):
+            if side[0] == side[1]:
+                raise EmbedError(f"face cycle {cyc} repeats vertex {side[0]} consecutively")
+            if side in dart_of:
+                raise EmbedError(f"directed side ({side[0]},{side[1]}) used twice")
+            dart_of[side] = len(dart_of)
+        face_next.extend(range(first + 1, len(dart_of)))
+        face_next.append(first)
+    twin = {}
+    for (u, w), d in dart_of.items():
+        e = dart_of.get((w, u))
+        if e is None:
+            raise EmbedError(f"side ({u},{w}) has no reverse side")
+        twin[d] = e
+    # the rotation successor of a dart leaving v is the dart that follows
+    # its twin around the face on the twin's left: it leaves v too
+    degree = Counter(u for u, _ in dart_of)
+    rotation: dict = {}
+    for start, (v, _) in enumerate(dart_of):
+        if v in rotation:
+            continue
+        # darts are numbered in ascending order, so start is v's least
+        cycle = [start]
+        d = face_next[twin[start]]
+        while d != start:
+            cycle.append(d)
+            d = face_next[twin[d]]
+        if len(cycle) != degree[v]:
+            raise EmbedError(f"corners at vertex {v} do not close into one rotation")
+        rotation[v] = tuple(cycle)
+    return rotation, twin
 
 
 def _vertex_kinds(rotation: Mapping, crossings: set) -> dict:
@@ -381,21 +417,21 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 v = int(head)
                 if v in rotation:
                     raise ValueError(f"repeated rotation of vertex {v}")
-                rotation[v] = tuple(int(t) for t in rest.split())
+                rotation[v] = tuple(map(int, rest.split()))
             elif section == "twins":
-                a, b = (int(t) for t in line.split())
+                a, b = map(int, line.split())
                 for d in (a, b):
                     if d in twin:
                         raise ValueError(f"repeated twin of dart {d}")
                 twin[a] = b
                 twin[b] = a
             elif section == "crossings":
-                crossings.update(int(t) for t in line.split())
+                crossings.update(map(int, line.split()))
             elif section == "origins":
                 left, sep, right = line.partition("->")
                 if not sep:
                     raise ValueError("missing '->'")
-                d1, d2 = (int(t) for t in left.split())
+                d1, d2 = map(int, left.split())
                 right = right.strip()
                 key = (d1, d2) if d1 < d2 else (d2, d1)
                 if key in origins:
@@ -403,7 +439,7 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 if right == "new":
                     origins[key] = None
                 else:
-                    u, v = (int(t) for t in right.split())
+                    u, v = map(int, right.split())
                     origins[key] = (u, v) if u < v else (v, u)
             else:
                 raise ValueError("content outside any section")
@@ -418,21 +454,20 @@ def parse_embedding(text: str) -> EmbeddedGraph:
 
 
 def dump_embedding(e: EmbeddedGraph) -> str:
-    lines = [f"surface: {e.surface}"]
-    lines.append("rotation:")
-    for v in e.vertices():
-        lines.append(f"{v}: " + " ".join(str(d) for d in e.rotation[v]))
+    rotation = e.rotation
+    lines = [f"surface: {e.surface}", "rotation:"]
+    lines.extend(f"{v}: " + " ".join(map(str, rotation[v])) for v in e.vertices())
     cross = e.crossing_vertices()
     if cross:
         lines.append("crossings:")
-        lines.append(" ".join(str(v) for v in cross))
+        lines.append(" ".join(map(str, cross)))
     segments = e.segments()
+    texts = [f"{a} {b}" for a, b in segments]
     lines.append("twins:")
-    for a, b in segments:
-        lines.append(f"{a} {b}")
+    lines.extend(texts)
     lines.append("origins:")
-    for key in segments:
-        edge = e.segment_origin[key]
-        tail = "new" if edge is None else f"{edge[0]} {edge[1]}"
-        lines.append(f"{key[0]} {key[1]} -> {tail}")
+    origin = e.segment_origin
+    for key, text in zip(segments, texts):
+        edge = origin[key]
+        lines.append(f"{text} -> new" if edge is None else f"{text} -> {edge[0]} {edge[1]}")
     return "\n".join(lines) + "\n"

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import isqrt
 
 from .embedding import EmbeddedGraph, dump_embedding, from_face_cycles
 from .graphs import SimpleGraph, build_graph, dump_edge_list, edge_key
@@ -122,44 +124,118 @@ def _chord_candidates(face: tuple, edges: set, crossings: set) -> list:
     ]
 
 
+class _FaceBlocks:
+    """A face list kept in order as blocks of at most 2*size faces, each
+    with its count of eligible faces (four or more corners).  Finding the
+    k-th eligible face in list order and replacing a face by its children
+    in place each cost O(F/size + size) for F faces.  Faces skipped for
+    the current draw leave the count until `unskip`."""
+
+    def __init__(self, faces: list, size: int):
+        self.size = size
+        self.blocks = [faces[i : i + size] for i in range(0, len(faces), size)]
+        self.counts = [sum(len(f) >= 4 for f in b) for b in self.blocks]
+        self.eligible = sum(self.counts)
+        self.skipped = []
+
+    def find(self, k: int) -> tuple:
+        """(block, position) of the k-th eligible face not skipped."""
+        ends = list(accumulate(self.counts))
+        b = bisect_right(ends, k)
+        if b:
+            k -= ends[b - 1]
+        skip = {i for sb, i in self.skipped if sb == b}
+        for i, f in enumerate(self.blocks[b]):
+            if len(f) >= 4 and i not in skip:
+                if not k:
+                    return b, i
+                k -= 1
+        raise AssertionError("face block counts out of step")
+
+    def skip(self, b: int, i: int) -> None:
+        self.skipped.append((b, i))
+        self.counts[b] -= 1
+        self.eligible -= 1
+
+    def unskip(self) -> None:
+        for b, _ in self.skipped:
+            self.counts[b] += 1
+        self.eligible += len(self.skipped)
+        self.skipped = []
+
+    def replace(self, b: int, i: int, children: list) -> None:
+        block = self.blocks[b]
+        gain = sum(len(f) >= 4 for f in children) - (len(block[i]) >= 4)
+        block[i : i + 1] = children
+        self.counts[b] += gain
+        self.eligible += gain
+        if len(block) > 2 * self.size:
+            head, tail = block[: self.size], block[self.size :]
+            first = sum(len(f) >= 4 for f in head)
+            self.blocks[b : b + 1] = [head, tail]
+            self.counts[b : b + 1] = [first, self.counts[b] - first]
+
+    def faces(self) -> list:
+        return [f for block in self.blocks for f in block]
+
+
 def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph:
     """Insert `pairs` mutually crossing chord pairs, each drawn inside one
     face of size at least 4, so every new edge crosses exactly one other.
-    Raises (with the achieved count) when the drawing runs out of room."""
+    Raises (with the achieved count) when the drawing runs out of room.
+
+    Each pair draws a face uniformly among the faces with four or more
+    corners, in face-list order, then a chord quadruple in it.  A face with
+    no quadruple is dropped and the draw repeated, for that pair only: it
+    stays counted in later pairs.  The faces sit in blocks of about sqrt(F)
+    (_FaceBlocks), so a pair costs O(sqrt F) besides its chord search,
+    where F is the final face count."""
     if pairs < 0:
         raise GenError(f"crossing pair count must be >= 0, got {pairs}")
     if pairs == 0:
         return base
-    edges = set(true_graph_of(base).edges())
+    edges = set(base.segment_origin.values())
+    if None in edges:
+        raise GenError("base drawing carries unresolved new segments")
     crossings = set(base.crossing_vertices())
-    faces = [tuple(base.face_vertices(f)) for f in base.faces()]
+    owner = base.owner
+    faces = [tuple([owner[d] for d in f.boundary]) for f in base.faces()]
+    # a pair splits a k-face into four faces of k + 8 corners in all, so
+    # the room, the sum of k - 3 over faces, falls by one per pair and
+    # bounds how many pairs fit
+    room = sum(len(f) - 3 for f in faces if len(f) > 3)
+    index = _FaceBlocks(faces, isqrt(len(faces) + 3 * min(pairs, room)) + 1)
     next_id = max(base.vertices()) + 1
     rng = Lcg64(seed)
     for achieved in range(pairs):
-        eligible = [i for i, f in enumerate(faces) if len(f) >= 4]
-        while eligible:
-            fi = eligible[rng.randrange(len(eligible))]
-            cands = _chord_candidates(faces[fi], edges, crossings)
+        while index.eligible:
+            b, fi = index.find(rng.randrange(index.eligible))
+            face = index.blocks[b][fi]
+            cands = _chord_candidates(face, edges, crossings)
             if cands:
                 break
-            eligible.remove(fi)
+            index.skip(b, fi)
         else:
             raise GenError(
                 f"no face can host another crossing pair; placed {achieved} of {pairs}",
                 achieved=achieved,
             )
-        face = faces[fi]
+        index.unskip()
         i, j, k, l = cands[rng.randrange(len(cands))]
         x = next_id + achieved
         crossings.add(x)
         edges.update((edge_key(face[i], face[k]), edge_key(face[j], face[l])))
-        faces[fi : fi + 1] = [
-            (x, *face[i : j + 1]),
-            (x, *face[j : k + 1]),
-            (x, *face[k : l + 1]),
-            (x, *face[l:], *face[: i + 1]),
-        ]
-    return from_face_cycles(faces, base.surface, crossing_vertices=crossings)
+        index.replace(
+            b,
+            fi,
+            [
+                (x, *face[i : j + 1]),
+                (x, *face[j : k + 1]),
+                (x, *face[k : l + 1]),
+                (x, *face[l:], *face[: i + 1]),
+            ],
+        )
+    return from_face_cycles(index.faces(), base.surface, crossing_vertices=crossings)
 
 
 # ---------------------------------------------------------------------------

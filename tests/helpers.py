@@ -10,7 +10,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from totalcolor.embedding import from_face_cycles
+from totalcolor.embedding import EmbeddedGraph, from_face_cycles
 from totalcolor.gen import true_graph_of
 from totalcolor.graphs import SimpleGraph, build_graph
 
@@ -97,6 +97,29 @@ def torus_grid(m: int, n: int):
         for j in range(n)
     ]
     return embed(faces, "torus", g), g
+
+
+# the 3x3 torus grid (V-E+F = 0) beside a triangle on the sphere (2): the
+# sum is 2, as for one connected plane drawing
+GRID_BESIDE_A_SPHERE = [
+    (0, 3, 4, 1), (1, 4, 5, 2), (2, 5, 3, 0),
+    (3, 6, 7, 4), (4, 7, 8, 5), (5, 8, 6, 3),
+    (6, 0, 1, 7), (7, 1, 2, 8), (8, 2, 0, 6),
+    (100, 101, 102), (102, 101, 100),
+]
+
+
+def grid_beside_a_sphere() -> EmbeddedGraph:
+    """GRID_BESIDE_A_SPHERE as one rotation system declared "plane", built
+    with the constructor, which checks no Euler characteristic."""
+    grid = from_face_cycles(GRID_BESIDE_A_SPHERE[:9], "torus")
+    sphere = from_face_cycles(GRID_BESIDE_A_SPHERE[9:], "plane")
+    off = len(grid.twin)
+    rotation = dict(grid.rotation)
+    rotation.update((v, tuple(d + off for d in rot)) for v, rot in sphere.rotation.items())
+    twin = dict(grid.twin)
+    twin.update((d + off, e + off) for d, e in sphere.twin.items())
+    return EmbeddedGraph(rotation, twin, {**grid.vertex_kind, **sphere.vertex_kind}, "plane")
 
 
 def wheel_plane(n: int = 5):

@@ -17,6 +17,8 @@ from totalcolor.gen import (
 )
 from totalcolor.graphs import build_graph, dump_edge_list
 
+from helpers import grid_beside_a_sphere
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -336,6 +338,18 @@ def test_mislabelled_surface_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "not 2-cell for declared surface torus" in err
+
+
+@pytest.mark.parametrize("verb", ["discharge", "gstar", "faces"])
+def test_a_disconnected_drawing_exits_2(capsys, tmp_path, verb):
+    # a torus grid beside a sphere sums to V-E+F = 2 as a "plane"; discharge
+    # used to report total = -12, conserved: yes, and exit 0
+    p = tmp_path / "two-parts.emb"
+    p.write_text(dump_embedding(grid_beside_a_sphere()))
+    code, out, err = run(capsys, [verb, str(p)])
+    assert code == 2
+    assert out == ""
+    assert "the drawing has 2 connected components" in err
 
 
 @pytest.mark.parametrize("verb", ["discharge", "gstar"])

@@ -18,7 +18,9 @@ from totalcolor.configs import (
     verify_config,
 )
 from totalcolor.discharge import discharge
-from totalcolor.embedding import EmbedError, dump_embedding
+from totalcolor.embedding import EmbeddedGraph, EmbedError, dump_embedding
+
+from helpers import GRID_BESIDE_A_SPHERE
 
 
 def test_catalog_size():
@@ -37,6 +39,20 @@ def test_catalog_drawings_are_pinned():
     assert hashlib.sha256(dumps.encode()).hexdigest() == (
         "54665924b078e5cea40dd9f0560737c4ce5d890a379c7cd6b71be8785c4af583"
     )
+
+
+def test_each_config_builds_one_drawing(monkeypatch):
+    init = EmbeddedGraph.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddedGraph, "__init__", counted)
+    for c in all_configs():
+        c.build()
+    assert len(calls) == len(all_configs()) == 26
 
 
 def test_every_field_varies_across_the_catalog():
@@ -113,6 +129,11 @@ def test_assemble_rejects_a_drawing_off_its_surface():
     # a torus they once discharged to a conserved -12 total
     with pytest.raises(EmbedError, match="not 2-cell for declared surface torus"):
         assemble([(0, 1, 2), (0, 2, 3)], surface="torus")
+
+
+def test_assemble_rejects_a_disconnected_drawing():
+    with pytest.raises(EmbedError, match="the drawing has 2 connected components"):
+        assemble(GRID_BESIDE_A_SPHERE)
 
 
 def test_assemble_marks_new_segments():

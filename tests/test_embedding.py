@@ -22,7 +22,13 @@ from totalcolor.gen import (
     true_graph_of,
 )
 
-from helpers import complete_graph, embed, quad_with_crossing
+from helpers import (
+    GRID_BESIDE_A_SPHERE,
+    complete_graph,
+    embed,
+    grid_beside_a_sphere,
+    quad_with_crossing,
+)
 
 
 K4_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -114,6 +120,23 @@ def test_from_face_cycles_rejects_a_drawing_off_its_surface():
     faces = [t.face_vertices(f) for f in t.faces()]
     with pytest.raises(EmbedError, match=r"surface plane: V-E\+F = 0, expected 2"):
         from_face_cycles(faces, "plane")
+
+
+def test_a_disconnected_drawing_is_not_2_cell():
+    # V-E+F adds up over components, so only the component count tells
+    # this torus-plus-sphere from a plane drawing
+    wanted = "surface plane: the drawing has 2 connected components, expected 1"
+    with pytest.raises(EmbedError, match=wanted):
+        from_face_cycles(GRID_BESIDE_A_SPHERE, "plane")
+    e = grid_beside_a_sphere()
+    assert euler_characteristic(e) == 2
+    with pytest.raises(EmbedError, match=wanted):
+        check_two_cell(e)
+    with pytest.raises(EmbedError, match=wanted):
+        parse_embedding(dump_embedding(e))
+    # an empty drawing has no component, though V-E+F = 0 fits the torus
+    with pytest.raises(EmbedError, match="has 0 connected components"):
+        parse_embedding("surface: torus\n")
 
 
 @pytest.mark.parametrize("make", [planar_k4, k5_crossed, lambda: torus_grid(3, 4)])

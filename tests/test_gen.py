@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
+from totalcolor.augment import build_g_star
+from totalcolor.discharge import discharge, final_report
 from totalcolor.embedding import (
     check_two_cell,
     dump_embedding,
@@ -28,9 +31,11 @@ from totalcolor.gen import (
     true_graph_of,
     write_corpus,
 )
+from totalcolor import gen
 from totalcolor.graphs import (
     check_property_P,
     dump_edge_list,
+    edge_key,
     parse_edge_list,
 )
 
@@ -195,6 +200,105 @@ def test_crossed_frozen_fingerprint():
     # and the dump round-trips
     back = parse_embedding(text)
     assert sorted(back.crossing_vertices()) == sorted(c.crossing_vertices())
+
+
+def _rescan_crossed(base, pairs, seed, seen):
+    """gen_crossed's face list and crossing set as the per-pair rescan drew
+    them: each pair rebuilds the list of faces with four or more corners,
+    draws from it, drops a face with no chord quadruple and draws again,
+    then splices the chosen face's four children into its place.  Kept as
+    the reference for the face-block index.  `seen` counts redraws and
+    pairs planted in a face that holds a crossing."""
+    edges = set(true_graph_of(base).edges())
+    crossings = set(base.crossing_vertices())
+    faces = [tuple(base.face_vertices(f)) for f in base.faces()]
+    next_id = max(base.vertices()) + 1
+    rng = Lcg64(seed)
+    for achieved in range(pairs):
+        eligible = [i for i, f in enumerate(faces) if len(f) >= 4]
+        while eligible:
+            fi = eligible[rng.randrange(len(eligible))]
+            face = faces[fi]
+            usable = [
+                i for i, v in enumerate(face) if v not in crossings and face.count(v) == 1
+            ]
+            cands = [
+                (i, j, k, l)
+                for i, j, k, l in combinations(usable, 4)
+                if edge_key(face[i], face[k]) not in edges
+                and edge_key(face[j], face[l]) not in edges
+            ]
+            if cands:
+                break
+            eligible.remove(fi)
+            seen["redraws"] += 1
+        else:
+            raise GenError(
+                f"no face can host another crossing pair; placed {achieved} of {pairs}",
+                achieved=achieved,
+            )
+        seen["resplits"] += not crossings.isdisjoint(face)
+        i, j, k, l = cands[rng.randrange(len(cands))]
+        x = next_id + achieved
+        crossings.add(x)
+        edges.update((edge_key(face[i], face[k]), edge_key(face[j], face[l])))
+        faces[fi : fi + 1] = [
+            (x, *face[i : j + 1]),
+            (x, *face[j : k + 1]),
+            (x, *face[k : l + 1]),
+            (x, *face[l:], *face[: i + 1]),
+        ]
+    return faces, crossings
+
+
+def test_crossed_draws_as_the_per_pair_rescan_did(monkeypatch):
+    """The same face list, crossing set and GenError as the reference, over
+    grids, crossed grids, padded wheel sums and a triangulation, with runs
+    that redraw past a candidate-less face and runs that run out of room."""
+    handed = []
+    build = gen.from_face_cycles
+
+    def capture(faces, surface, crossing_vertices=()):
+        handed.append((list(faces), set(crossing_vertices)))
+        return build(faces, surface, crossing_vertices)
+
+    monkeypatch.setattr(gen, "from_face_cycles", capture)
+    bases = [gen_toroidal_grid(m, n)[1] for m, n in [(3, 3), (3, 5), (4, 4), (5, 7), (8, 8)]]
+    bases += [gen_high_degree_P_drawing(11, 12)[1], gen_high_degree_P_drawing(11, 40, 2)[1]]
+    bases += [gen_planar_triangulation(12, 1)[1], gen_crossed(bases[3], 6, seed=5)]
+    seen = {"redraws": 0, "resplits": 0, "errors": 0, "runs": 0}
+    for base in bases:
+        room = sum(f.size - 3 for f in base.faces() if f.size > 3)
+        counts = {1, 3, room // 2, room - 1, room, room + 1, 3 * room}
+        for pairs in sorted(p for p in counts if p > 0):
+            for seed in range(4):
+                seen["runs"] += 1
+                try:
+                    want = _rescan_crossed(base, pairs, seed, seen)
+                except GenError as exc:
+                    seen["errors"] += 1
+                    with pytest.raises(GenError) as exc_info:
+                        gen_crossed(base, pairs, seed)
+                    assert str(exc_info.value) == str(exc)
+                    assert exc_info.value.achieved == exc.achieved
+                    continue
+                handed.clear()
+                gen_crossed(base, pairs, seed)
+                assert handed == [want], (base.face_census(), pairs, seed)
+    assert min(seen.values()) > 0, seen
+
+
+def test_crossed_80x80_with_800_pairs_is_pinned():
+    """sha256 over the dump of an 80x80 grid with 800 crossing pairs and
+    that drawing's discharge report JSON: a drawing of ~43k G* darts must
+    come out byte-identical, not only the small golden ones."""
+    e = gen_crossed(gen_toroidal_grid(80, 80)[1], 800, seed=1)
+    report = final_report(discharge(build_g_star(e, true_graph_of(e))))
+    h = hashlib.sha256(dump_embedding(e).encode())
+    h.update(json.dumps(report, sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "2e3b4d5fe85782e3db564d55d2b6cb9501f6ca78cf00a00494736154038e287c"
+    )
 
 
 def test_crossed_seeds_diverge():
