@@ -320,6 +320,39 @@ def test_parse_embedding_errors():
         parse_embedding("surface: plane\ntwins:\n1 2 3\n")
 
 
+# (section header, data lines, the exact EmbedError text); each text starts
+# "surface: plane" and the header, so data lines are numbered from 3
+PARSE_ERRORS = [
+    ("twins:", "a a", "line 3: invalid literal for int() with base 10: 'a'"),
+    ("origins:", "a a", "line 3: missing '->'"),
+    ("rotation:", "a a", "line 3: missing ':'"),
+    ("twins:", "1 2\n3 2", "line 4: repeated twin of dart 2"),
+    ("twins:", "1 2 3", "line 3: too many values to unpack (expected 2)"),
+    ("twins:", "1", "line 3: not enough values to unpack (expected 2, got 1)"),
+    # a data line ending in ':' is no header; it fails as data
+    ("twins:", "1 2:", "line 3: invalid literal for int() with base 10: '2:'"),
+    ("origins:", "1 2 -> 3 4:", "line 3: invalid literal for int() with base 10: '4:'"),
+    ("origins:", "1 2:", "line 3: missing '->'"),
+    ("origins:", "1 2 -> new:", "line 3: invalid literal for int() with base 10: 'new:'"),
+    ("origins:", "1 2 3 4", "line 3: missing '->'"),
+    ("origins:", "1 2 -> 3 ->", "line 3: invalid literal for int() with base 10: '->'"),
+    # the repeated key is named before the right side is read
+    ("origins:", "1 2 -> 3 4\n2 1 -> x", "line 4: repeated origin of segment (1, 2)"),
+    ("origins:", "-> new x", "line 3: not enough values to unpack (expected 2, got 0)"),
+    ("origins:", "1 2 -> 3", "line 3: not enough values to unpack (expected 2, got 1)"),
+    ("twins: # the twins", "1 2 # first\n1 3 # again", "line 4: repeated twin of dart 1"),
+    ("origins:", "1 2 -> new\nsurface: torus", "line 4: repeated 'surface:' line"),
+    ("", "1 2", "line 3: content outside any section"),
+]
+
+
+@pytest.mark.parametrize("header, lines, wanted", PARSE_ERRORS)
+def test_parse_embedding_error_texts(header, lines, wanted):
+    with pytest.raises(EmbedError) as info:
+        parse_embedding(f"surface: plane\n{header}\n{lines}\n")
+    assert str(info.value) == wanted
+
+
 def test_parse_embedding_rejects_mislabelled_surface():
     _, e = gen_planar_triangulation(20, seed=1)
     text = dump_embedding(e)
