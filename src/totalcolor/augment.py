@@ -159,26 +159,37 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
 
 def classify_vertices(a: AugmentedGraph) -> dict:
     """(d1, d2) plus big/small for every vertex of G*, in ascending
-    vertex order.
+    vertex order.  Vertices of one class share one VertexClass.
 
     Big means (3,5) or d2 >= 6; crossing vertices are always small (their
     degree is pinned at 4).
     """
     table = {}
+    shared: dict = {}  # (d1, d2, kind, new_incident) -> its VertexClass
     star = a.star
+    rotation, kinds, adj = star.rotation, star.vertex_kind, a.g.adj
     new_darts = star.new_darts()
     for v in star.vertices():
-        kind = star.vertex_kind[v]
-        d2 = star.degree(v)
-        d1 = a.g.degree(v) if kind == TRUE else None
-        big = kind == TRUE and ((d1 == 3 and d2 == 5) or d2 >= 6)
-        table[v] = VertexClass(
-            d1=d1,
-            d2=d2,
-            kind=kind,
-            size_class="big" if big else "small",
-            new_incident=not new_darts.isdisjoint(star.rotation[v]),
+        kind = kinds[v]
+        rot = rotation[v]
+        key = (
+            len(adj[v]) if kind == TRUE else None,
+            len(rot),
+            kind,
+            not new_darts.isdisjoint(rot),
         )
+        c = shared.get(key)
+        if c is None:
+            d1, d2, _, new_incident = key
+            big = kind == TRUE and ((d1 == 3 and d2 == 5) or d2 >= 6)
+            c = shared[key] = VertexClass(
+                d1=d1,
+                d2=d2,
+                kind=kind,
+                size_class="big" if big else "small",
+                new_incident=new_incident,
+            )
+        table[v] = c
     return table
 
 

@@ -107,12 +107,6 @@ def _exact_sum(xs) -> Fraction:
     return sum((Fraction(n, d) for d, n in by_den.items()), Fraction(0))
 
 
-def _element_key(e):
-    if isinstance(e, tuple):
-        return (1, e[1] if len(e) > 1 else -1)
-    return (0, e)
-
-
 def element_label(e) -> str:
     if e == POOL:
         return "pool"
@@ -122,6 +116,9 @@ def element_label(e) -> str:
 
 
 def initial_charges(a: AugmentedGraph) -> dict:
+    """deg(v) - 6 per vertex and 2*size(f) - 6 per face, keyed in element
+    order: the vertices ascending, then ("face", i) by face index.
+    final() keeps that order, and final_report relies on it."""
     star = a.star
     charges = {v: star.degree(v) - 6 for v in star.vertices()}
     for i, f in enumerate(star.faces()):
@@ -151,12 +148,11 @@ def apply_r1(a: AugmentedGraph, ledger: ChargeLedger) -> None:
         if any(star.other_end(d) in rset for d in star.rotation[v]):
             senders.append(v)
     half = Fraction(1, 2)
-    for v in senders:
-        ledger.transfers.append(TransferRecord("R1", v, POOL, half))
-        ledger.pool += half
-    for v in receivers:
-        ledger.transfers.append(TransferRecord("R1", POOL, v, Fraction(1)))
-        ledger.pool -= 1
+    one = Fraction(1)
+    ledger.transfers.extend(TransferRecord("R1", v, POOL, half) for v in senders)
+    ledger.transfers.extend(TransferRecord("R1", POOL, v, one) for v in receivers)
+    # the senders' halves less the receivers' ones, added to the pool at once
+    ledger.pool += Fraction(len(senders) - 2 * len(receivers), 2)
     if ledger.pool < 0:
         ledger.pool_flagged = True
     ledger.applied.append("R1")
@@ -169,8 +165,10 @@ def apply_r2(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     star = a.star
     ctx = ledger.ctx
     for fi, f in enumerate(ctx.faces):
+        if f.size < 4:
+            continue
         share = ctx.face_share(fi)
-        if f.size < 4 or share is None:
+        if share is None:
             continue
         for d in f.boundary:
             v = star.owner[d]
@@ -439,13 +437,14 @@ def _frac_str(x: Fraction) -> str:
 
 def final_report(ledger: ChargeLedger) -> dict:
     """JSON-ready summary; rationals are rendered as exact 'p/q' strings
-    and negatively charged elements are listed first."""
+    and negatively charged elements are listed first, each part in element
+    order (see initial_charges)."""
     a = ledger.a
     final = ledger.final()
-    # a Fraction's sign is its numerator's, read without a Fraction compare
-    ordered = sorted(
-        final.items(), key=lambda ec: (ec[1].numerator >= 0, _element_key(ec[0]))
-    )
+    # a stable partition of the element order; a Fraction's sign is its
+    # numerator's, read without a Fraction compare
+    negative = [ec for ec in final.items() if ec[1].numerator < 0]
+    ordered = negative + [ec for ec in final.items() if ec[1].numerator >= 0]
     # conserved_total() over the final charges already in hand
     initial_total = ledger.initial_total()
     final_total = _exact_sum(final.values()) + ledger.pool
@@ -458,7 +457,7 @@ def final_report(ledger: ChargeLedger) -> dict:
         "conserved": final_total == initial_total,
         "pool": _frac_str(ledger.pool),
         "pool_flagged": ledger.pool_flagged,
-        "negative_count": sum(1 for c in final.values() if c.numerator < 0),
+        "negative_count": len(negative),
         "charges": {
             element_label(e): _frac_str(c) for e, c in ordered
         },

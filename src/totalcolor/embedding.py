@@ -397,37 +397,49 @@ def parse_embedding(text: str) -> EmbeddedGraph:
     crossings: set = set()
     origins: dict = {}
     have_origins = False
+    data = False  # whether section is "twins" or "origins"
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            if line.startswith("surface:"):
-                if surface is not None:
-                    raise ValueError("repeated 'surface:' line")
-                surface = line.split(":", 1)[1].strip()
-            elif line in ("rotation:", "twins:", "crossings:", "origins:"):
-                section = line[:-1]
-                if section == "origins":
-                    have_origins = True
-            elif section == "rotation":
-                head, sep, rest = line.partition(":")
-                if not sep:
-                    raise ValueError("missing ':'")
-                v = int(head)
-                if v in rotation:
-                    raise ValueError(f"repeated rotation of vertex {v}")
-                rotation[v] = tuple(map(int, rest.split()))
-            elif section == "twins":
+            # the twins and origins data lines, the bulk of a file, go
+            # straight to their section; a line with a ':' in it may be a
+            # header or a surface line, so it takes the tests below first
+            if not data or ":" in line:
+                if line.startswith("surface:"):
+                    if surface is not None:
+                        raise ValueError("repeated 'surface:' line")
+                    surface = line.split(":", 1)[1].strip()
+                    continue
+                if line in ("rotation:", "twins:", "crossings:", "origins:"):
+                    section = line[:-1]
+                    data = section in ("twins", "origins")
+                    if section == "origins":
+                        have_origins = True
+                    continue
+                if section == "rotation":
+                    head, sep, rest = line.partition(":")
+                    if not sep:
+                        raise ValueError("missing ':'")
+                    v = int(head)
+                    if v in rotation:
+                        raise ValueError(f"repeated rotation of vertex {v}")
+                    rotation[v] = tuple(map(int, rest.split()))
+                    continue
+                if section == "crossings":
+                    crossings.update(map(int, line.split()))
+                    continue
+                if section is None:
+                    raise ValueError("content outside any section")
+            # a twins or origins data line; a stray ':' fails as an int
+            if section == "twins":
                 a, b = map(int, line.split())
-                for d in (a, b):
-                    if d in twin:
-                        raise ValueError(f"repeated twin of dart {d}")
+                if a in twin or b in twin:
+                    raise ValueError(f"repeated twin of dart {a if a in twin else b}")
                 twin[a] = b
                 twin[b] = a
-            elif section == "crossings":
-                crossings.update(map(int, line.split()))
-            elif section == "origins":
+            else:
                 left, sep, right = line.partition("->")
                 if not sep:
                     raise ValueError("missing '->'")
@@ -441,8 +453,6 @@ def parse_embedding(text: str) -> EmbeddedGraph:
                 else:
                     u, v = map(int, right.split())
                     origins[key] = (u, v) if u < v else (v, u)
-            else:
-                raise ValueError("content outside any section")
         except ValueError as exc:
             raise EmbedError(f"line {lineno}: {exc}") from None
     if surface is None:

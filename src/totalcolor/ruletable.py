@@ -107,16 +107,11 @@ class MatchContext:
         self.face_size = [f.size for f in self.faces]
         new_darts = star.new_darts()
         self.face_new = [not new_darts.isdisjoint(f.boundary) for f in self.faces]
-        self.face_bigs = []
-        self.face_smalls = []
-        for f in self.faces:
-            bigs = sum(
-                1
-                for d in f.boundary
-                if a.classification[star.owner[d]].size_class == "big"
-            )
-            self.face_bigs.append(bigs)
-            self.face_smalls.append(f.size - bigs)
+        # big occurrences per face, counted in C over one set of big vertices
+        is_big = {v for v, c in a.classification.items() if c.size_class == "big"}.__contains__
+        owner_of = star.owner.__getitem__
+        self.face_bigs = [sum(map(is_big, map(owner_of, f.boundary))) for f in self.faces]
+        self.face_smalls = [f.size - b for f, b in zip(self.faces, self.face_bigs)]
         # corner i at v = face between rotation darts i-1 and i
         self.corner = {
             v: [dart_face[d] for d in star.rotation[v]] for v in star.rotation

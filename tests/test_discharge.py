@@ -2,6 +2,8 @@
 outflow accounting, structural claims, and the final report."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import totalcolor.discharge as discharge_module
 import totalcolor.ruletable as ruletable_module
-from totalcolor.augment import AugmentedGraph, augment_report, build_g_star
+from totalcolor.augment import AugmentedGraph, VertexClass, augment_report, build_g_star
 from totalcolor.configs import all_configs, assemble, get_config
 from totalcolor.discharge import (
     POOL,
@@ -834,3 +836,99 @@ def test_one_match_context_per_ledger(monkeypatch):
     ledger = discharge(a)
     check_claims(a, ledger)
     assert built == [a]
+
+
+# -- references for the per-element fast paths -------------------------------
+
+
+def _reference_element_key(e):
+    """The sort key final_report used to order its charges by."""
+    if isinstance(e, tuple):
+        return (1, e[1] if len(e) > 1 else -1)
+    return (0, e)
+
+
+def _reference_charge_order(ledger):
+    final = ledger.final()
+    ordered = sorted(final.items(), key=lambda ec: (ec[1] >= 0, _reference_element_key(ec[0])))
+    return [element_label(e) for e, _ in ordered]
+
+
+def _reference_classification(a):
+    """classify_vertices with one fresh VertexClass per vertex."""
+    table = {}
+    star = a.star
+    for v in star.vertices():
+        kind = star.vertex_kind[v]
+        d2 = star.degree(v)
+        d1 = a.g.degree(v) if kind == "true" else None
+        big = kind == "true" and ((d1 == 3 and d2 == 5) or d2 >= 6)
+        table[v] = VertexClass(
+            d1=d1,
+            d2=d2,
+            kind=kind,
+            size_class="big" if big else "small",
+            new_incident=any(star.is_new(d) for d in star.rotation[v]),
+        )
+    return table
+
+
+@pytest.fixture(scope="module")
+def corpus_and_catalog():
+    """The acceptance corpus, then every catalog configuration."""
+    instances = [build_g_star(e, true_graph_of(e)) for e in _acceptance_drawings()]
+    return instances + [cfg.build() for cfg in all_configs()]
+
+
+def bench_size_instances():
+    """One drawing of each benchmark workload, at the benchmark's size."""
+    drawings = [
+        gen_planar_triangulation(3000, seed=1)[1],
+        gen_crossed(gen_toroidal_grid(24, 24)[1], 70, seed=1),
+    ]
+    return [build_g_star(e, true_graph_of(e)) for e in drawings]
+
+
+def test_final_report_orders_charges_as_the_reference_sort(corpus_and_catalog):
+    instances = corpus_and_catalog + bench_size_instances()
+    for a in instances:
+        ledger = discharge(a)
+        assert list(final_report(ledger)["charges"]) == _reference_charge_order(ledger)
+    # the large drawings end with charges of both signs
+    signs = {c.numerator < 0 for c in discharge(instances[-2]).final().values()}
+    assert signs == {True, False}
+
+
+def test_r1_pool_matches_a_sequential_sum(corpus_and_catalog):
+    pools = []
+    for a in corpus_and_catalog + [r1_one_patron(), build_g_star(*wheel_plane(5))]:
+        ledger = make_ledger(a)
+        apply_r1(a, ledger)
+        pool = Fraction(0)
+        for t in ledger.transfers:
+            if t.target == POOL:
+                assert t.amount == Fraction(1, 2)
+                pool += t.amount
+            else:
+                assert t.source == POOL and t.amount == 1
+                pool -= t.amount
+        assert ledger.pool == pool
+        assert ledger.pool_flagged == (pool < 0)
+        pools.append(pool)
+    # r1_one_patron, the wheel and drawings of the corpus end in deficit
+    assert pools[-2:] == [Fraction(-1, 2), -4]
+    assert min(pools[:-2]) < 0
+
+
+def test_vertex_classes_are_shared_per_distinct_class(corpus_and_catalog):
+    for a in corpus_and_catalog:
+        reference = _reference_classification(a)
+        assert list(a.classification.items()) == list(reference.items())
+        shared = {}
+        for c in a.classification.values():
+            assert shared.setdefault(c, c) is c
+            assert c == VertexClass(**dataclasses.asdict(c))
+        # the report reads the classes alone, so sharing leaves it unchanged
+        fresh = copy.copy(a)
+        fresh.classification = reference
+        assert json.dumps(augment_report(a)) == json.dumps(augment_report(fresh))

@@ -17,7 +17,13 @@ from totalcolor.graphs import (
     find_k4s,
     parse_edge_list,
 )
-from totalcolor.gen import gen_high_degree_P
+from totalcolor.gen import (
+    gen_crossed,
+    gen_high_degree_P,
+    gen_planar_triangulation,
+    gen_toroidal_grid,
+    true_graph_of,
+)
 from totalcolor.reduce import enum_graph_masks, graph_from_mask
 
 from helpers import (
@@ -142,6 +148,33 @@ def test_k4_and_diamond_match_brute_force(seed):
     assert find_k4s(g) == brute_k4s(g)
     got = [(w.hub_pair, w.wing_pair) for w in find_induced_diamonds(g)]
     assert got == brute_diamonds(g)
+
+
+def _relabelled(g, seed):
+    """g with its vertex ids shuffled, so its degree order is no id order."""
+    ids = list(g.vertices)
+    random.Random(seed).shuffle(ids)
+    new_id = dict(zip(g.vertices, ids))
+    return build_graph([(new_id[u], new_id[v]) for u, v in g.edges()])
+
+
+def test_find_k4s_matches_brute_force_under_any_degree_order():
+    # the K4 listing ranks vertices by (degree, id): every family here but
+    # the complete graphs has a ranking that is not its id order
+    stacked = [
+        _relabelled(gen_planar_triangulation(30, seed=seed)[0], seed) for seed in range(3)
+    ]
+    _, base = gen_toroidal_grid(5, 5)
+    crossed = [true_graph_of(gen_crossed(base, 6, seed=seed)) for seed in range(3)]
+    dense = [
+        random_graph(n=8 + seed % 6, p=0.3 + 0.05 * (seed % 7), seed=seed)  # p up to 0.6
+        for seed in range(10)
+    ]
+    for g in stacked + crossed:
+        assert sorted(g.vertices, key=lambda v: (g.degree(v), v)) != list(g.vertices)
+        assert find_k4s(g)
+    for g in [complete_graph(n) for n in (5, 6, 7)] + stacked + crossed + dense:
+        assert find_k4s(g) == brute_k4s(g)
 
 
 def test_property_P_k5_holds():
