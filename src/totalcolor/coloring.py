@@ -125,7 +125,8 @@ def _paint(c: TotalColoring, els: list, colors: list) -> TotalColoring:
 
 def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
     """The colors on x's edges, plus x's own color if it has one."""
-    seen = {c.edge_color.get(edge_key(x, w)) for w in g.neighbors(x)}
+    ec = c.edge_color
+    seen = {ec.get((x, w) if x <= w else (w, x)) for w in g.neighbors(x)}
     seen.add(c.vertex_color.get(x))
     seen.discard(None)
     return seen
@@ -220,24 +221,43 @@ def _search(nbrs: list, order, palette):
     conflict_lists), each as a fresh flat color list.  Elements are
     assigned in `order`; the one at rank r tries the colors
     palette(assigned, r) in turn, with assigned[:r] the colors already
-    given, by rank."""
-    rank = [0] * len(order)
+    given, by rank.
+
+    Palette contract, which reproducible enumeration rests on: palette is
+    called exactly once per search node entered, when it is entered, in
+    depth-first order (a node's subtrees in the order of its palette), and
+    never at a leaf; its result is iterated lazily.  The search is one
+    loop over a stack of palette iterators, one per rank, so yielding a
+    coloring climbs no generator frames."""
+    size = len(order)
+    rank = [0] * size
     for r, i in enumerate(order):
         rank[i] = r
     earlier = [[rank[j] for j in nbrs[i] if rank[j] < r] for r, i in enumerate(order)]
-    assigned = [0] * len(order)
-
-    def fill(r: int):
-        if r == len(order):
+    assigned = [0] * size
+    tries = [None] * size  # the palette iterator of each rank on the path
+    taken = [None] * size  # the colors its earlier neighbors hold
+    r = -1  # the deepest rank with a color
+    while True:
+        if r + 1 == size:
             yield [assigned[x] for x in rank]
+        else:
+            r += 1
+            taken[r] = {assigned[j] for j in earlier[r]}
+            tries[r] = iter(palette(assigned, r))
+        # the next color at the deepest rank that has one left
+        while r >= 0:
+            held = taken[r]
+            for c in tries[r]:
+                if c not in held:
+                    assigned[r] = c
+                    break
+            else:
+                r -= 1
+                continue
+            break
+        else:
             return
-        taken = {assigned[j] for j in earlier[r]}
-        for c in palette(assigned, r):
-            if c not in taken:
-                assigned[r] = c
-                yield from fill(r + 1)
-
-    return fill(0)
 
 
 def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
@@ -299,10 +319,12 @@ def _free_color(kappa: int, *used) -> int | None:
 
 def _recolor_vertex(g: SimpleGraph, c: TotalColoring, v, kappa: int) -> None:
     used = set()
+    ec, vc = c.edge_color, c.vertex_color
     for w in g.neighbors(v):
-        color = c.edge_color.get(edge_key(v, w))
+        color = ec.get((v, w) if v <= w else (w, v))
         if color is not None:
-            used |= {color, c.vertex_color[w]}
+            used.add(color)
+            used.add(vc[w])
     color = _free_color(kappa, used)
     if color is None:
         raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 from .coloring import (
     P3Certificate,
@@ -187,13 +187,19 @@ def _pair_bit(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple:
+    """(i, j, 1 << _pair_bit(i, j)) for every pair i < j of 0..n-1, in bit
+    order."""
+    return tuple((i, j, 1 << _pair_bit(i, j)) for j in range(n) for i in range(j))
+
+
 def _adjacency(n: int, mask: int) -> list:
     adj = [0] * n
-    for j in range(n):
-        for i in range(j):
-            if mask >> _pair_bit(i, j) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for i, j, bit in _pair_table(n):
+        if mask & bit:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return adj
 
 
@@ -201,12 +207,10 @@ def _refined_classes(n: int, adj: list) -> list:
     """Partition vertices by iterated degree refinement; the class order is
     an isomorphism invariant, so canonical labelings only permute within
     classes."""
-    colors = [bin(a).count("1") for a in adj]
+    nbrs = [[w for w in range(n) if a >> w & 1] for a in adj]
+    colors = [len(row) for row in nbrs]
     while True:
-        sigs = []
-        for v in range(n):
-            around = sorted(colors[w] for w in range(n) if adj[v] >> w & 1)
-            sigs.append((colors[v], tuple(around)))
+        sigs = [(colors[v], tuple(sorted([colors[w] for w in row]))) for v, row in enumerate(nbrs)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colors:
@@ -224,24 +228,17 @@ def canonical_mask(n: int, mask: int) -> int:
     an isomorphism invariant, two graphs are isomorphic iff their canonical
     masks agree."""
     adj = _adjacency(n, mask)
-    groups = _refined_classes(n, adj)
+    pairs = _pair_table(n)
     best = None
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-
-    def walk(gi: int, placed: tuple) -> None:
-        nonlocal best
-        if gi == len(groups):
-            m = 0
-            for i, j in pairs:
-                if adj[placed[i]] >> placed[j] & 1:
-                    m |= 1 << _pair_bit(i, j)
-            if best is None or m < best:
-                best = m
-            return
-        for perm in permutations(groups[gi]):
-            walk(gi + 1, placed + perm)
-
-    walk(0, ())
+    for parts in product(*map(permutations, _refined_classes(n, adj))):
+        placed = [v for part in parts for v in part]  # new label -> old vertex
+        rows = [adj[v] for v in placed]
+        m = 0
+        for i, j, bit in pairs:
+            if rows[i] >> placed[j] & 1:
+                m |= bit
+        if best is None or m < best:
+            best = m
     return best
 
 
@@ -263,7 +260,7 @@ def enum_graph_masks(n: int) -> tuple:
 
 
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
-    edges = [(i, j) for j in range(n) for i in range(j) if mask >> _pair_bit(i, j) & 1]
+    edges = [(i, j) for i, j, bit in _pair_table(n) if mask & bit]
     return build_graph(edges, vertices=range(n))
 
 
@@ -303,24 +300,45 @@ class ExtensionReport:
         )
 
 
-def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng) -> tuple:
+def _shuffled_palette(kappa: int, rng: random.Random):
+    """A palette for coloring._search: each call returns a fresh list of
+    1..kappa in the order rng.shuffle would leave it, making the same
+    draws.  It makes them itself, as CPython's Random.shuffle and
+    _randbelow do (3.10 to 3.13): position i, from kappa-1 down to 1,
+    swaps with j = getrandbits((i+1).bit_length()), redrawn while j > i."""
+    draws = [(i, (i + 1).bit_length()) for i in range(kappa - 1, 0, -1)]
+    base = list(range(1, kappa + 1))
+    getrandbits = rng.getrandbits
+
+    def shuffled(assigned, r):
+        colors = base[:]
+        for i, k in draws:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            colors[i], colors[j] = colors[j], colors[i]
+        return colors
+
+    return shuffled
+
+
+def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng: random.Random) -> tuple:
     """Up to cap distinct proper colorings, found by backtracking with a
     shuffled color order at each node (so a truncated run is not just a
     lexicographic prefix).  Second result: True when more colorings exist
     beyond the cap.  The search runs on to a (cap+1)-th coloring only to
     detect that truncation; that coloring is never built.  Each one that
     is built costs two dict(zip(...)) calls, over the vertex ids and the
-    edge keys read from the elements once."""
+    edge keys read from the elements once.
+
+    rng must be a random.Random, not a subclass that changes its draws:
+    each node's color order takes the draws rng.shuffle would take on
+    1..kappa, made directly (`_shuffled_palette`), so a seed gives the
+    colorings that shuffling would and leaves rng in the same state."""
     els, nbrs = conflict_lists(g)
     n = len(g.vertices)
     edges = [el[1:] for el in els[n:]]
-
-    def shuffled(assigned, r):
-        colors = list(range(1, kappa + 1))
-        rng.shuffle(colors)
-        return colors
-
-    search = _search(nbrs, range(len(els)), shuffled)
+    search = _search(nbrs, range(len(els)), _shuffled_palette(kappa, rng))
     found = [
         TotalColoring(kappa, dict(zip(g.vertices, colors)), dict(zip(edges, colors[n:])))
         for colors in islice(search, cap)
@@ -337,13 +355,23 @@ def brute_validate_extensions(
     reduced graph.  Any exception, failed verification, or cascade
     certificate is recorded as a failure.
 
+    n_max must lie in 2..7 and coloring_cap be at least 1; anything else
+    raises ReduceError rather than return a report that checked nothing.
+
     Cost per check: two properness passes (`coloring._is_proper`), one on
     the reduced coloring in the extension's gate and one on its output;
     `verify` lists conflicts only for an extension that fails.  Per
-    instance, g - uv is built once, and its colorings are enumerated up
-    to one past the cap, the extra one only to detect truncation."""
+    instance, g - uv is built once, and up to cap + 1 of its colorings are
+    enumerated by one iterative `coloring._search`, the extra one only to
+    detect truncation, each search node drawing its color order directly
+    from the instance's seeded random.Random.  The graphs come from
+    `enum_graphs`, whose canonical masks are cached per process."""
     if n_max > 7:
         raise ReduceError("extension validation is capped at 7 vertices")
+    if n_max < 2:
+        raise ReduceError(f"extension validation needs n_max >= 2, got {n_max}")
+    if coloring_cap < 1:
+        raise ReduceError(f"extension validation needs coloring_cap >= 1, got {coloring_cap}")
     report = ExtensionReport()
     instance_no = 0
     for n in range(2, n_max + 1):

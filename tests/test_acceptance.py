@@ -162,7 +162,9 @@ def test_criterion_05_extension_soundness():
     assert elapsed < 600.0
     print(
         f"\ncriterion 5: PASS - {r5.checks} exhaustive checks (n<=5) and "
-        f"{r6.checks} sampled checks (n<=6), 0 failures, {elapsed:.0f}s (< 600s)"
+        f"{r6.checks} sampled checks (n<=6), 0 failures, {elapsed:.0f}s (< 600s); "
+        f"colorings cut at the cap in {r5.truncated} of {r5.instances} instances "
+        f"(n<=5, cap 1000) and {r6.truncated} of {r6.instances} (n<=6, cap 80)"
     )
 
 

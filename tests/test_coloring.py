@@ -412,6 +412,109 @@ def test_extension_gate_matches_the_reference_gate(g, data):
 
 
 # ---------------------------------------------------------------------------
+# the backtracking search
+
+
+def reference_search(nbrs, order, palette):
+    """_search as it was written first: a recursive generator, one frame
+    per rank.  The iterative search must reproduce it call for call."""
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    earlier = [[rank[j] for j in nbrs[i] if rank[j] < r] for r, i in enumerate(order)]
+    assigned = [0] * len(order)
+
+    def fill(r):
+        if r == len(order):
+            yield [assigned[x] for x in rank]
+            return
+        taken = {assigned[j] for j in earlier[r]}
+        for c in palette(assigned, r):
+            if c not in taken:
+                assigned[r] = c
+                yield from fill(r + 1)
+
+    return fill(0)
+
+
+class _Cut(Exception):
+    """Raised by a palette that has used up its calls."""
+
+
+def _run_search(search, nbrs, order, palette, calls=400, found=40):
+    """The colorings search yields and its palette calls, as (r,
+    assigned[:r]) at the moment of the call.  The run stops at the
+    found-th coloring or when a palette call would exceed `calls`, so
+    both searches stop at the same point."""
+    log, out = [], []
+
+    def logged(assigned, r):
+        if len(log) == calls:
+            raise _Cut
+        log.append((r, tuple(assigned[:r])))
+        return palette(assigned, r)
+
+    try:
+        for colors in search(nbrs, order, logged):
+            out.append(colors)
+            if len(out) == found:
+                break
+    except _Cut:
+        pass
+    return out, log
+
+
+def _first_use(kappa):
+    return lambda assigned, r: range(1, min(kappa, max(assigned[:r], default=0) + 1) + 1)
+
+
+def _shuffling(kappa, seed):
+    rng = random.Random(seed)
+
+    def palette(assigned, r):
+        colors = list(range(1, kappa + 1))
+        rng.shuffle(colors)
+        return colors
+
+    return palette
+
+
+@pytest.mark.parametrize("kind", ["first-use", "shuffled"])
+def test_search_matches_the_recursive_reference(kind):
+    # every connected graph on <= 6 vertices, and no elements at all; the
+    # first-use palette in exact_chi_tt's order, the shuffled one in
+    # element order as the extension harness runs it, each at Delta + 1
+    # (where most searches exhaust) and Delta + 2
+    graphs = [g for n in range(1, 7) for g in enum_graphs(n, connected=True)]
+    assert len(graphs) == 143
+    cases = [([], range(0), 3)]
+    for g in graphs:
+        nbrs = conflict_lists(g)[1]
+        if kind == "first-use":
+            order = sorted(range(len(nbrs)), key=lambda i: (-len(nbrs[i]), i))
+        else:
+            order = range(len(nbrs))
+        cases += [(nbrs, order, g.max_degree() + extra) for extra in (1, 2)]
+    found = exhausted = 0
+    for seed, (nbrs, order, kappa) in enumerate(cases):
+        runs = [
+            _run_search(
+                search,
+                nbrs,
+                order,
+                _first_use(kappa) if kind == "first-use" else _shuffling(kappa, seed),
+            )
+            for search in (reference_search, coloring._search)
+        ]
+        assert runs[0] == runs[1]
+        found += len(runs[0][0])
+        exhausted += len(runs[0][0]) < 40 and len(runs[0][1]) < 400
+    assert found > 0 and exhausted > 0  # some searches ran to their end
+    empty = _run_search(coloring._search, [], range(0), _first_use(3))
+    assert empty == ([[]], [])
+
+
+# ---------------------------------------------------------------------------
 # greedy
 
 

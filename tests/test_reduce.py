@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -260,6 +260,61 @@ def test_exhaustive_isomorphism_classes_small():
     assert seen == set(enum_graph_masks(4))
 
 
+def reference_canonical_mask(n, mask):
+    """canonical_mask as it was written first, with its adjacency and
+    refinement: a recursive walk over the permutations of each refined
+    class, the pair bits computed at every leaf."""
+    adj = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if mask >> _pair_bit(i, j) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    colors = [bin(a).count("1") for a in adj]
+    while True:
+        sigs = []
+        for v in range(n):
+            around = sorted(colors[w] for w in range(n) if adj[v] >> w & 1)
+            sigs.append((colors[v], tuple(around)))
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    classes = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    groups = [classes[c] for c in sorted(classes)]
+    best = None
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+
+    def walk(gi, placed):
+        nonlocal best
+        if gi == len(groups):
+            m = 0
+            for i, j in pairs:
+                if adj[placed[i]] >> placed[j] & 1:
+                    m |= 1 << _pair_bit(i, j)
+            if best is None or m < best:
+                best = m
+            return
+        for perm in permutations(groups[gi]):
+            walk(gi + 1, placed + perm)
+
+    walk(0, ())
+    return best
+
+
+def test_canonical_mask_matches_the_reference_walk():
+    # every mask at n = 5, and a seeded sample of 2,000 at n = 6 and n = 7
+    assert all(canonical_mask(5, m) == reference_canonical_mask(5, m) for m in range(1 << 10))
+    rng = random.Random(20261019)
+    for n in (6, 7):
+        for _ in range(2000):
+            mask = rng.getrandbits(n * (n - 1) // 2)
+            assert canonical_mask(n, mask) == reference_canonical_mask(n, mask), (n, mask)
+
+
 # ---------------------------------------------------------------------------
 # extension harness
 
@@ -374,6 +429,38 @@ def test_harness_json_shape():
 def test_harness_rejects_large_bound():
     with pytest.raises(ReduceError, match="capped at 7"):
         brute_validate_extensions(8)
+
+
+@pytest.mark.parametrize("n_max", [1, 0, -3])
+def test_harness_rejects_small_bound(n_max):
+    # these once returned an all-zero report, which reads like a pass
+    with pytest.raises(ReduceError, match=f"needs n_max >= 2, got {n_max}$"):
+        brute_validate_extensions(n_max)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_harness_rejects_a_cap_below_one(cap):
+    # cap 0 once checked nothing and reported no failure; cap -1 raised
+    # a bare ValueError from inside the enumeration
+    with pytest.raises(ReduceError, match=f"needs coloring_cap >= 1, got {cap}$"):
+        brute_validate_extensions(3, coloring_cap=cap)
+
+
+def test_shuffled_palette_makes_the_draws_of_rng_shuffle():
+    # the same order as rng.shuffle on 1..kappa, call after call, and the
+    # generator left in the same state
+    for kappa in range(1, 17):
+        for seed in range(200):
+            direct, shuffling = random.Random(seed), random.Random(seed)
+            palette = reduce._shuffled_palette(kappa, direct)
+            for _ in range(3):
+                colors = list(range(1, kappa + 1))
+                shuffling.shuffle(colors)
+                assert palette([], 0) == colors, (kappa, seed)
+            assert direct.getstate() == shuffling.getstate()
+    # the search iterates a node's list while deeper nodes draw theirs
+    palette = reduce._shuffled_palette(4, random.Random(1))
+    assert palette([], 0) is not palette([], 0)
 
 
 # ---------------------------------------------------------------------------
