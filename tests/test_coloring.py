@@ -549,6 +549,26 @@ def test_greedy_respects_conflict_degree_bound():
         assert verify(g, c) == []
 
 
+def reference_first_fit(g):
+    """The reference for greedy_total: its own first-fit loop in element
+    order, as it ran before it read the first coloring of _search."""
+    els, nbrs = conflict_lists(g)
+    colors = [0] * len(els)
+    for i, near in enumerate(nbrs):
+        used = {colors[j] for j in near}
+        color = 1
+        while color in used:
+            color += 1
+        colors[i] = color
+    return coloring._paint(TotalColoring(max(colors, default=0)), els, colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_on_range())
+def test_greedy_matches_the_reference_first_fit(g):
+    assert greedy_total(g) == reference_first_fit(g)
+
+
 # ---------------------------------------------------------------------------
 # conflict lists and the color census around a vertex
 
