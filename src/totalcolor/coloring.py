@@ -186,29 +186,25 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
         known = set(edges)
         extra += [("e",) + e for e in ec if e not in known]
         raise ColoringError(f"coloring names elements the graph lacks: {extra[:8]}")
+    # the listing reads the conflict lists: an edge's opens with its two
+    # ends, and a vertex's holds its neighbors, then as many edges
+    els, nbrs = conflict_lists(g)
+    n = len(g.vertices)
+    colors = [vc[v] for v in g.vertices] + [ec[el[1:]] for el in els[n:]]
     bad = []
-    for el in total_elements(g):
-        color = c.color_of(el)
+    for el, color in zip(els, colors):
         if color is None:
             raise ColoringError(f"coloring gives {el} the color None")
         if not 1 <= color <= c.kappa:
             bad.append(("range", el, color))
-    for u, v in edges:
-        if vc[u] == vc[v]:
-            bad.append(("vv", u, v))
-    for u, v in edges:
-        cuv = ec[(u, v)]
-        if cuv == vc[u]:
-            bad.append(("ve", u, (u, v)))
-        if cuv == vc[v]:
-            bad.append(("ve", v, (u, v)))
-    for v in g.vertices:
-        nbrs = g.neighbors(v)
-        row = [ec[edge_key(v, a)] for a in nbrs]
-        for i, a in enumerate(nbrs):
-            for j in range(i + 1, len(nbrs)):
-                if row[i] == row[j]:
-                    bad.append(("ee", edge_key(v, a), edge_key(v, nbrs[j])))
+    ends = [(i, *nbrs[i][:2]) for i in range(n, len(els))]
+    bad += [("vv", *els[i][1:]) for i, a, b in ends if colors[a] == colors[b]]
+    for i, *pair in ends:
+        bad += [("ve", els[a][1], els[i][1:]) for a in pair if colors[i] == colors[a]]
+    for near in nbrs[:n]:
+        at = near[len(near) // 2 :]
+        for x, i in enumerate(at):
+            bad += [("ee", els[i][1:], els[j][1:]) for j in at[x + 1 :] if colors[i] == colors[j]]
     return bad
 
 
@@ -264,6 +260,8 @@ def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
     """The total chromatic number with a witness, by backtracking.  Refuses
     instances with more than `budget` elements; use solve_tcc or
     greedy_total for those."""
+    if budget < 0:
+        raise ColoringError(f"the exact budget must be >= 0, got {budget}")
     size = len(g.vertices) + g.num_edges()
     if size > budget:
         raise ColoringError(
@@ -292,16 +290,12 @@ def exact_chi_tt(g: SimpleGraph, budget: int = 32) -> tuple:
 
 
 def greedy_total(g: SimpleGraph) -> TotalColoring:
-    """First-fit in element order (vertices, then edges).  Always proper;
-    the palette is whatever first-fit needs."""
+    """First-fit in element order (vertices, then edges), always proper:
+    the first coloring `_search` finds in that order when each element
+    tries 1..(its conflicts + 1), which its earlier neighbors never use up,
+    so the search never backtracks.  The palette is what first-fit needs."""
     els, nbrs = conflict_lists(g)
-    colors = [0] * len(els)
-    for i, near in enumerate(nbrs):
-        used = {colors[j] for j in near}
-        color = 1
-        while color in used:
-            color += 1
-        colors[i] = color
+    colors = next(_search(nbrs, range(len(els)), lambda assigned, r: range(1, len(nbrs[r]) + 2)))
     return _paint(TotalColoring(max(colors, default=0)), els, colors)
 
 

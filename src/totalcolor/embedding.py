@@ -82,6 +82,8 @@ class EmbeddedGraph:
         for v, rot in self.rotation.items():
             for d in rot:
                 if d in self.owner:
+                    if self.owner[d] == v:
+                        raise EmbedError(f"dart {d} appears twice in the rotation of vertex {v}")
                     raise EmbedError(f"dart {d} appears in two rotations")
                 self.owner[d] = v
         self._faces = None

@@ -300,45 +300,25 @@ class ExtensionReport:
         )
 
 
-def _shuffled_palette(kappa: int, rng: random.Random):
-    """A palette for coloring._search: each call returns a fresh list of
-    1..kappa in the order rng.shuffle would leave it, making the same
-    draws.  It makes them itself, as CPython's Random.shuffle and
-    _randbelow do (3.10 to 3.13): position i, from kappa-1 down to 1,
-    swaps with j = getrandbits((i+1).bit_length()), redrawn while j > i."""
-    draws = [(i, (i + 1).bit_length()) for i in range(kappa - 1, 0, -1)]
-    base = list(range(1, kappa + 1))
-    getrandbits = rng.getrandbits
-
-    def shuffled(assigned, r):
-        colors = base[:]
-        for i, k in draws:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            colors[i], colors[j] = colors[j], colors[i]
-        return colors
-
-    return shuffled
-
-
 def _proper_colorings(g: SimpleGraph, kappa: int, cap: int, rng: random.Random) -> tuple:
     """Up to cap distinct proper colorings, found by backtracking with a
-    shuffled color order at each node (so a truncated run is not just a
-    lexicographic prefix).  Second result: True when more colorings exist
-    beyond the cap.  The search runs on to a (cap+1)-th coloring only to
-    detect that truncation; that coloring is never built.  Each one that
-    is built costs two dict(zip(...)) calls, over the vertex ids and the
-    edge keys read from the elements once.
-
-    rng must be a random.Random, not a subclass that changes its draws:
-    each node's color order takes the draws rng.shuffle would take on
-    1..kappa, made directly (`_shuffled_palette`), so a seed gives the
-    colorings that shuffling would and leaves rng in the same state."""
+    random color order at each node (so a truncated run is not just a
+    lexicographic prefix): each node sorts 1..kappa by kappa fresh
+    rng.random() draws, the one draw Python keeps reproducible for a seed.
+    Second result: True when more colorings exist beyond the cap.  The
+    search runs on to a (cap+1)-th coloring only to detect that
+    truncation; that coloring is never built.  Each one that is built
+    costs two dict(zip(...)) calls, over the vertex ids and the edge keys
+    read from the elements once."""
     els, nbrs = conflict_lists(g)
     n = len(g.vertices)
     edges = [el[1:] for el in els[n:]]
-    search = _search(nbrs, range(len(els)), _shuffled_palette(kappa, rng))
+    palette, draw = range(1, kappa + 1), rng.random
+
+    def shuffled(assigned, r):
+        return sorted(palette, key=lambda _: draw())
+
+    search = _search(nbrs, range(len(els)), shuffled)
     found = [
         TotalColoring(kappa, dict(zip(g.vertices, colors)), dict(zip(edges, colors[n:])))
         for colors in islice(search, cap)
@@ -355,17 +335,22 @@ def brute_validate_extensions(
     reduced graph.  Any exception, failed verification, or cascade
     certificate is recorded as a failure.
 
-    n_max must lie in 2..7 and coloring_cap be at least 1; anything else
-    raises ReduceError rather than return a report that checked nothing.
+    n_max, coloring_cap and seed must be ints (not bools), n_max in 2..7
+    and coloring_cap at least 1; anything else raises ReduceError rather
+    than return a report that checked nothing.
 
     Cost per check: two properness passes (`coloring._is_proper`), one on
     the reduced coloring in the extension's gate and one on its output;
     `verify` lists conflicts only for an extension that fails.  Per
     instance, g - uv is built once, and up to cap + 1 of its colorings are
     enumerated by one iterative `coloring._search`, the extra one only to
-    detect truncation, each search node drawing its color order directly
-    from the instance's seeded random.Random.  The graphs come from
+    detect truncation, each search node sorting 1..kappa by kappa
+    random() draws from the instance's random.Random, seeded with seed +
+    1_000_003 * its instance number.  The graphs come from
     `enum_graphs`, whose canonical masks are cached per process."""
+    for name, value in (("n_max", n_max), ("coloring_cap", coloring_cap), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ReduceError(f"extension validation needs an int {name}, got {value!r}")
     if n_max > 7:
         raise ReduceError("extension validation is capped at 7 vertices")
     if n_max < 2:
@@ -373,7 +358,6 @@ def brute_validate_extensions(
     if coloring_cap < 1:
         raise ReduceError(f"extension validation needs coloring_cap >= 1, got {coloring_cap}")
     report = ExtensionReport()
-    instance_no = 0
     for n in range(2, n_max + 1):
         for g in enum_graphs(n, connected=True):
             for kappa in (g.max_degree() + 2, g.max_degree() + 3):
@@ -383,9 +367,8 @@ def brute_validate_extensions(
                     p3_apexes = g.common_neighbors(u, v) if kind == "P3" else ()
                     if not p1_ok and not p3_apexes:
                         continue
-                    instance_no += 1
                     report.instances += 1
-                    rng = random.Random(seed + 1_000_003 * instance_no)
+                    rng = random.Random(seed + 1_000_003 * report.instances)
                     reduced = delete_edge(g, (u, v))
                     colorings, truncated = _proper_colorings(
                         reduced, kappa, coloring_cap, rng

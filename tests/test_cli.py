@@ -291,6 +291,15 @@ def test_color_negative_budget_is_input_error(capsys, k4_file):
     assert run(capsys, ["color", k4_file, "--budget", "0"])[0] == 0
 
 
+def test_exact_negative_budget_is_input_error(capsys, tmp_path):
+    # on an empty graph it once blamed "0 elements" for exceeding the budget
+    empty = tmp_path / "empty.el"
+    empty.write_text("")
+    code, out, err = run(capsys, ["exact", str(empty), "--budget", "-1"])
+    assert (code, out, err) == (2, "", "error: the exact budget must be >= 0, got -1\n")
+    assert run(capsys, ["exact", str(empty), "--budget", "0"])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # exit-status contract
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -121,6 +121,14 @@ def test_exact_budget_rejection():
     # a raised budget lets the same instance through
     chi, _ = exact_chi_tt(complete_graph(4), budget=32)
     assert chi == 5
+
+
+def test_exact_rejects_a_negative_budget_before_counting():
+    # an empty graph once got "0 elements exceed the exact budget -1"
+    for g in (build_graph([]), complete_graph(4)):
+        with pytest.raises(ColoringError, match="^the exact budget must be >= 0, got -1$"):
+            exact_chi_tt(g, budget=-1)
+    assert exact_chi_tt(build_graph([]), budget=0)[0] == 0
 
 
 def test_exact_witness_is_deterministic():
@@ -1165,8 +1173,20 @@ def test_golden_proper_colorings():
     )
     assert (len(found), truncated) == (50, True)
     assert _sha("".join(c.as_text() for c in found)) == (
-        "9009cc4055f62b84958aede4375ae0f66e9eba77ac93325e7fb376e7c70f90e6"
+        "ea52faf94e96e7cf31f5634649c3547feb6f1287cce558d94638d2f74f451a93"
     )
+
+
+def test_sampled_colorings_are_no_lexicographic_prefix():
+    # the colorings the golden pin samples are not the first 50 that a
+    # search trying the colors ascending finds
+    reduced = delete_edge(P3_GADGET, (0, 1))
+    found, _ = _proper_colorings(reduced, 7, 50, random.Random(3))
+    els, nbrs = conflict_lists(reduced)
+    ascending = coloring._search(nbrs, range(len(els)), lambda assigned, r: range(1, 8))
+    prefix = [coloring._paint(TotalColoring(7), els, colors) for colors in islice(ascending, 50)]
+    assert len(prefix) == 50
+    assert {c.as_text() for c in found}.isdisjoint(c.as_text() for c in prefix)
 
 
 def _small_connected():

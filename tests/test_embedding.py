@@ -217,6 +217,14 @@ def test_twin_not_involution_rejected():
                       {0: "true", 1: "true", 2: "true"}, "plane")
 
 
+def test_a_dart_repeated_in_one_rotation_names_its_vertex():
+    # it was once reported as "dart 0 appears in two rotations"
+    with pytest.raises(EmbedError, match="^dart 0 appears twice in the rotation of vertex 0$"):
+        EmbeddedGraph({0: (0, 0)}, {}, {0: "true"}, "plane")
+    with pytest.raises(EmbedError, match="^dart 1 appears in two rotations$"):
+        EmbeddedGraph({0: (1,), 1: (1,)}, {}, {0: "true", 1: "true"}, "plane")
+
+
 def test_loop_segment_rejected():
     with pytest.raises(EmbedError, match="loop"):
         EmbeddedGraph({0: (1, 2)}, {1: 2, 2: 1}, {0: "true"}, "plane")

@@ -157,6 +157,27 @@ def test_calls_are_found():
     assert calls_to(source, "SimpleGraph") == [1, 2]
 
 
+# traced attributes of library modules that no library, bench or demo
+# module calls, each kept only because the benchmark's tracer binds it;
+# ROADMAP item 5(c) deletes each once the benchmark stops tracing it
+KEPT_BY_THE_TRACER = {
+    ("coloring", "add_edge"): "coloring imports graphs.add_edge only for the tracer to bind",
+    ("reduce", "find_reducible_edge"): "coloring._peel took over its P1 scan in solve_tcc",
+    ("reduce", "find_p3_edge"): "coloring._peel took over its P3 scan in solve_tcc",
+}
+
+
+def test_only_the_tracer_keeps_these_attributes():
+    library = {path.stem for path in (ROOT / "src/totalcolor").glob("*.py")}
+    sources = [path.read_text() for sub in NAMING_DIRS for path in (ROOT / sub).glob("*.py")]
+    uncalled = {
+        (owner, attr)
+        for owner, attr in TRACED
+        if owner in library and not any(calls_to(source, attr) for source in sources)
+    }
+    assert uncalled == set(KEPT_BY_THE_TRACER)
+
+
 def test_only_graphs_py_constructs_a_simple_graph():
     # SimpleGraph stores its dict as given, so its sorted rows hold only
     # while build_graph and the edits in graphs.py make every graph

@@ -446,21 +446,40 @@ def test_harness_rejects_a_cap_below_one(cap):
         brute_validate_extensions(3, coloring_cap=cap)
 
 
-def test_shuffled_palette_makes_the_draws_of_rng_shuffle():
-    # the same order as rng.shuffle on 1..kappa, call after call, and the
-    # generator left in the same state
-    for kappa in range(1, 17):
-        for seed in range(200):
-            direct, shuffling = random.Random(seed), random.Random(seed)
-            palette = reduce._shuffled_palette(kappa, direct)
-            for _ in range(3):
-                colors = list(range(1, kappa + 1))
-                shuffling.shuffle(colors)
-                assert palette([], 0) == colors, (kappa, seed)
-            assert direct.getstate() == shuffling.getstate()
-    # the search iterates a node's list while deeper nodes draw theirs
-    palette = reduce._shuffled_palette(4, random.Random(1))
-    assert palette([], 0) is not palette([], 0)
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_max", 3.5),
+        ("n_max", True),
+        ("coloring_cap", 2.5),
+        ("coloring_cap", True),
+        ("seed", None),
+        ("seed", "7"),
+        ("seed", False),
+    ],
+)
+def test_harness_rejects_an_argument_that_is_no_int(name, value):
+    # these once raised bare errors from range, islice or +, or, for
+    # coloring_cap=True, ran as a cap of 1
+    with pytest.raises(ReduceError, match=f"needs an int {name}, got {value!r}$"):
+        brute_validate_extensions(**({"n_max": 3} | {name: value}))
+
+
+def test_proper_colorings_order_each_node_by_random_draws():
+    # a one-vertex graph at kappa 4 has four colorings, found in the color
+    # order of the search's one node: over 2,400 seeds each of the 24
+    # orders turns up about 100 times
+    one = build_graph([], vertices=[0])
+    orders = Counter()
+    for seed in range(2400):
+        found, truncated = reduce._proper_colorings(one, 4, 4, random.Random(seed))
+        assert not truncated
+        orders[tuple(c.vertex_color[0] for c in found)] += 1
+    assert set(orders) == set(permutations(range(1, 5)))
+    assert all(70 <= k <= 130 for k in orders.values()), orders
+    # one seed gives the same colorings twice
+    first, again = (reduce._proper_colorings(wheel(4), 7, 30, random.Random(9)) for _ in "ab")
+    assert first == again and len(first[0]) == 30
 
 
 # ---------------------------------------------------------------------------
