@@ -190,7 +190,7 @@ def verify(g: SimpleGraph, c: TotalColoring) -> list:
     # ends, and a vertex's holds its neighbors, then as many edges
     els, nbrs = conflict_lists(g)
     n = len(g.vertices)
-    colors = [vc[v] for v in g.vertices] + [ec[el[1:]] for el in els[n:]]
+    colors = [vc[v] for v in g.vertices] + [ec[e] for e in edges]
     bad = []
     for el, color in zip(els, colors):
         if color is None:

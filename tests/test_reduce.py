@@ -478,8 +478,9 @@ def test_proper_colorings_order_each_node_by_random_draws():
     assert set(orders) == set(permutations(range(1, 5)))
     assert all(70 <= k <= 130 for k in orders.values()), orders
     # one seed gives the same colorings twice
-    first, again = (reduce._proper_colorings(wheel(4), 7, 30, random.Random(9)) for _ in "ab")
-    assert first == again and len(first[0]) == 30
+    first = reduce._proper_colorings(wheel(4), 7, 30, random.Random(9))
+    assert reduce._proper_colorings(wheel(4), 7, 30, random.Random(9)) == first
+    assert len(first[0]) == 30 and first[1]
 
 
 # ---------------------------------------------------------------------------
