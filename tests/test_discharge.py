@@ -447,11 +447,99 @@ MIXED_TABLE = {
 }
 
 
+# every pattern field the rule table's memo keys stand for: each face-token
+# field (min_share on triangles separates faces with and without small
+# occurrences; old-corner reads new_edge where the big counts agree),
+# opposite_end_small, num_crossing_neighbors, via_new_edge both ways, and
+# numeric and named thresholds; receivers are disjoint by class or by
+# sender, so no dart is claimed twice
+KEYED_TABLE = {
+    "rules": [
+        {
+            "id": "all-big-corner",
+            "sender": {"kind": "true", "min_degree": 8},
+            "receiver": {
+                "kind": "true", "d2": 6,
+                "faces": [{"size": 3, "min_share": "1/6"}, "3+", "3+", "3+", "3+", "3+"],
+            },
+            "amount": "1/6",
+        },
+        {
+            "id": "big-pair-corner",
+            "sender": {"kind": "true", "min_degree": 5},
+            "receiver": {
+                "kind": "true", "d2": 4,
+                "faces": [{"size": 3, "min_bigs": 2}, {"size": 3, "max_bigs": 1}, 3, 3],
+            },
+            "amount": "1/3",
+        },
+        {
+            "id": "new-spoke",
+            "sender": {"kind": "true", "min_degree": "delta-2", "via_new_edge": True},
+            "receiver": {
+                "kind": "true", "d1": 4, "d2": 5,
+                "faces": [
+                    {"new_edge": True}, 3, 3, 3,
+                    {"size": 3, "new_edge": True, "max_bigs": 2},
+                ],
+            },
+            "amount": "1/2",
+        },
+        {
+            "id": "old-spoke",
+            "sender": {"kind": "true", "min_degree": "delta-2", "via_new_edge": False},
+            "receiver": {
+                "kind": "true", "d1": 5, "d2": 5,
+                "faces": [
+                    {"new_edge": True}, {"size": 3, "new_edge": False},
+                    {"new_edge": False}, "3+", "3+",
+                ],
+            },
+            "amount": "1/6",
+        },
+        {
+            "id": "old-corner",
+            "sender": {"kind": "true", "min_degree": 4},
+            "receiver": {
+                "kind": "true", "d1": 5, "d2": 7,
+                "faces": [{"size": 3, "new_edge": False}, "3+", "3+", "3+", "3+", "3+", "3+"],
+            },
+            "amount": "1/3",
+        },
+        {
+            "id": "big-opposite",
+            "sender": {"kind": "true", "min_degree": "delta-1"},
+            "receiver": {"kind": "crossing", "opposite_end_small": False},
+            "amount": "1/2",
+        },
+        {
+            "id": "two-crossings",
+            "sender": {"kind": "true", "via_new_edge": False},
+            "receiver": {"kind": "true", "num_crossing_neighbors": 2},
+            "amount": "1/3",
+        },
+    ],
+    "exclusions": ["guarded-crossing"],
+}
+
+
+def seeded_g_stars():
+    """Crossed 8x8 torus grids, with new edges and crossings of both
+    neighbourhoods, and 200-vertex triangulations, with hubs."""
+    drawings = []
+    for s in (0, 1, 2):
+        drawings.append(gen_crossed(gen_toroidal_grid(8, 8)[1], 12, seed=s))
+        drawings.append(gen_planar_triangulation(200, seed=s)[1])
+    return [build_g_star(e, true_graph_of(e)) for e in drawings]
+
+
 def test_receiver_class_index_matches_every_rule_on_every_dart():
     instances = [cfg.build() for cfg in all_configs()]
     instances += [wrapped_quad(), wrapped_grid(3, 3), starred_wheel()]
+    instances += seeded_g_stars()
+    keyed = rule_table_from_dict(KEYED_TABLE)
     fired = {}
-    for table in (default_rules(), rule_table_from_dict(MIXED_TABLE)):
+    for table in (default_rules(), rule_table_from_dict(MIXED_TABLE), keyed):
         for a in instances:
             want = _rule_table_outcome(_every_rule_on_every_dart, a, table)
             assert _rule_table_outcome(apply_rule_table, a, table) == want
@@ -460,6 +548,9 @@ def test_receiver_class_index_matches_every_rule_on_every_dart():
                     fired[rec.rule] = fired.get(rec.rule, 0) + 1
     # both tables actually fire, guard skips included
     assert {"free", "deg3", "cross", "rx-triangles-mid"} <= fired.keys()
+    # the default table fires nothing on the seeded drawings; every keyed rule
+    # fires, so a memo key that drops a field shows up as a changed ledger
+    assert {rule.id for rule in keyed.rules} <= fired.keys()
 
 
 def test_a_discharge_resolves_each_rule_threshold_at_most_once(monkeypatch):
