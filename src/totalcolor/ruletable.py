@@ -244,7 +244,7 @@ def _is_list(v) -> bool:
 def _is_fraction(v) -> bool:
     try:
         Fraction(v)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         return False
     return not isinstance(v, bool)
 
@@ -348,7 +348,7 @@ def rule_table_from_dict(data: dict) -> RuleTable:
         seen.add(rid)
         try:
             amount = Fraction(entry["amount"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise RuleError(f"rule {rid}: bad amount") from None
         if amount not in AMOUNT_MENU:
             raise RuleError(

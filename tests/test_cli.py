@@ -251,6 +251,22 @@ def test_discharge_rejects_malformed_rules(capsys, grid_file, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_discharge_rejects_non_finite_numbers_in_rules(capsys, grid_file, tmp_path):
+    rules = tmp_path / "rules.json"
+    for text in (
+        '{"rules": [{"id": "x", "amount": Infinity}]}',
+        '{"rules": [{"id": "x", "receiver": {"faces": [{"min_share": -Infinity}]},'
+        ' "amount": "1/3"}]}',
+        '{"rules": [{"id": "x", "receiver": {"faces": [{"min_share": 1e400}]},'
+        ' "amount": "1/3"}]}',
+    ):
+        rules.write_text(text)
+        code, out, err = run(capsys, ["discharge", grid_file, "--rules", str(rules)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "bad amount" in err or "bad min_share" in err
+
+
 def test_color_missed_bound_still_emits(capsys, k4_file):
     code, out, _ = run(capsys, ["color", k4_file, "--kappa", "4"])
     assert code == 1

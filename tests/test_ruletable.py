@@ -89,6 +89,18 @@ def test_parse_rejects_bad_amounts():
         rule_table_from_dict({"rules": [rule]})
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "1e400"])
+def test_parse_rejects_non_finite_numbers_by_field(number):
+    # json.loads reads these as floats that no Fraction can hold
+    amount = f'{{"rules": [{{"id": "t1", "amount": {number}}}]}}'
+    with pytest.raises(RuleError, match="rule t1: bad amount"):
+        parse_rule_table(amount)
+    receiver = {"kind": "true", "faces": [{"size": 3, "min_share": "SHARE"}]}
+    share = json.dumps(one_rule_table(receiver=receiver)).replace('"SHARE"', number)
+    with pytest.raises(RuleError, match="bad min_share in face token"):
+        parse_rule_table(share)
+
+
 def test_parse_rejects_amounts_off_the_menu():
     # exact rationals, but not ones the case analysis ever sends
     for off in ("1/4", "2/5", "1", "5/6"):
