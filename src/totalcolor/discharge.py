@@ -200,6 +200,38 @@ def apply_r3(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     ledger.applied.append("R3")
 
 
+class _ReceiverClass:
+    """The rules one receiver class admits, in table order (rule b is bit
+    b of a mask), with each pattern test's answers memoized under the
+    little that the test reads."""
+
+    __slots__ = ("rules", "senders", "views", "corners")
+
+    def __init__(self, c, resolved):
+        self.rules = [(rule, m) for rule, m in resolved if _class_matches(rule.receiver, c)]
+        self.senders = ({}, {})  # [via a new edge][sender class id] -> mask
+        self.views: dict = {}  # anchored receiver view -> mask
+        # only a faces pattern as long as the rotation reads the corners
+        self.corners = any(
+            rule.receiver.faces is not None and len(rule.receiver.faces) == c.d2
+            for rule, _ in self.rules
+        )
+
+    def sender_mask(self, ctx, s, r_dart) -> int:
+        return sum(
+            1 << b
+            for b, (rule, m) in enumerate(self.rules)
+            if sender_matches(rule.sender, ctx, s, r_dart, m)
+        )
+
+    def receiver_mask(self, ctx, r, r_dart) -> int:
+        return sum(
+            1 << b
+            for b, (rule, _) in enumerate(self.rules)
+            if receiver_matches(rule.receiver, ctx, r, r_dart)
+        )
+
+
 def apply_rule_table(
     a: AugmentedGraph, ledger: ChargeLedger, table: RuleTable | None = None
 ) -> None:
@@ -209,46 +241,85 @@ def apply_rule_table(
     the table enables it) reroutes matched transfers to `ledger.skipped`.
 
     A receiver is tried only against the rules whose receiver class fields
-    admit its VertexClass, in table order.  That is exact: an excluded rule
-    fails `receiver_matches` on every dart of the receiver, so the hits,
-    their order, the DischargeError and the guard routing are unchanged."""
+    admit its VertexClass, in table order: an excluded rule fails
+    `receiver_matches` on every dart of the receiver.  Within a class each
+    pattern test runs once per distinct input it reads, and its answer is
+    reused for every dart that shares that input:
+      * the sender side reads the sender's class, the rule's resolved
+        threshold (fixed per call) and whether the connecting dart is new,
+        so it is memoized under (sender class, dart is new);
+      * the receiver side reads the receiver's class (fixed by the entry),
+        its count of crossing neighbours, for a crossing the size class of
+        the end opposite the dart, and the corner faces in forward order
+        from the dart.  A face token reads a face only through its size,
+        new-edge flag, big and small counts (face_share included), so the
+        corners enter the view as those four values, and only when some
+        rule of the class has a faces pattern as long as the rotation;
+        otherwise no rule of the class reads them, and a hub's darts
+        share one view per opposite end.
+    Equal keys give equal answers, so the hits, their order, the
+    DischargeError and the guard routing are those of testing every rule
+    on every dart; `sender_matches` and `receiver_matches` run once per
+    memo miss."""
     if table is None:
         table = default_rules()
     ctx = ledger.ctx
     star = a.star
+    cls = a.classification
+    owner, twin, new = star.owner, star.twin, star.new_darts()
     use_guard = "guarded-crossing" in table.exclusions
     resolved = []  # each rule with its sender threshold, resolved once
     for rule in table.rules:
         m = rule.sender.min_degree
         resolved.append((rule, None if m is None else resolve_threshold(m, ledger.delta)))
-    by_class: dict = {}  # VertexClass -> the rules its receivers can match
+    # each face as one small int per distinct (size, new, bigs, smalls)
+    seen: dict = {}
+    face_view = [
+        seen.setdefault(v, len(seen))
+        for v in zip(ctx.face_size, ctx.face_new, ctx.face_bigs, ctx.face_smalls)
+    ]
+    # classes are shared per distinct class, so their ids key the memos
+    by_class: dict = {}  # id(VertexClass) -> _ReceiverClass
     for r in star.vertices():
-        c = a.classification[r]
-        rules = by_class.get(c)
-        if rules is None:
-            rules = by_class[c] = [
-                (rule, m) for rule, m in resolved if _class_matches(rule.receiver, c)
-            ]
-        if not rules:
+        c = cls[r]
+        entry = by_class.get(id(c))
+        if entry is None:
+            entry = by_class[id(c)] = _ReceiverClass(c, resolved)
+        if not entry.rules:
             continue
-        for r_dart in star.rotation[r]:
-            s = star.other_end(r_dart)
-            hits = [
-                rule
-                for rule, min_degree in rules
-                if sender_matches(rule.sender, ctx, s, r_dart, min_degree)
-                and receiver_matches(rule.receiver, ctx, r, r_dart)
-            ]
+        rot = star.rotation[r]
+        crossing = c.kind == CROSSING
+        nbrs = ctx.crossing_nbrs[r]
+        word = [face_view[fi] for fi in ctx.corner[r]] if entry.corners else None
+        for i, r_dart in enumerate(rot):
+            s = owner[twin[r_dart]]
+            senders = entry.senders[r_dart in new]
+            key = id(cls[s])
+            smask = senders.get(key)
+            if smask is None:
+                smask = senders[key] = entry.sender_mask(ctx, s, r_dart)
+            if not smask:
+                continue
+            view = (
+                nbrs,
+                cls[owner[twin[rot[(i + 2) % 4]]]].size_class if crossing else None,
+                None if word is None else tuple(word[i + 1:] + word[:i + 1]),
+            )
+            rmask = entry.views.get(view)
+            if rmask is None:
+                rmask = entry.views[view] = entry.receiver_mask(ctx, r, r_dart)
+            hit = smask & rmask
+            if not hit:
+                continue
+            hits = [rule for b, (rule, _) in enumerate(entry.rules) if hit >> b & 1]
             if len(hits) > 1:
                 ids = ", ".join(rule.id for rule in hits)
                 raise DischargeError(
                     f"rules {ids} all claim the transfer {s} -> {r} "
                     f"(dart {r_dart})"
                 )
-            if not hits:
-                continue
             rule = hits[0]
-            rec = TransferRecord(rule.id, s, r, rule.amount, dart=star.twin[r_dart])
+            rec = TransferRecord(rule.id, s, r, rule.amount, dart=twin[r_dart])
             if use_guard and guarded_crossing(ctx, s, r, r_dart):
                 ledger.skipped.append(rec)
             else:

@@ -553,6 +553,29 @@ def test_receiver_class_index_matches_every_rule_on_every_dart():
     assert {rule.id for rule in keyed.rules} <= fired.keys()
 
 
+@pytest.mark.parametrize("table", [default_rules(), rule_table_from_dict(KEYED_TABLE)])
+def test_a_sender_side_is_tested_once_per_class_pair(monkeypatch, table):
+    """The sender side reads only the sender's class and whether the dart
+    is new, so it runs at most once per (rule, receiver class, sender
+    class, via-new flag), not once per dart."""
+    e = gen_crossed(gen_toroidal_grid(8, 8)[1], 12, seed=1)
+    a = build_g_star(e, true_graph_of(e))
+    star, cls = a.star, a.classification
+    rule_of = {id(rule.sender): rule.id for rule in table.rules}
+    calls = []
+
+    def counted(p, ctx, s, r_dart, min_degree):
+        r = star.owner[r_dart]
+        calls.append((rule_of[id(p)], cls[r], cls[s], star.is_new(r_dart)))
+        return sender_matches(p, ctx, s, r_dart, min_degree)
+
+    monkeypatch.setattr(discharge_module, "sender_matches", counted)
+    apply_rule_table(a, make_ledger(a), table)
+    darts = sum(map(len, star.rotation.values()))
+    assert 0 < len(calls) < darts
+    assert len(calls) == len(set(calls))
+
+
 def test_a_discharge_resolves_each_rule_threshold_at_most_once(monkeypatch):
     """A rule's sender threshold is fixed once the ledger's delta is known,
     so the rule table resolves it once per call, not once per dart."""
