@@ -255,8 +255,8 @@ def apply_rule_table(
         new-edge flag, big and small counts (face_share included), so the
         corners enter the view as those four values, and only when some
         rule of the class has a faces pattern as long as the rotation;
-        otherwise no rule of the class reads them, and a hub's darts
-        share one view per opposite end.
+        otherwise no rule of the class reads them, and all darts of a
+        true vertex, a hub's included, share one view.
     Equal keys give equal answers, so the hits, their order, the
     DischargeError and the guard routing are those of testing every rule
     on every dart; `sender_matches` and `receiver_matches` run once per
