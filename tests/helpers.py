@@ -11,7 +11,13 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from totalcolor.embedding import EmbeddedGraph, from_face_cycles
-from totalcolor.gen import true_graph_of
+from totalcolor.gen import (
+    gen_crossed,
+    gen_high_degree_P_drawing,
+    gen_planar_triangulation,
+    gen_toroidal_grid,
+    true_graph_of,
+)
 from totalcolor.graphs import SimpleGraph, build_graph
 
 
@@ -268,3 +274,25 @@ def brute_chi_tt(g: SimpleGraph, cap: int = 8) -> int:
         if fill(0, kappa, []):
             return kappa
     raise AssertionError(f"no total coloring within {cap} colors")
+
+
+# seeded drawings from each generator family, on the torus and the plane
+GENERATED_DRAWINGS = st.one_of(
+    st.builds(
+        lambda m, n, pairs, seed: gen_crossed(gen_toroidal_grid(m, n)[1], pairs, seed),
+        st.integers(3, 6),
+        st.integers(3, 6),
+        st.integers(0, 4),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda size, seed: gen_planar_triangulation(size, seed)[1],
+        st.integers(3, 40),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda size, seed: gen_high_degree_P_drawing(11, size, seed)[1],
+        st.one_of(st.just(12), st.integers(23, 40)),  # 13..22 cannot be drawn
+        st.integers(0, 10**6),
+    ),
+)

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import totalcolor.discharge as discharge_module
@@ -42,6 +42,7 @@ from totalcolor.gen import (
 )
 from totalcolor.graphs import build_graph
 from totalcolor.ruletable import (
+    MatchContext,
     RuleTable,
     default_rules,
     guarded_crossing,
@@ -52,6 +53,7 @@ from totalcolor.ruletable import (
 )
 
 from helpers import (
+    GENERATED_DRAWINGS,
     grid_faces,
     petal_fan,
     quad_with_crossing,
@@ -1042,3 +1044,163 @@ def test_vertex_classes_are_shared_per_distinct_class(corpus_and_catalog):
         fresh = copy.copy(a)
         fresh.classification = reference
         assert json.dumps(augment_report(a)) == json.dumps(augment_report(fresh))
+
+
+# -- final charges and the report against a per-transfer reference -----------
+
+
+def _reference_final(ledger):
+    """final() as one Fraction step per end of every transfer."""
+    out = dict(ledger.initial)
+    for t in ledger.transfers:
+        if t.source != POOL:
+            out[t.source] -= t.amount
+        if t.target != POOL:
+            out[t.target] += t.amount
+    return out
+
+
+def _reference_frac_str(x):
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def _reference_row(t):
+    return {
+        "rule": t.rule,
+        "from": element_label(t.source),
+        "to": element_label(t.target),
+        "amount": _reference_frac_str(t.amount),
+    }
+
+
+def _reference_report(ledger):
+    """final_report rendering every charge and every row afresh."""
+    final = _reference_final(ledger)
+    negative = [(e, c) for e, c in final.items() if c < 0]
+    ordered = negative + [(e, c) for e, c in final.items() if c >= 0]
+    initial_total = sum(ledger.initial.values(), Fraction(0))
+    final_total = sum(final.values(), Fraction(0)) + ledger.pool
+    return {
+        "surface": ledger.a.star.surface,
+        "delta": ledger.delta,
+        "applied": list(ledger.applied),
+        "initial_total": _reference_frac_str(initial_total),
+        "final_total": _reference_frac_str(final_total),
+        "conserved": final_total == initial_total,
+        "pool": _reference_frac_str(ledger.pool),
+        "pool_flagged": ledger.pool_flagged,
+        "negative_count": len(negative),
+        "charges": {element_label(e): _reference_frac_str(c) for e, c in ordered},
+        "transfers": [_reference_row(t) for t in ledger.transfers],
+        "skipped": [_reference_row(t) for t in ledger.skipped],
+    }
+
+
+SMALL_G_STARS = [
+    wrapped_quad(),
+    wrapped_grid(3, 3),
+    get_config("guard-stop").build(),
+    build_g_star(e := gen_planar_triangulation(12, seed=3)[1], true_graph_of(e)),
+]
+# sampled_from hands out these very objects, so amounts are shared as a
+# rule's are; st.fractions draws a fresh object every time
+SHARED_AMOUNTS = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
+AMOUNTS = st.one_of(
+    st.sampled_from(SHARED_AMOUNTS),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from([Fraction(5, 7), Fraction(4, 13), Fraction(-9, 11)]).map(
+        lambda x: Fraction(x.numerator, x.denominator)
+    ),
+)
+
+
+@st.composite
+def random_ledgers(draw):
+    """A ledger of a small G*, its real transfers or none, then random
+    ones between its elements and the pool, a few elements hit often."""
+    a = draw(st.sampled_from(SMALL_G_STARS))
+    ledger = discharge(a) if draw(st.booleans()) else make_ledger(a)
+    elements = list(ledger.initial) + [POOL]
+    element = st.one_of(st.sampled_from(elements[:2] + [POOL]), st.sampled_from(elements))
+    record = st.builds(
+        TransferRecord,
+        st.sampled_from(["R1", "R2", "x"]),
+        element,
+        element,
+        AMOUNTS,
+        st.none() | st.integers(0, 40),
+    )
+    ledger.transfers += draw(st.lists(record, max_size=40))
+    ledger.skipped += draw(st.lists(record, max_size=4))
+    ledger.pool = draw(st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    ledger.pool_flagged = ledger.pool < 0
+    return ledger
+
+
+@settings(deadline=None)
+@example(make_ledger(SMALL_G_STARS[0]))
+@given(random_ledgers())
+def test_final_and_report_match_the_per_transfer_reference(ledger):
+    assert list(ledger.final().items()) == list(_reference_final(ledger).items())
+    # the unsorted text pins key order, labels and every rendered value
+    assert json.dumps(final_report(ledger)) == json.dumps(_reference_report(ledger))
+
+
+CHI = {"plane": 2, "torus": 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATED_DRAWINGS)
+def test_charges_add_up_to_the_euler_count_and_every_rule_balances(e):
+    a = build_g_star(e, true_graph_of(e))
+    star = a.star
+    ledger = discharge(a)
+    # V - E + F from the drawing itself, not from the ledger
+    euler = len(star.rotation) - len(star.twin) // 2 + len(star.faces())
+    assert euler == CHI[star.surface]
+    final = ledger.final()
+    assert sum(final.values(), Fraction(0)) + ledger.pool == -6 * euler
+    report = final_report(ledger)
+    rendered = sum(map(Fraction, report["charges"].values()), Fraction(0))
+    assert rendered + Fraction(report["pool"]) == -6 * euler
+    assert report["final_total"] == str(-6 * euler)
+    # per rule, the charge its transfers add to the elements is what they
+    # take from the pool, whose balance R1 keeps by counting, not by record
+    added = {}
+    for t in ledger.transfers:
+        x = added.get(t.rule, Fraction(0))
+        if t.source != POOL:
+            x -= t.amount
+        if t.target != POOL:
+            x += t.amount
+        added[t.rule] = x
+    assert set(added) <= {"R1", "R2", "R3"} | {rule.id for rule in default_rules().rules}
+    for rule in added.keys() | {"R1"}:
+        assert added.get(rule, 0) + (ledger.pool if rule == "R1" else 0) == 0, rule
+
+
+# -- corners ------------------------------------------------------------------
+
+
+def _reference_corners(star):
+    """Corner i at v, for every vertex: the face holding rotation dart i."""
+    face_of = {}
+    for fi, f in enumerate(star.faces()):
+        for d in f.boundary:
+            face_of[d] = fi
+    return {v: [face_of[d] for d in rot] for v, rot in star.rotation.items()}
+
+
+def test_corners_match_an_eager_recount(corpus_and_catalog):
+    grids = [
+        build_g_star(e, true_graph_of(e))
+        for e in (gen_crossed(gen_toroidal_grid(8, 8)[1], 12, seed=s) for s in (1, 2, 3))
+    ]
+    for a in corpus_and_catalog + grids:
+        want = _reference_corners(a.star)
+        ctx = MatchContext(a)
+        # read in reverse vertex order, each twice
+        for v in reversed(list(want)):
+            assert ctx.corner[v] == want[v]
+            assert ctx.corner[v] == want[v]
+        assert dict(ctx.corner) == want

@@ -14,15 +14,10 @@ from totalcolor.embedding import (
     parse_embedding,
 )
 from totalcolor.augment import build_g_star
-from totalcolor.gen import (
-    gen_crossed,
-    gen_high_degree_P_drawing,
-    gen_planar_triangulation,
-    gen_toroidal_grid,
-    true_graph_of,
-)
+from totalcolor.gen import gen_planar_triangulation, gen_toroidal_grid, true_graph_of
 
 from helpers import (
+    GENERATED_DRAWINGS,
     GRID_BESIDE_A_SPHERE,
     complete_graph,
     embed,
@@ -367,27 +362,6 @@ def test_parse_embedding_rejects_mislabelled_surface():
     assert parse_embedding(text).surface == "plane"
     with pytest.raises(EmbedError, match="not 2-cell for declared surface torus"):
         parse_embedding(text.replace("surface: plane", "surface: torus"))
-
-
-GENERATED_DRAWINGS = st.one_of(
-    st.builds(
-        lambda m, n, pairs, seed: gen_crossed(gen_toroidal_grid(m, n)[1], pairs, seed),
-        st.integers(3, 6),
-        st.integers(3, 6),
-        st.integers(0, 4),
-        st.integers(0, 10**6),
-    ),
-    st.builds(
-        lambda size, seed: gen_planar_triangulation(size, seed)[1],
-        st.integers(3, 40),
-        st.integers(0, 10**6),
-    ),
-    st.builds(
-        lambda size, seed: gen_high_degree_P_drawing(11, size, seed)[1],
-        st.one_of(st.just(12), st.integers(23, 40)),  # 13..22 cannot be drawn
-        st.integers(0, 10**6),
-    ),
-)
 
 
 @settings(max_examples=60, deadline=None)
