@@ -21,6 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import itemgetter
+from typing import NamedTuple
 
 from .augment import AugmentedGraph
 from .embedding import CROSSING, TRUE
@@ -43,8 +47,7 @@ class DischargeError(ValueError):
     """Inconsistent discharging run (e.g. two rules claim one transfer)."""
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One movement of charge.
 
     `source` / `target` are vertex ids, ``("face", i)``, or ``("pool",)``.
@@ -84,12 +87,40 @@ class ChargeLedger:
         return _exact_sum(self.initial.values())
 
     def final(self) -> dict:
-        out = dict(self.initial)
-        for t in self.transfers:
-            if t.source != POOL:
-                out[t.source] -= t.amount
-            if t.target != POOL:
-                out[t.target] += t.amount
+        """The final charges, keyed in the order of `initial`.
+
+        Cost: one integer pass over the transfers and one Fraction per
+        distinct final value.  Every amount and initial charge is a whole
+        count of 1/L, L the lcm of their distinct denominators, so each
+        element's net flow is summed as an int; an element whose flow nets
+        to zero keeps its initial object, and equal final values share
+        one.  A transfer naming an element outside G* (other than the
+        pool) raises KeyError."""
+        initial = self.initial
+        out = dict(initial)
+        # one entry per distinct object: rules share their amounts, and
+        # initial_charges one Fraction per distinct charge
+        distinct = {
+            id(x): x for x in chain(map(itemgetter(3), self.transfers), initial.values())
+        }
+        den = lcm(*(x.denominator for x in distinct.values()))
+        units = {k: den // x.denominator * x.numerator for k, x in distinct.items()}
+        net: dict = {}
+        get = net.get
+        for _, source, target, x, _ in self.transfers:
+            u = units[id(x)]
+            net[source] = get(source, 0) - u
+            net[target] = get(target, 0) + u
+        net.pop(POOL, None)
+        made: dict = {}  # final count of 1/L -> its one Fraction
+        for el, u in net.items():
+            c = initial[el]
+            if u:
+                u += units[id(c)]
+                x = made.get(u)
+                if x is None:
+                    x = made[u] = Fraction(u, den)
+                out[el] = x
         return out
 
     def conserved_total(self) -> Fraction:
@@ -120,9 +151,10 @@ def initial_charges(a: AugmentedGraph) -> dict:
     order: the vertices ascending, then ("face", i) by face index.
     final() keeps that order, and final_report relies on it."""
     star = a.star
-    charges = {v: star.degree(v) - 6 for v in star.vertices()}
+    rotation = star.rotation
+    charges = {v: len(rotation[v]) - 6 for v in star.vertices()}
     for i, f in enumerate(star.faces()):
-        charges[("face", i)] = 2 * f.size - 6
+        charges[("face", i)] = 2 * len(f.boundary) - 6
     # a Fraction is immutable, so one per distinct charge is shared
     shared = {k: Fraction(k) for k in set(charges.values())}
     return {el: shared[k] for el, k in charges.items()}
@@ -232,6 +264,15 @@ class _ReceiverClass:
         )
 
 
+def _face_views(ctx: MatchContext) -> list:
+    """Each face as one small int per distinct (size, new, bigs, smalls)."""
+    seen: dict = {}
+    return [
+        seen.setdefault(v, len(seen))
+        for v in zip(ctx.face_size, ctx.face_new, ctx.face_bigs, ctx.face_smalls)
+    ]
+
+
 def apply_rule_table(
     a: AugmentedGraph, ledger: ChargeLedger, table: RuleTable | None = None
 ) -> None:
@@ -272,12 +313,7 @@ def apply_rule_table(
     for rule in table.rules:
         m = rule.sender.min_degree
         resolved.append((rule, None if m is None else resolve_threshold(m, ledger.delta)))
-    # each face as one small int per distinct (size, new, bigs, smalls)
-    seen: dict = {}
-    face_view = [
-        seen.setdefault(v, len(seen))
-        for v in zip(ctx.face_size, ctx.face_new, ctx.face_bigs, ctx.face_smalls)
-    ]
+    face_view = None  # listed when a receiver first reads its corners
     # classes are shared per distinct class, so their ids key the memos
     by_class: dict = {}  # id(VertexClass) -> _ReceiverClass
     for r in star.vertices():
@@ -290,7 +326,7 @@ def apply_rule_table(
         rot = star.rotation[r]
         crossing = c.kind == CROSSING
         nbrs = ctx.crossing_nbrs[r]
-        word = [face_view[fi] for fi in ctx.corner[r]] if entry.corners else None
+        word = None  # the corner faces' views, listed at the first sender hit
         for i, r_dart in enumerate(rot):
             s = owner[twin[r_dart]]
             senders = entry.senders[r_dart in new]
@@ -300,6 +336,10 @@ def apply_rule_table(
                 smask = senders[key] = entry.sender_mask(ctx, s, r_dart)
             if not smask:
                 continue
+            if entry.corners and word is None:
+                if face_view is None:
+                    face_view = _face_views(ctx)
+                word = [face_view[fi] for fi in ctx.corner[r]]
             view = (
                 nbrs,
                 cls[owner[twin[rot[(i + 2) % 4]]]].size_class if crossing else None,
@@ -509,7 +549,12 @@ def _frac_str(x: Fraction) -> str:
 def final_report(ledger: ChargeLedger) -> dict:
     """JSON-ready summary; rationals are rendered as exact 'p/q' strings
     and negatively charged elements are listed first, each part in element
-    order (see initial_charges)."""
+    order (see initial_charges).
+
+    Cost: one label per element and one dict per transfer row, but one
+    rendering per distinct charge or amount object: final() shares equal
+    final values, initial_charges equal initial ones, and the rules of a
+    table their amounts."""
     a = ledger.a
     final = ledger.final()
     # a stable partition of the element order; a Fraction's sign is its
@@ -519,6 +564,24 @@ def final_report(ledger: ChargeLedger) -> dict:
     # conserved_total() over the final charges already in hand
     initial_total = ledger.initial_total()
     final_total = _exact_sum(final.values()) + ledger.pool
+    amounts = map(itemgetter(3), chain(ledger.transfers, ledger.skipped))
+    shown = {id(x): x for x in chain(final.values(), amounts)}
+    text = {k: _frac_str(x) for k, x in shown.items()}
+    labels = {e: element_label(e) for e in chain(final, [POOL])}
+    label = labels.get
+
+    def rows(records: list) -> list:
+        # a skipped record may name what no charge does; label it afresh
+        return [
+            {
+                "rule": rule,
+                "from": label(source) or element_label(source),
+                "to": label(target) or element_label(target),
+                "amount": text[id(x)],
+            }
+            for rule, source, target, x, _ in records
+        ]
+
     return {
         "surface": a.star.surface,
         "delta": ledger.delta,
@@ -529,18 +592,7 @@ def final_report(ledger: ChargeLedger) -> dict:
         "pool": _frac_str(ledger.pool),
         "pool_flagged": ledger.pool_flagged,
         "negative_count": len(negative),
-        "charges": {
-            element_label(e): _frac_str(c) for e, c in ordered
-        },
-        "transfers": [_transfer_row(t) for t in ledger.transfers],
-        "skipped": [_transfer_row(t) for t in ledger.skipped],
-    }
-
-
-def _transfer_row(t: TransferRecord) -> dict:
-    return {
-        "rule": t.rule,
-        "from": element_label(t.source),
-        "to": element_label(t.target),
-        "amount": _frac_str(t.amount),
+        "charges": {labels[e]: text[id(c)] for e, c in ordered},
+        "transfers": rows(ledger.transfers),
+        "skipped": rows(ledger.skipped),
     }

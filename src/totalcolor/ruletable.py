@@ -95,8 +95,33 @@ class RuleTable:
     exclusions: tuple = ()
 
 
+class _Corners(dict):
+    """Corner i at v is the face between rotation darts i-1 and i, the
+    face whose boundary holds dart i.  A vertex's corner list is made on
+    its first read and kept."""
+
+    __slots__ = ("rotations", "dart_face")
+
+    def __init__(self, rotations, dart_face):
+        super().__init__()
+        self.rotations = rotations
+        self.dart_face = dart_face
+
+    def __missing__(self, v):
+        dart_face = self.dart_face
+        corners = self[v] = [dart_face[d] for d in self.rotations[v]]
+        return corners
+
+
 class MatchContext:
-    """Precomputed per-G* data shared by all pattern evaluations."""
+    """Precomputed per-G* data shared by all pattern evaluations.
+
+    Cost: O(1) per face for its size, new-edge flag and big and small
+    counts, one dict entry per dart for its face, and O(1) per crossing
+    dart; a vertex's corner list (`corner[v]`) is made only when something
+    reads it: R3's (5,5) candidates, rule-table receivers that a sender
+    side admits in a class with a faces pattern as long as the rotation,
+    and guarded_crossing's receivers."""
 
     def __init__(self, a: AugmentedGraph):
         self.a = a
@@ -112,10 +137,7 @@ class MatchContext:
         owner_of = star.owner.__getitem__
         self.face_bigs = [sum(map(is_big, map(owner_of, f.boundary))) for f in self.faces]
         self.face_smalls = [f.size - b for f, b in zip(self.faces, self.face_bigs)]
-        # corner i at v = face between rotation darts i-1 and i
-        self.corner = {
-            v: [dart_face[d] for d in star.rotation[v]] for v in star.rotation
-        }
+        self.corner = _Corners(star.rotation, dart_face)
         # each dart at a crossing x is one neighbour slot, at its other end
         self.crossing_nbrs = dict.fromkeys(star.rotation, 0)
         for x, kind in star.vertex_kind.items():

@@ -44,6 +44,7 @@ from totalcolor.graphs import build_graph
 from totalcolor.ruletable import (
     MatchContext,
     RuleTable,
+    _class_matches,
     default_rules,
     guarded_crossing,
     receiver_matches,
@@ -1204,3 +1205,34 @@ def test_corners_match_an_eager_recount(corpus_and_catalog):
             assert ctx.corner[v] == want[v]
             assert ctx.corner[v] == want[v]
         assert dict(ctx.corner) == want
+
+
+def test_a_discharge_lists_corners_only_where_they_are_read():
+    e = gen_planar_triangulation(300, seed=1)[1]
+    a = build_g_star(e, true_graph_of(e))
+    ledger = discharge(a)
+    star, cls, ctx = a.star, a.classification, ledger.ctx
+    # no crossing, so guarded_crossing reads no corner
+    assert set(star.vertex_kind.values()) == {"true"}
+    table = default_rules()
+
+    def read_by_the_table(r):
+        # r's class admits a rule whose faces span its rotation, and a
+        # sender side of some rule its class admits holds at one of its darts
+        c = cls[r]
+        rules = [rule for rule in table.rules if _class_matches(rule.receiver, c)]
+        if not any(len(rule.receiver.faces or ()) == c.d2 for rule in rules):
+            return False
+        return any(
+            sender_matches(
+                rule.sender, ctx, star.other_end(d), d,
+                resolve_threshold(rule.sender.min_degree, ledger.delta),
+            )
+            for d in star.rotation[r]
+            for rule in rules
+        )
+
+    r3 = {v for v, c in cls.items() if c.kind == "true" and c.d1 == c.d2 == 5}
+    read = r3 | set(filter(read_by_the_table, star.vertices()))
+    assert set(ctx.corner) == read
+    assert r3 and len(read) < len(star.rotation) // 4
