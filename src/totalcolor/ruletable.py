@@ -386,9 +386,11 @@ def rule_table_from_dict(data: dict) -> RuleTable:
             )
         )
     exclusions = tuple(data.get("exclusions") or ())
-    for name in exclusions:
+    for i, name in enumerate(exclusions):
         if name != "guarded-crossing":
             raise RuleError(f"unknown exclusion {name!r}")
+        if name in exclusions[:i]:
+            raise RuleError(f"repeated exclusion {name!r}")
     return RuleTable(rules=rules, exclusions=exclusions)
 
 

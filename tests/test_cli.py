@@ -251,6 +251,13 @@ def test_discharge_rejects_malformed_rules(capsys, grid_file, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_discharge_rejects_a_repeated_exclusion(capsys, grid_file, tmp_path):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [], "exclusions": ["guarded-crossing"] * 2}))
+    code, out, err = run(capsys, ["discharge", grid_file, "--rules", str(rules)])
+    assert (code, out, err) == (2, "", "error: repeated exclusion 'guarded-crossing'\n")
+
+
 def test_discharge_rejects_non_finite_numbers_in_rules(capsys, grid_file, tmp_path):
     rules = tmp_path / "rules.json"
     for text in (

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from totalcolor.embedding import dump_embedding
+from totalcolor.gen import gen_toroidal_grid
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "totalcolor").glob("*.py"))
 
@@ -31,6 +34,8 @@ def test_library_has_no_assert_statements():
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 TRIANGLE = "0 1\n0 2\n1 2\n"
 OFF_PALETTE = "kappa 3\nv 0 1\nv 1 2\nv 2 9\ne 0 1 3\ne 0 2 2\ne 1 2 1\n"
+GRID = dump_embedding(gen_toroidal_grid(3, 3)[1])
+REPEATED_EXCLUSION = '{"rules": [], "exclusions": ["guarded-crossing", "guarded-crossing"]}'
 
 
 @pytest.mark.parametrize(
@@ -39,8 +44,18 @@ OFF_PALETTE = "kappa 3\nv 0 1\nv 1 2\nv 2 9\ne 0 1 3\ne 0 2 2\ne 1 2 1\n"
         (["verify", "c3.el", "c3.tc"], {"c3.el": TRIANGLE, "c3.tc": OFF_PALETTE}, 1),
         (["color", "k4.el", "--kappa", "3"], {"k4.el": K4}, 2),
         (["color", "k4.el", "--budget", "-5"], {"k4.el": K4}, 2),
+        (
+            ["discharge", "grid.emb", "--rules", "T.json"],
+            {"grid.emb": GRID, "T.json": REPEATED_EXCLUSION},
+            2,
+        ),
     ],
-    ids=["verify-off-palette", "color-kappa-3", "color-budget-minus-5"],
+    ids=[
+        "verify-off-palette",
+        "color-kappa-3",
+        "color-budget-minus-5",
+        "discharge-repeated-exclusion",
+    ],
 )
 def test_cli_statuses_under_optimize(tmp_path, argv, files, status):
     for name, text in files.items():

@@ -115,6 +115,14 @@ def test_parse_rejects_unknown_exclusions():
         rule_table_from_dict(t)
 
 
+def test_parse_rejects_a_repeated_exclusion():
+    # a repeated rule id is refused, and so is a repeated exclusion
+    table = {"rules": [], "exclusions": ["guarded-crossing", "guarded-crossing"]}
+    with pytest.raises(RuleError) as info:
+        rule_table_from_dict(table)
+    assert str(info.value) == "repeated exclusion 'guarded-crossing'"
+
+
 def test_parse_rejects_unknown_pattern_keys():
     with pytest.raises(RuleError, match="unknown sender pattern keys"):
         rule_table_from_dict(one_rule_table(sender={"kind": "true", "dd2": 4}))
