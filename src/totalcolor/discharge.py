@@ -297,7 +297,9 @@ def apply_rule_table(
         corners enter the view as those four values, and only when some
         rule of the class has a faces pattern as long as the rotation;
         otherwise no rule of the class reads them, and all darts of a
-        true vertex, a hub's included, share one view.
+        true vertex, a hub's included, share one view.  A receiver's
+        corners are listed at its first sender hit, so a receiver that no
+        sender side admits reads none.
     Equal keys give equal answers, so the hits, their order, the
     DischargeError and the guard routing are those of testing every rule
     on every dart; `sender_matches` and `receiver_matches` run once per
@@ -554,7 +556,7 @@ def final_report(ledger: ChargeLedger) -> dict:
     Cost: one label per element and one dict per transfer row, but one
     rendering per distinct charge or amount object: final() shares equal
     final values, initial_charges equal initial ones, and the rules of a
-    table their amounts."""
+    table their amounts.  Every record names elements of G* or the pool."""
     a = ledger.a
     final = ledger.final()
     # a stable partition of the element order; a Fraction's sign is its
@@ -568,15 +570,13 @@ def final_report(ledger: ChargeLedger) -> dict:
     shown = {id(x): x for x in chain(final.values(), amounts)}
     text = {k: _frac_str(x) for k, x in shown.items()}
     labels = {e: element_label(e) for e in chain(final, [POOL])}
-    label = labels.get
 
     def rows(records: list) -> list:
-        # a skipped record may name what no charge does; label it afresh
         return [
             {
                 "rule": rule,
-                "from": label(source) or element_label(source),
-                "to": label(target) or element_label(target),
+                "from": labels[source],
+                "to": labels[target],
                 "amount": text[id(x)],
             }
             for rule, source, target, x, _ in records

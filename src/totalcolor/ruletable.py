@@ -116,12 +116,12 @@ class _Corners(dict):
 class MatchContext:
     """Precomputed per-G* data shared by all pattern evaluations.
 
-    Cost: O(1) per face for its size, new-edge flag and big and small
-    counts, one dict entry per dart for its face, and O(1) per crossing
-    dart; a vertex's corner list (`corner[v]`) is made only when something
-    reads it: R3's (5,5) candidates, rule-table receivers that a sender
-    side admits in a class with a faces pattern as long as the rotation,
-    and guarded_crossing's receivers."""
+    Cost: one pass over each face's boundary (its size, new-edge flag and
+    big and small counts), one dict entry per dart for its face, and one
+    step per crossing dart.  A vertex's corner list (`corner[v]`) is made
+    only when something reads it: R3's (5,5) candidates, rule-table
+    receivers that a sender side admits in a class with a faces pattern
+    as long as the rotation, and guarded_crossing's receivers."""
 
     def __init__(self, a: AugmentedGraph):
         self.a = a

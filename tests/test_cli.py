@@ -242,6 +242,7 @@ def test_discharge_rejects_malformed_rules(capsys, grid_file, tmp_path):
         {"rules": [1]},
         {"rules": 5},
         {"rules": [], "exclusions": 3},
+        {"rules": [], "exclusions": ["guarded-crossing", "guarded-crossing"]},
         {"rules": [{"id": "x", "sender": {"faces": 5}, "amount": "1/3"}]},
         {"rules": [{"id": "x", "receiver": {"kind": "banana"}, "amount": "1/3"}]},
     ):
@@ -249,13 +250,6 @@ def test_discharge_rejects_malformed_rules(capsys, grid_file, tmp_path):
         code, out, err = run(capsys, ["discharge", grid_file, "--rules", str(rules)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
-
-
-def test_discharge_rejects_a_repeated_exclusion(capsys, grid_file, tmp_path):
-    rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps({"rules": [], "exclusions": ["guarded-crossing"] * 2}))
-    code, out, err = run(capsys, ["discharge", grid_file, "--rules", str(rules)])
-    assert (code, out, err) == (2, "", "error: repeated exclusion 'guarded-crossing'\n")
 
 
 def test_discharge_rejects_non_finite_numbers_in_rules(capsys, grid_file, tmp_path):
