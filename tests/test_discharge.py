@@ -1097,11 +1097,15 @@ def _reference_report(ledger):
     }
 
 
+def g_star_of(e):
+    return build_g_star(e, true_graph_of(e))
+
+
 SMALL_G_STARS = [
     wrapped_quad(),
     wrapped_grid(3, 3),
     get_config("guard-stop").build(),
-    build_g_star(e := gen_planar_triangulation(12, seed=3)[1], true_graph_of(e)),
+    g_star_of(gen_planar_triangulation(12, seed=3)[1]),
 ]
 # sampled_from hands out these very objects, so amounts are shared as a
 # rule's are; st.fractions draws a fresh object every time
@@ -1109,9 +1113,7 @@ SHARED_AMOUNTS = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)
 AMOUNTS = st.one_of(
     st.sampled_from(SHARED_AMOUNTS),
     st.fractions(min_value=-3, max_value=3, max_denominator=12),
-    st.sampled_from([Fraction(5, 7), Fraction(4, 13), Fraction(-9, 11)]).map(
-        lambda x: Fraction(x.numerator, x.denominator)
-    ),
+    st.sampled_from([(5, 7), (4, 13), (-9, 11)]).map(lambda nd: Fraction(*nd)),
 )
 
 
@@ -1153,7 +1155,7 @@ CHI = {"plane": 2, "torus": 0}
 @settings(max_examples=60, deadline=None)
 @given(GENERATED_DRAWINGS)
 def test_charges_add_up_to_the_euler_count_and_every_rule_balances(e):
-    a = build_g_star(e, true_graph_of(e))
+    a = g_star_of(e)
     star = a.star
     ledger = discharge(a)
     # V - E + F from the drawing itself, not from the ledger
@@ -1193,10 +1195,7 @@ def _reference_corners(star):
 
 
 def test_corners_match_an_eager_recount(corpus_and_catalog):
-    grids = [
-        build_g_star(e, true_graph_of(e))
-        for e in (gen_crossed(gen_toroidal_grid(8, 8)[1], 12, seed=s) for s in (1, 2, 3))
-    ]
+    grids = [g_star_of(gen_crossed(gen_toroidal_grid(8, 8)[1], 12, seed=s)) for s in (1, 2, 3)]
     for a in corpus_and_catalog + grids:
         want = _reference_corners(a.star)
         ctx = MatchContext(a)
@@ -1208,8 +1207,7 @@ def test_corners_match_an_eager_recount(corpus_and_catalog):
 
 
 def test_a_discharge_lists_corners_only_where_they_are_read():
-    e = gen_planar_triangulation(300, seed=1)[1]
-    a = build_g_star(e, true_graph_of(e))
+    a = g_star_of(gen_planar_triangulation(300, seed=1)[1])
     ledger = discharge(a)
     star, cls, ctx = a.star, a.classification, ledger.ctx
     # no crossing, so guarded_crossing reads no corner
