@@ -54,4 +54,4 @@ for line in res.trace:
 # the drawing variant hands back the embedding as well
 g2, emb = gen_high_degree_P_drawing(delta, delta + 1)
 print("\nbare star drawing:", len(emb.vertices()), "vertices,",
-      "one face of size", emb.faces()[0].size)
+      "one face of size", len(emb.faces()[0]))

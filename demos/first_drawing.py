@@ -20,11 +20,11 @@ print("surface: ", emb.surface)
 # 2. Trace the faces.  Every face of the torus grid is a quadrilateral.
 faces = emb.faces()
 print("faces:   ", len(faces))
-print("sizes:   ", sorted(f.size for f in faces) == [4] * len(faces))
+print("sizes:   ", sorted(len(f) for f in faces) == [4] * len(faces))
 
-# a face knows its boundary walk; owners turn darts back into vertices
+# a face is the dart tuple of its boundary walk; owners turn darts into vertices
 f0 = faces[0]
-print("first face boundary:", [emb.owner[d] for d in f0.boundary])
+print("first face boundary:", [emb.owner[d] for d in f0])
 
 # 3. Euler characteristic and two-cell check: V - E + F must be 0 on the
 #    torus and every face must be a disc.

@@ -53,9 +53,6 @@ class AugmentedGraph:
         self.insertions: list[InsertionRecord] = insertions
         self.classification: dict = classify_vertices(self)
 
-    def faces(self):
-        return self.star.faces()
-
     def new_segments(self) -> list[tuple]:
         return sorted(k for k, edge in self.star.segment_origin.items() if edge is None)
 
@@ -115,7 +112,7 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
                 heapq.heappush(heap, (min(fb), fb, pick))
 
     for f in gd.faces():
-        push(list(f.boundary))
+        push(list(f))
     if not heap:
         # nothing to insert: G* is the validated base drawing itself
         return AugmentedGraph(g, gd, gd, [])
@@ -197,9 +194,9 @@ def check_fixpoint(a: AugmentedGraph) -> bool:
     """True iff no face of G* still holds an eligible insertion pair."""
     star = a.star
     for f in star.faces():
-        if f.size < 4:
+        if len(f) < 4:
             continue
-        if _eligible_pair(f.boundary, star.owner, star.vertex_kind, a.g):
+        if _eligible_pair(f, star.owner, star.vertex_kind, a.g):
             return False
     return True
 

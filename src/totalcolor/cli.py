@@ -290,16 +290,6 @@ def _cmd_check_p(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family not in FAMILIES:
-        print(f"error: unknown generator family {args.family!r}", file=sys.stderr)
-        return 2
-    surface = FAMILIES[args.family][1]
-    if args.surface and args.surface != surface:
-        print(
-            f"error: family {args.family} draws on the {surface}, not the {args.surface}",
-            file=sys.stderr,
-        )
-        return 2
     spec = GenSpec(args.family, tuple(args.params), seed=args.seed)
     if args.json_path is not None:
         # fail before the corpus is written, so a bad path leaves nothing behind
@@ -389,7 +379,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="*", help="family parameters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", metavar="DIR")
-    p.add_argument("--surface", choices=("plane", "torus"), help="expected surface")
     common(p)
     p.set_defaults(fn=_cmd_gen)
 

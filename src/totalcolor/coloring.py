@@ -95,6 +95,8 @@ def coloring_from_text(text: str) -> TotalColoring:
         try:
             if parts[0] == "kappa" and len(parts) == 2 and kappa is None:
                 kappa = int(parts[1])
+                if kappa < 0:
+                    raise ValueError
                 continue
             if parts[0] == "v" and len(parts) == 3:
                 table, key = vc, int(parts[1])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .augment import AugmentedGraph
 from .discharge import _frac_str, discharge
 from .embedding import (
+    SURFACES,
     EmbeddedGraph,
     _check_two_cell,
     _derived_origins,
@@ -125,6 +126,7 @@ def verify_config(cfg: LocalConfig) -> dict:
     )
     sent = [t for t in ledger.transfers if t.source == cfg.focal]
     final = ledger.final()[cfg.focal]
+    total = ledger.conserved_total()
     expected = sorted(cfg.expect)
     return {
         "name": cfg.name,
@@ -134,7 +136,7 @@ def verify_config(cfg: LocalConfig) -> dict:
         "expected": expected,
         "receipts_match": got == expected,
         "focal_sent": len(sent),
-        "conserved": ledger.conserved_total() == ledger.initial_total(),
+        "conserved": total == ledger.initial_total() == -6 * SURFACES[a.star.surface],
         "ledger": ledger,
     }
 

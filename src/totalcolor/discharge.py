@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .augment import AugmentedGraph
-from .embedding import CROSSING, TRUE
+from .embedding import CROSSING, SURFACES, TRUE
 from .graphs import find_k4s
 from .ruletable import (
     MatchContext,
@@ -154,7 +154,7 @@ def initial_charges(a: AugmentedGraph) -> dict:
     rotation = star.rotation
     charges = {v: len(rotation[v]) - 6 for v in star.vertices()}
     for i, f in enumerate(star.faces()):
-        charges[("face", i)] = 2 * len(f.boundary) - 6
+        charges[("face", i)] = 2 * len(f) - 6
     # a Fraction is immutable, so one per distinct charge is shared
     shared = {k: Fraction(k) for k in set(charges.values())}
     return {el: shared[k] for el, k in charges.items()}
@@ -197,12 +197,12 @@ def apply_r2(a: AugmentedGraph, ledger: ChargeLedger) -> None:
     star = a.star
     ctx = ledger.ctx
     for fi, f in enumerate(ctx.faces):
-        if f.size < 4:
+        if len(f) < 4:
             continue
         share = ctx.face_share(fi)
         if share is None:
             continue
-        for d in f.boundary:
+        for d in f:
             v = star.owner[d]
             if a.classification[v].size_class == "small":
                 ledger.transfers.append(
@@ -408,7 +408,9 @@ def semi_fans(a: AugmentedGraph, ledger: ChargeLedger, center: object):
     of all of them.  The center must be a true vertex of G*-degree at
     least delta - 2, else DischargeError."""
     min_degree = ledger.delta - 2
-    c = a.classification[center]
+    c = a.classification.get(center)
+    if c is None:
+        raise DischargeError(f"semi-fan center {center} is not a vertex of G*")
     if c.kind != TRUE:
         raise DischargeError(f"semi-fan center {center} is not a true vertex")
     if c.d2 < min_degree:
@@ -483,12 +485,11 @@ def check_claims(a: AugmentedGraph, ledger: ChargeLedger) -> ClaimReport:
     one_big = []
     big_face = []
     for fi, f in enumerate(star.faces()):
-        s = f.size
+        s = len(f)
         if s < 4:
             continue
-        b = f.boundary
-        verts = [star.owner[d] for d in b]
-        isnew = [star.is_new(d) for d in b]
+        verts = [star.owner[d] for d in f]
+        isnew = [star.is_new(d) for d in f]
         for i in range(s):
             # forward triple (u, v, w) and its mirror along the boundary
             for u_i, v_i, w_i, uv_new in (
@@ -551,7 +552,10 @@ def _frac_str(x: Fraction) -> str:
 def final_report(ledger: ChargeLedger) -> dict:
     """JSON-ready summary; rationals are rendered as exact 'p/q' strings
     and negatively charged elements are listed first, each part in element
-    order (see initial_charges).
+    order (see initial_charges).  `conserved` holds when the final total,
+    pool included, equals both the initial total and -6 times the Euler
+    characteristic of the star's surface, so it also checks the initial
+    charges against the drawing.
 
     Cost: one label per element and one dict per transfer row, but one
     rendering per distinct charge or amount object: final() shares equal
@@ -588,7 +592,7 @@ def final_report(ledger: ChargeLedger) -> dict:
         "applied": list(ledger.applied),
         "initial_total": _frac_str(initial_total),
         "final_total": _frac_str(final_total),
-        "conserved": final_total == initial_total,
+        "conserved": final_total == initial_total == -6 * SURFACES[a.star.surface],
         "pool": _frac_str(ledger.pool),
         "pool_flagged": ledger.pool_flagged,
         "negative_count": len(negative),

@@ -16,27 +16,16 @@ incidences matter downstream.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 TRUE = "true"
 CROSSING = "crossing"
-SURFACES = ("plane", "torus")
+# each surface and its Euler characteristic V - E + F
+SURFACES = {"plane": 2, "torus": 0}
 
 
 class EmbedError(ValueError):
     """Violation of the 1-embedding invariants or a malformed input file."""
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face, as the cyclic dart sequence of its boundary walk."""
-
-    boundary: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.boundary)
 
 
 def seg_key(d: int, twin: Mapping[int, int]) -> tuple:
@@ -199,8 +188,9 @@ class EmbeddedGraph:
         """Whether dart d lies on a new segment (one with no origin edge)."""
         return d in self.new_darts()
 
-    def faces(self) -> list[Face]:
-        """All faces, each boundary starting at its smallest dart id."""
+    def faces(self) -> list[tuple]:
+        """All faces, each the dart tuple of its boundary walk starting at
+        its smallest dart id, in the order of those darts; found once."""
         if self._faces is None:
             twin = self.twin
             succ = {}
@@ -217,19 +207,16 @@ class EmbeddedGraph:
                     walk.append(d)
                     d = succ[twin[d]]
                 seen.update(walk)
-                out.append(Face(tuple(walk)))
+                out.append(tuple(walk))
             self._faces = out
         return self._faces
 
     def face_census(self) -> dict:
         """The number of faces of each size, in ascending size order."""
-        census: dict = {}
-        for f in self.faces():
-            census[f.size] = census.get(f.size, 0) + 1
-        return dict(sorted(census.items()))
+        return dict(sorted(Counter(map(len, self.faces())).items()))
 
-    def face_vertices(self, face: Face) -> tuple:
-        return tuple(self.owner[d] for d in face.boundary)
+    def face_vertices(self, face: tuple) -> tuple:
+        return tuple(self.owner[d] for d in face)
 
 
 def _derived_origins(
@@ -256,11 +243,11 @@ def _derived_origins(
     return origins
 
 
-def dart_face_index(faces: Iterable[Face]) -> dict:
-    """Map each dart to the index of the face whose boundary contains it."""
+def dart_face_index(faces: Iterable[tuple]) -> dict:
+    """Map each dart to the index of the face whose dart tuple contains it."""
     out = {}
     for i, f in enumerate(faces):
-        for d in f.boundary:
+        for d in f:
             out[d] = i
     return out
 
@@ -279,7 +266,7 @@ def check_two_cell(e: EmbeddedGraph) -> None:
 def _check_two_cell(e: EmbeddedGraph, faces: int) -> None:
     """check_two_cell, given the number of faces."""
     chi = len(e.rotation) - e.num_segments() + faces
-    expected = 2 if e.surface == "plane" else 0
+    expected = SURFACES[e.surface]
     if chi != expected:
         raise EmbedError(
             f"not 2-cell for declared surface {e.surface}: "
@@ -306,7 +293,7 @@ def _check_two_cell(e: EmbeddedGraph, faces: int) -> None:
 def charge_sum_identity(e: EmbeddedGraph) -> tuple:
     """(sum of deg-6 over vertices + 2*size-6 over faces, -6*chi)."""
     total = sum(e.degree(v) - 6 for v in e.rotation)
-    total += sum(2 * f.size - 6 for f in e.faces())
+    total += sum(2 * len(f) - 6 for f in e.faces())
     return total, -6 * euler_characteristic(e)
 
 

@@ -199,7 +199,7 @@ def gen_crossed(base: EmbeddedGraph, pairs: int, seed: int = 0) -> EmbeddedGraph
         raise GenError("base drawing carries unresolved new segments")
     crossings = set(base.crossing_vertices())
     owner = base.owner
-    faces = [tuple([owner[d] for d in f.boundary]) for f in base.faces()]
+    faces = [tuple([owner[d] for d in f]) for f in base.faces()]
     # a pair splits a k-face into four faces of k + 8 corners in all, so
     # the room, the sum of k - 3 over faces, falls by one per pair and
     # bounds how many pairs fit
@@ -345,12 +345,12 @@ class GenSpec:
         return f"{self.family}-{params}-s{self.seed}"
 
 
-# each drawn family's parameter names and the surface its drawing lies on
+# each drawn family's parameter names
 FAMILIES = {
-    "grid": (("m", "n"), "torus"),
-    "planar_triangulation": (("size",), "plane"),
-    "crossed_grid": (("m", "n", "pairs"), "torus"),
-    "wheel_sum": (("delta", "size"), "plane"),
+    "grid": ("m", "n"),
+    "planar_triangulation": ("size",),
+    "crossed_grid": ("m", "n", "pairs"),
+    "wheel_sum": ("delta", "size"),
 }
 
 
@@ -359,7 +359,7 @@ def generate(spec: GenSpec) -> tuple:
     fam, p = spec.family, spec.parameters
     if fam not in FAMILIES:
         raise GenError(f"unknown generator family {fam!r}")
-    names = FAMILIES[fam][0]
+    names = FAMILIES[fam]
     if len(p) != len(names):
         raise GenError(
             f"family {fam} takes {len(names)} parameter(s) ({', '.join(names)}), got {len(p)}"

@@ -116,12 +116,13 @@ class _Corners(dict):
 class MatchContext:
     """Precomputed per-G* data shared by all pattern evaluations.
 
-    Cost: one pass over each face's boundary (its size, new-edge flag and
-    big and small counts), one dict entry per dart for its face, and one
-    step per crossing dart.  A vertex's corner list (`corner[v]`) is made
-    only when something reads it: R3's (5,5) candidates, rule-table
-    receivers that a sender side admits in a class with a faces pattern
-    as long as the rotation, and guarded_crossing's receivers."""
+    Cost: one pass over each face's dart tuple (its new-edge flag and big
+    count; its size is the tuple's length), one dict entry per dart for
+    its face, and one step per crossing dart.  A vertex's corner list
+    (`corner[v]`) is made only when something reads it: R3's (5,5)
+    candidates, rule-table receivers that a sender side admits in a class
+    with a faces pattern as long as the rotation, and guarded_crossing's
+    receivers."""
 
     def __init__(self, a: AugmentedGraph):
         self.a = a
@@ -129,14 +130,14 @@ class MatchContext:
         self.star = star
         self.faces = star.faces()
         dart_face = dart_face_index(self.faces)
-        self.face_size = [f.size for f in self.faces]
+        self.face_size = list(map(len, self.faces))
         new_darts = star.new_darts()
-        self.face_new = [not new_darts.isdisjoint(f.boundary) for f in self.faces]
+        self.face_new = [not new_darts.isdisjoint(f) for f in self.faces]
         # big occurrences per face, counted in C over one set of big vertices
         is_big = {v for v, c in a.classification.items() if c.size_class == "big"}.__contains__
         owner_of = star.owner.__getitem__
-        self.face_bigs = [sum(map(is_big, map(owner_of, f.boundary))) for f in self.faces]
-        self.face_smalls = [f.size - b for f, b in zip(self.faces, self.face_bigs)]
+        self.face_bigs = [sum(map(is_big, map(owner_of, f))) for f in self.faces]
+        self.face_smalls = [k - b for k, b in zip(self.face_size, self.face_bigs)]
         self.corner = _Corners(star.rotation, dart_face)
         # each dart at a crossing x is one neighbour slot, at its other end
         self.crossing_nbrs = dict.fromkeys(star.rotation, 0)

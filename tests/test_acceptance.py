@@ -113,7 +113,7 @@ def test_criterion_03_face_share_bounds(corpus):
         ledger = discharge(a)
         report = check_claims(a, ledger)
         assert report.big_face == []
-        faces_checked += sum(1 for f in a.faces() if f.size >= 4)
+        faces_checked += sum(1 for f in a.star.faces() if len(f) >= 4)
     # the worked neighbourhoods, too: every focal corner must meet the bound
     # (their truncated support corners are exempt by construction)
     focal_corners = 0

@@ -196,7 +196,7 @@ def rescan_g_star(gd, g):
     twin = dict(gd.twin)
     origins = dict(gd.segment_origin)
     owner = dict(gd.owner)
-    faces = [list(f.boundary) for f in gd.faces()]
+    faces = [list(f) for f in gd.faces()]
     next_dart = max(twin, default=-1) + 1
     log = []
     while True:
@@ -350,7 +350,7 @@ def test_new_segment_and_crossing_facts_match_a_recount(a):
         v: any(d in new for d in star.rotation[v]) for v in star.vertices()
     }
     ctx = MatchContext(a)
-    assert ctx.face_new == [any(d in new for d in f.boundary) for f in star.faces()]
+    assert ctx.face_new == [any(d in new for d in f) for f in star.faces()]
     assert ctx.crossing_nbrs == {
         v: sum(star.vertex_kind[star.other_end(d)] == CROSSING for d in rot)
         for v, rot in star.rotation.items()

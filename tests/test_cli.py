@@ -228,6 +228,14 @@ def test_verify_flags_colors_off_the_palette(capsys, triangle_file, tmp_path):
     ]
 
 
+def test_verify_rejects_a_negative_palette(capsys, triangle_file, tmp_path):
+    tc = tmp_path / "negative.tc"
+    tc.write_text(TRIANGLE_COLORING.replace("kappa 3", "kappa -3"))
+    code, out, err = run(capsys, ["verify", triangle_file, str(tc)])
+    assert (code, out) == (2, "")
+    assert err == "error: bad coloring line 1: 'kappa -3'\n"
+
+
 def test_verify_rejects_repeated_entries(capsys, triangle_file, tmp_path):
     tc = tmp_path / "twice.tc"
     tc.write_text(TRIANGLE_COLORING.replace("v 2 9", "v 2 3") + "e 1 0 2\n")
@@ -493,13 +501,10 @@ def test_gen_statuses(capsys, tmp_path):
     code, _, err = run(capsys, ["gen", "crossed_grid", "3", "3", "12", "--out", out_dir])
     assert code == 1
     assert "placed 9 of 12" in err
-    # bad family and surface mismatch are input errors
-    assert run(capsys, ["gen", "blob", "3", "--out", out_dir])[0] == 2
-    code, _, err = run(
-        capsys, ["gen", "grid", "3", "3", "--surface", "plane", "--out", out_dir]
-    )
+    # a bad family is an input error
+    code, _, err = run(capsys, ["gen", "blob", "3", "--out", out_dir])
     assert code == 2
-    assert "draws on the torus" in err
+    assert "unknown generator family 'blob'" in err
     # infeasible parameters are input errors too
     assert run(capsys, ["gen", "wheel_sum", "11", "15", "--out", out_dir])[0] == 2
     assert run(capsys, ["gen", "grid", "two", "3", "--out", out_dir])[0] == 2

@@ -1109,6 +1109,13 @@ def test_coloring_text_errors():
         coloring_from_text("kappa 3\nv 1 one\n")
 
 
+def test_coloring_text_rejects_a_negative_palette():
+    with pytest.raises(ColoringError, match=r"^bad coloring line 1: 'kappa -3'$"):
+        coloring_from_text("kappa -3\nv 0 1\n")
+    # the empty graph needs no color at all
+    assert coloring_from_text("kappa 0\n").kappa == 0
+
+
 def test_edge_key_normalizes():
     assert edge_key(4, 2) == (2, 4) == edge_key(2, 4)
     c = TotalColoring(3)

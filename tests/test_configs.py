@@ -17,6 +17,7 @@ from totalcolor.configs import (
     get_config,
     verify_config,
 )
+import totalcolor.discharge as discharge_module
 from totalcolor.discharge import discharge
 from totalcolor.embedding import EmbeddedGraph, EmbedError, dump_embedding
 
@@ -80,6 +81,20 @@ def test_config_settles(name):
         assert rep["zero"], rep["final"]
     else:
         assert not rep["zero"]
+
+
+def test_a_config_with_a_wrong_initial_charge_is_not_conserved(monkeypatch):
+    initial_charges = discharge_module.initial_charges
+
+    def raised(a):
+        charges = initial_charges(a)
+        charges[0] += 1
+        return charges
+
+    monkeypatch.setattr(discharge_module, "initial_charges", raised)
+    rep = verify_config(get_config("fan-run"))
+    assert rep["ledger"].conserved_total() == rep["ledger"].initial_total() == -11
+    assert rep["conserved"] is False
 
 
 def test_the_guard_demo_deficit_is_frozen():

@@ -199,7 +199,7 @@ def pumped_core(core, pumps):
 def core_face(a, core):
     star = a.star
     for i, f in enumerate(star.faces()):
-        if f.size == len(core) and {star.owner[d] for d in f.boundary} == set(core):
+        if len(f) == len(core) and {star.owner[d] for d in f} == set(core):
             return i
     raise AssertionError("core face missing")
 
@@ -262,8 +262,8 @@ def test_r2_shares_exactly_exhaust_each_face():
                 (t.amount for t in led.transfers if t.source == ("face", i)),
                 Fraction(0),
             )
-            assert paid in (0, 2 * f.size - 6)
-            assert led.final()[("face", i)] in (0, 2 * f.size - 6)
+            assert paid in (0, 2 * len(f) - 6)
+            assert led.final()[("face", i)] in (0, 2 * len(f) - 6)
 
 
 # -- R3: well-surrounded (5,5)-vertices ---------------------------------------
@@ -653,6 +653,13 @@ def test_semi_fan_center_below_the_bar_is_rejected():
         semi_fans(a, led, center=5)
     with pytest.raises(DischargeError, match="not a true vertex"):
         semi_fans(a, led, center=0)
+
+
+def test_semi_fan_center_outside_g_star_is_rejected():
+    a = get_config("fan-run").build()
+    led = discharge(a)
+    with pytest.raises(DischargeError, match="center 999 is not a vertex of G"):
+        semi_fans(a, led, center=999)
 
 
 def test_semi_fan_quiet_center_degenerates():
@@ -1152,6 +1159,17 @@ def test_final_and_report_match_the_per_transfer_reference(ledger):
 CHI = {"plane": 2, "torus": 0}
 
 
+def test_conserved_checks_the_initial_charges_against_the_drawing():
+    # a wrong initial charge moves the initial and final totals alike, so
+    # only the surface's -6 chi tells the run apart from a conserved one
+    ledger = discharge(g_star_of(gen_crossed(gen_toroidal_grid(6, 6)[1], 5, seed=3)))
+    assert final_report(ledger)["conserved"] is True
+    ledger.initial[0] += 1
+    report = final_report(ledger)
+    assert (report["initial_total"], report["final_total"]) == ("1", "1")
+    assert report["conserved"] is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(GENERATED_DRAWINGS)
 def test_charges_add_up_to_the_euler_count_and_every_rule_balances(e):
@@ -1189,7 +1207,7 @@ def _reference_corners(star):
     """Corner i at v, for every vertex: the face holding rotation dart i."""
     face_of = {}
     for fi, f in enumerate(star.faces()):
-        for d in f.boundary:
+        for d in f:
             face_of[d] = fi
     return {v: [face_of[d] for d in rot] for v, rot in star.rotation.items()}
 

@@ -65,7 +65,7 @@ def test_planar_k4_faces():
     e = planar_k4()
     faces = e.faces()
     assert len(faces) == 4
-    assert all(f.size == 3 for f in faces)
+    assert all(len(f) == 3 for f in faces)
     assert euler_characteristic(e) == 2
 
 
@@ -86,7 +86,7 @@ def test_torus_grid_c3c3():
     e = torus_grid(3, 3)
     faces = e.faces()
     assert len(faces) == 9
-    assert all(f.size == 4 for f in faces)
+    assert all(len(f) == 4 for f in faces)
     assert e.num_segments() == 18
     assert euler_characteristic(e) == 0
     check_two_cell(e)
@@ -95,7 +95,7 @@ def test_torus_grid_c3c3():
 def test_plane_c5_two_faces():
     e = from_face_cycles([(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)], "plane")
     faces = e.faces()
-    assert sorted(f.size for f in faces) == [5, 5]
+    assert sorted(len(f) for f in faces) == [5, 5]
     assert euler_characteristic(e) == 2
 
 
@@ -138,7 +138,7 @@ def test_a_disconnected_drawing_is_not_2_cell():
 def test_dart_conservation(make):
     e = make()
     faces = e.faces()
-    total = sum(f.size for f in faces)
+    total = sum(len(f) for f in faces)
     assert total == 2 * e.num_segments()
     assert total == sum(len(rot) for rot in e.rotation.values())
     # every dart on exactly one face
@@ -156,7 +156,7 @@ def test_charge_sum_identity(make):
 def test_faces_start_at_min_dart():
     e = k5_crossed()
     for f in e.faces():
-        assert f.boundary[0] == min(f.boundary)
+        assert f[0] == min(f)
 
 
 def test_face_vertices():

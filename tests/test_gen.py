@@ -88,7 +88,7 @@ def test_grid_3x3_counts():
     assert len(g.vertices) == 9
     assert g.num_edges() == 18
     assert len(e.faces()) == 9
-    assert all(f.size == 4 for f in e.faces())
+    assert all(len(f) == 4 for f in e.faces())
     assert euler_characteristic(e) == 0
     assert all(g.degree(v) == 4 for v in g.vertices)
     check_two_cell(e)
@@ -124,7 +124,7 @@ def test_triangulation_counts():
         assert len(g.vertices) == size
         assert g.num_edges() == 3 * size - 6
         assert len(e.faces()) == 2 * size - 4
-        assert all(f.size == 3 for f in e.faces())
+        assert all(len(f) == 3 for f in e.faces())
         assert euler_characteristic(e) == 2
         check_two_cell(e)
 
@@ -179,7 +179,7 @@ def test_crossed_quad_capacity_is_face_count():
     _, e = gen_toroidal_grid(3, 3)
     c = gen_crossed(e, 9, seed=2)
     assert len(c.crossing_vertices()) == 9
-    assert all(f.size == 3 for f in c.faces())
+    assert all(len(f) == 3 for f in c.faces())
     with pytest.raises(GenError, match="placed 9 of 10") as exc_info:
         gen_crossed(e, 10, seed=2)
     assert exc_info.value.achieved == 9
@@ -268,7 +268,7 @@ def test_crossed_draws_as_the_per_pair_rescan_did(monkeypatch):
     bases += [gen_planar_triangulation(12, 1)[1], gen_crossed(bases[3], 6, seed=5)]
     seen = {"redraws": 0, "resplits": 0, "errors": 0, "runs": 0}
     for base in bases:
-        room = sum(f.size - 3 for f in base.faces() if f.size > 3)
+        room = sum(len(f) - 3 for f in base.faces() if len(f) > 3)
         counts = {1, 3, room // 2, room - 1, room, room + 1, 3 * room}
         for pairs in sorted(p for p in counts if p > 0):
             for seed in range(4):
@@ -333,7 +333,7 @@ def test_high_degree_two_rings():
     g, e = gen_high_degree_P_drawing(11, 23)
     assert len(g.vertices) == 23
     assert g.num_edges() == 33
-    sizes = sorted(f.size for f in e.faces())
+    sizes = sorted(len(f) for f in e.faces())
     assert sizes == [4] * 11 + [22]
     assert g.max_degree() == 11
 

@@ -241,3 +241,44 @@ def test_only_embedding_py_writes_into_a_drawing():
         for line in drawing_edits(path.read_text())
     ]
     assert found == []
+
+
+# private names that one library module imports from another, keyed by
+# (importer, source module, name), each with the reason it crosses over;
+# the set may shrink but not grow.  configs.assemble's four reaches into
+# embedding mark the second drawing builder, beside from_face_cycles
+PRIVATE_IMPORTS = {
+    ("configs", "embedding", "_check_two_cell"): "assemble counts V-E+F from its closed cycles",
+    ("configs", "embedding", "_derived_origins"): "assemble marks new pairs before construction",
+    ("configs", "embedding", "_face_rotation"): "assemble numbers darts as from_face_cycles does",
+    ("configs", "embedding", "_vertex_kinds"): "assemble labels crossings as from_face_cycles does",
+    ("configs", "discharge", "_frac_str"): "verify_config renders receipts as the report does",
+    ("discharge", "ruletable", "_class_matches"): "the rule table groups rules by receiver class",
+    ("reduce", "coloring", "_is_proper"): "an extension check tests properness without a listing",
+    ("reduce", "coloring", "_search"): "the extension harness enumerates colorings with it",
+}
+
+
+def private_imports(source: str) -> set:
+    """(source module, name) of every `from .x import _y` in the source."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_private_imports_are_found():
+    source = "from .a import _b, c\nfrom . import _d\nfrom x import _e\nfrom .f import g as _h\n"
+    assert private_imports(source) == {("a", "_b"), (None, "_d")}
+
+
+def test_library_modules_import_only_the_listed_private_names():
+    found = {
+        (path.stem, module, name)
+        for path in (ROOT / "src/totalcolor").glob("*.py")
+        for module, name in private_imports(path.read_text())
+    }
+    assert found == set(PRIVATE_IMPORTS)

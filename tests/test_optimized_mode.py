@@ -34,6 +34,7 @@ def test_library_has_no_assert_statements():
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 TRIANGLE = "0 1\n0 2\n1 2\n"
 OFF_PALETTE = "kappa 3\nv 0 1\nv 1 2\nv 2 9\ne 0 1 3\ne 0 2 2\ne 1 2 1\n"
+NEGATIVE_PALETTE = OFF_PALETTE.replace("kappa 3", "kappa -3")
 GRID = dump_embedding(gen_toroidal_grid(3, 3)[1])
 REPEATED_EXCLUSION = '{"rules": [], "exclusions": ["guarded-crossing", "guarded-crossing"]}'
 
@@ -42,6 +43,7 @@ REPEATED_EXCLUSION = '{"rules": [], "exclusions": ["guarded-crossing", "guarded-
     "argv, files, status",
     [
         (["verify", "c3.el", "c3.tc"], {"c3.el": TRIANGLE, "c3.tc": OFF_PALETTE}, 1),
+        (["verify", "c3.el", "c3.tc"], {"c3.el": TRIANGLE, "c3.tc": NEGATIVE_PALETTE}, 2),
         (["color", "k4.el", "--kappa", "3"], {"k4.el": K4}, 2),
         (["color", "k4.el", "--budget", "-5"], {"k4.el": K4}, 2),
         (
@@ -52,6 +54,7 @@ REPEATED_EXCLUSION = '{"rules": [], "exclusions": ["guarded-crossing", "guarded-
     ],
     ids=[
         "verify-off-palette",
+        "verify-negative-kappa",
         "color-kappa-3",
         "color-budget-minus-5",
         "discharge-repeated-exclusion",
