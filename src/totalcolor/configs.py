@@ -7,7 +7,9 @@ must rescue.  Running the full pipeline on the drawing must bring the
 focal vertex to exactly zero, via exactly the expected transfers.
 
 Drawings are given as interior face cycles; `close_drawing` derives the
-outer boundary automatically.  Every drawing names its focal vertex 0
+outer boundary automatically, and `assemble` builds the closed drawing
+with the one drawing builder, `embedding.from_face_cycles`, the entry's
+`new_pairs` segments origin-less.  Every drawing names its focal vertex 0
 (`LocalConfig.focal`).  High-degree "anchor" vertices (the senders,
 degree >= 6) get their degree from petal fans in the outer region; where
 needed, a degree-8 mast fixes the table's degree threshold.  Most entries
@@ -20,15 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .augment import AugmentedGraph
-from .discharge import _frac_str, discharge
-from .embedding import (
-    SURFACES,
-    EmbeddedGraph,
-    _check_two_cell,
-    _derived_origins,
-    _face_rotation,
-    _vertex_kinds,
-)
+from .discharge import discharge
+from .embedding import SURFACES, from_face_cycles
 from .graphs import build_graph
 
 
@@ -74,23 +69,10 @@ def close_drawing(faces):
 
 
 def assemble(faces, crossings=(), new_pairs=(), surface="plane") -> AugmentedGraph:
-    """Close and embed the drawing, its new pairs' segments origin-less, and
+    """Close the drawing, build it with the one drawing builder,
+    embedding.from_face_cycles (its new pairs' segments origin-less), and
     wrap it with its underlying simple graph as an augmented graph."""
-    cycles = close_drawing(faces)
-    rotation, twin = _face_rotation(cycles)
-    kinds = _vertex_kinds(rotation, set(crossings))
-    owner = {d: v for v, rot in rotation.items() for d in rot}
-    origins = _derived_origins(rotation, twin, owner, kinds)
-    for u, v in new_pairs:
-        keys = [k for k in origins if {owner[k[0]], owner[k[1]]} == {u, v}]
-        if len(keys) != 1:
-            raise ConfigError(
-                f"new pair {u},{v}: expected exactly one segment, found {len(keys)}"
-            )
-        origins[keys[0]] = None
-    # emb is built with its final origins, so its constructor validates them
-    emb = EmbeddedGraph(rotation, twin, kinds, surface, origins)
-    _check_two_cell(emb, len(cycles))
+    emb = from_face_cycles(close_drawing(faces), surface, crossings, new_pairs)
     g = build_graph({o for o in emb.segment_origin.values() if o is not None})
     if set(emb.true_vertices()) != set(g.vertices):
         raise ConfigError("true vertices differ from the reconstructed graph")
@@ -121,9 +103,7 @@ def verify_config(cfg: LocalConfig) -> dict:
     Returns a report dict; callers assert on its fields."""
     a = cfg.build()
     ledger = discharge(a)
-    got = sorted(
-        (t.rule, _frac_str(t.amount)) for t in ledger.transfers if t.target == cfg.focal
-    )
+    got = sorted((t.rule, str(t.amount)) for t in ledger.transfers if t.target == cfg.focal)
     sent = [t for t in ledger.transfers if t.source == cfg.focal]
     final = ledger.final()[cfg.focal]
     total = ledger.conserved_total()

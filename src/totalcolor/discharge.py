@@ -545,17 +545,13 @@ def check_claims(a: AugmentedGraph, ledger: ChargeLedger) -> ClaimReport:
 # Reporting
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def final_report(ledger: ChargeLedger) -> dict:
-    """JSON-ready summary; rationals are rendered as exact 'p/q' strings
-    and negatively charged elements are listed first, each part in element
-    order (see initial_charges).  `conserved` holds when the final total,
-    pool included, equals both the initial total and -6 times the Euler
-    characteristic of the star's surface, so it also checks the initial
-    charges against the drawing.
+    """JSON-ready summary; rationals are rendered by str() as exact 'p/q'
+    (or 'n') strings and negatively charged elements are listed first, each
+    part in element order (see initial_charges).  `conserved` holds when
+    the final total, pool included, equals both the initial total and -6
+    times the Euler characteristic of the star's surface, so it also checks
+    the initial charges against the drawing.
 
     Cost: one label per element and one dict per transfer row, but one
     rendering per distinct charge or amount object: final() shares equal
@@ -572,7 +568,7 @@ def final_report(ledger: ChargeLedger) -> dict:
     final_total = _exact_sum(final.values()) + ledger.pool
     amounts = map(itemgetter(3), chain(ledger.transfers, ledger.skipped))
     shown = {id(x): x for x in chain(final.values(), amounts)}
-    text = {k: _frac_str(x) for k, x in shown.items()}
+    text = {k: str(x) for k, x in shown.items()}
     labels = {e: element_label(e) for e in chain(final, [POOL])}
 
     def rows(records: list) -> list:
@@ -590,10 +586,10 @@ def final_report(ledger: ChargeLedger) -> dict:
         "surface": a.star.surface,
         "delta": ledger.delta,
         "applied": list(ledger.applied),
-        "initial_total": _frac_str(initial_total),
-        "final_total": _frac_str(final_total),
+        "initial_total": str(initial_total),
+        "final_total": str(final_total),
         "conserved": final_total == initial_total == -6 * SURFACES[a.star.surface],
-        "pool": _frac_str(ledger.pool),
+        "pool": str(ledger.pool),
         "pool_flagged": ledger.pool_flagged,
         "negative_count": len(negative),
         "charges": {labels[e]: text[id(c)] for e, c in ordered},

@@ -304,6 +304,7 @@ def from_face_cycles(
     face_cycles: Sequence[Sequence[int]],
     surface: str,
     crossing_vertices: Iterable[int] = (),
+    new_pairs: Sequence[tuple] = (),
 ) -> EmbeddedGraph:
     """Build an embedding from its oriented face cycles.
 
@@ -313,11 +314,26 @@ def from_face_cycles(
     not chain into a single cycle the face set is not a valid embedding.
     Every crossing id must name a vertex, and the drawing must be 2-cell on
     `surface` (see check_two_cell).  Origins are derived (see
-    EmbeddedGraph), so the drawing fixes its graph (gen.true_graph_of).
+    EmbeddedGraph), so without new pairs the drawing fixes its graph
+    (gen.true_graph_of).  Each new pair (u, w) names the one segment
+    joining u and w, which gets no origin: a new edge of G*.  A pair with
+    no segment or with several is rejected, and so is a new segment at a
+    crossing, whose origin the crossing needs.
     """
     rotation, twin = _face_rotation(face_cycles)
     kinds = _vertex_kinds(rotation, set(crossing_vertices))
-    e = EmbeddedGraph(rotation, twin, kinds, surface)
+    origins = None
+    if new_pairs:
+        owner = {d: v for v, rot in rotation.items() for d in rot}
+        origins = _derived_origins(rotation, twin, owner, kinds)
+        for u, w in new_pairs:
+            keys = [k for k in origins if {owner[k[0]], owner[k[1]]} == {u, w}]
+            if len(keys) != 1:
+                raise EmbedError(
+                    f"new pair {u},{w}: expected exactly one segment, found {len(keys)}"
+                )
+            origins[keys[0]] = None
+    e = EmbeddedGraph(rotation, twin, kinds, surface, origins)
     # the given cycles are exactly the faces, so V-E+F needs no face trace
     _check_two_cell(e, len(face_cycles))
     return e

@@ -135,8 +135,14 @@ def test_catalog_rebuilds_are_stable():
 
 def test_assemble_rejects_ambiguous_new_pairs():
     faces = [[0, 1, 2], [0, 2, 3]]
-    with pytest.raises(ConfigError, match="new pair"):
+    with pytest.raises(EmbedError, match="new pair"):
         assemble(faces, new_pairs=((0, 4),))
+
+
+def test_assemble_rejects_a_true_vertex_on_new_segments_only():
+    # every segment at the hub 3 is new, so no original edge reaches it
+    with pytest.raises(ConfigError, match="true vertices differ from the reconstructed graph"):
+        assemble([(0, 1, 3), (1, 2, 3), (2, 0, 3)], new_pairs=((0, 3), (1, 3), (2, 3)))
 
 
 def test_assemble_rejects_a_drawing_off_its_surface():

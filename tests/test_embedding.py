@@ -14,7 +14,7 @@ from totalcolor.embedding import (
     parse_embedding,
 )
 from totalcolor.augment import build_g_star
-from totalcolor.gen import gen_planar_triangulation, gen_toroidal_grid, true_graph_of
+from totalcolor.gen import GenError, gen_planar_triangulation, gen_toroidal_grid, true_graph_of
 
 from helpers import (
     GENERATED_DRAWINGS,
@@ -49,7 +49,7 @@ def k5_crossed():
     return embed(K5X_FACES, "plane", complete_graph(5), crossings={5})
 
 
-def torus_grid(m, n):
+def torus_grid(m, n, new_pairs=()):
     def v(i, j):
         return (i % m) * n + (j % n)
 
@@ -58,7 +58,7 @@ def torus_grid(m, n):
         for i in range(m)
         for j in range(n)
     ]
-    return from_face_cycles(faces, "torus")
+    return from_face_cycles(faces, "torus", new_pairs=new_pairs)
 
 
 def test_planar_k4_faces():
@@ -185,6 +185,28 @@ def test_from_face_cycles_rejects_a_crossing_that_names_no_vertex():
     # the same check, with the same message, as parse_embedding's
     with pytest.raises(EmbedError, match="crossing 9 names no vertex"):
         from_face_cycles(K5X_FACES, "plane", crossing_vertices={5, 9})
+
+
+def test_from_face_cycles_marks_each_new_pair_origin_less():
+    plain = torus_grid(4, 4)
+    e = torus_grid(4, 4, new_pairs=((1, 0),))
+    owner = e.owner
+    news = [k for k, o in e.segment_origin.items() if o is None]
+    assert [{owner[d] for d in k} for k in news] == [{0, 1}]
+    assert e.rotation == plain.rotation
+    assert {k: o for k, o in e.segment_origin.items() if o is not None} == {
+        k: o for k, o in plain.segment_origin.items() if k not in news
+    }
+    assert e.new_darts() == set(news[0])
+    # the drawing's graph is no longer fixed: 0-1 is a new edge of G*
+    with pytest.raises(GenError, match="unresolved new segments"):
+        true_graph_of(e)
+    # 0 and 5 lie on a face but share no segment
+    with pytest.raises(EmbedError, match="new pair 0,5: expected exactly one segment, found 0"):
+        torus_grid(4, 4, new_pairs=((0, 1), (0, 5)))
+    # a crossing needs the origins of its four segments
+    with pytest.raises(EmbedError, match="segment at crossing 5 lacks an origin edge"):
+        from_face_cycles(K5X_FACES, "plane", crossing_vertices={5}, new_pairs=((0, 5),))
 
 
 def test_adjacent_crossings_rejected():

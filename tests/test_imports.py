@@ -245,14 +245,8 @@ def test_only_embedding_py_writes_into_a_drawing():
 
 # private names that one library module imports from another, keyed by
 # (importer, source module, name), each with the reason it crosses over;
-# the set may shrink but not grow.  configs.assemble's four reaches into
-# embedding mark the second drawing builder, beside from_face_cycles
+# the set may shrink but not grow
 PRIVATE_IMPORTS = {
-    ("configs", "embedding", "_check_two_cell"): "assemble counts V-E+F from its closed cycles",
-    ("configs", "embedding", "_derived_origins"): "assemble marks new pairs before construction",
-    ("configs", "embedding", "_face_rotation"): "assemble numbers darts as from_face_cycles does",
-    ("configs", "embedding", "_vertex_kinds"): "assemble labels crossings as from_face_cycles does",
-    ("configs", "discharge", "_frac_str"): "verify_config renders receipts as the report does",
     ("discharge", "ruletable", "_class_matches"): "the rule table groups rules by receiver class",
     ("reduce", "coloring", "_is_proper"): "an extension check tests properness without a listing",
     ("reduce", "coloring", "_search"): "the extension harness enumerates colorings with it",
