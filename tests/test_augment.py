@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -244,6 +245,26 @@ def crossed_grid(side, pairs, seed=1):
     _, e = gen_toroidal_grid(side, side)
     e = gen_crossed(e, pairs, seed=seed)
     return e, true_graph_of(e)
+
+
+def test_golden_g_star_dumps():
+    # sha256 of each G*'s dump, its faces' vertex walks in faces() order
+    # and its insertion log, which a change to how G* is built must
+    # reproduce exactly
+    drawings = list(acceptance_drawings())
+    drawings += [crossed_grid(24, 70, seed=s)[0] for s in (0, 1)]
+    drawings.append(crossed_grid(80, 800)[0])
+    h = hashlib.sha256()
+    for e in drawings:
+        a = build_g_star(e, true_graph_of(e))
+        star = a.star
+        h.update(dump_embedding(star).encode())
+        h.update(json.dumps([star.face_vertices(f) for f in star.faces()]).encode())
+        h.update(json.dumps([(r.step, r.face, r.pair) for r in a.insertions]).encode())
+        h.update(b"\0")
+    assert h.hexdigest() == (
+        "ff94cb367ebf30d12176f374aa78398aec8fd1f72105a275a141a84e4364ecc1"
+    )
 
 
 def test_heap_loop_matches_full_rescan():
