@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .embedding import TRUE, EmbeddedGraph
+from .embedding import TRUE, ChordEdit, EmbeddedGraph
 from .graphs import SimpleGraph
 
 
@@ -91,7 +91,9 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
 
     When no face is eligible the insertion log is empty and G* is gd
     itself (`a.star is a.base`): nothing is copied, validated or traced
-    again.  Otherwise G* is a new EmbeddedGraph, validated in full.
+    again.  Otherwise embedding.ChordEdit draws each insertion on a copy
+    of gd and checks it locally; G* is not validated in full again, and
+    its faces are the pieces the loop made, not traced again.
 
     Deterministic order: among eligible faces pick the one whose boundary
     holds the smallest dart id, then the smallest vertex pair within it.
@@ -112,29 +114,15 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
                 heapq.heappush(heap, (min(fb), fb, pick))
 
     for f in gd.faces():
-        push(list(f))
+        push(f)
     if not heap:
         # nothing to insert: G* is the validated base drawing itself
         return AugmentedGraph(g, gd, gd, [])
-    rotation = {v: list(rot) for v, rot in gd.rotation.items()}
-    twin = dict(gd.twin)
-    origins = dict(gd.segment_origin)
-    owner = dict(gd.owner)
-    next_dart = max(twin, default=-1) + 1
+    edit = ChordEdit(gd)
+    owner = edit.owner
     log: list[InsertionRecord] = []
     while heap:
         _, fb, (i, j, u, v) = heapq.heappop(heap)
-        a, b = next_dart, next_dart + 1
-        next_dart += 2
-        ru = rotation[u]
-        ru.insert(ru.index(fb[i]), a)
-        rv = rotation[v]
-        rv.insert(rv.index(fb[j]), b)
-        twin[a] = b
-        twin[b] = a
-        owner[a] = u
-        owner[b] = v
-        origins[(a, b)] = None
         log.append(
             InsertionRecord(
                 step=len(log),
@@ -142,16 +130,9 @@ def build_g_star(gd: EmbeddedGraph, g: SimpleGraph) -> AugmentedGraph:
                 pair=(u, v) if u < v else (v, u),
             )
         )
-        push([a] + fb[j:] + fb[:i])
-        push([b] + fb[i:j])
-    star = EmbeddedGraph(
-        {v: tuple(rot) for v, rot in rotation.items()},
-        twin,
-        kinds,
-        gd.surface,
-        origins,
-    )
-    return AugmentedGraph(g, gd, star, log)
+        for piece in edit.split(fb, i, j):
+            push(piece)
+    return AugmentedGraph(g, gd, edit.finish(), log)
 
 
 def classify_vertices(a: AugmentedGraph) -> dict:

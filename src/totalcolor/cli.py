@@ -31,10 +31,12 @@ from .ruletable import parse_rule_table
 
 def _read(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise SystemExit(f"error: cannot read {path}: not UTF-8 text") from None
 
 
 def _load_graph(path: str) -> SimpleGraph:

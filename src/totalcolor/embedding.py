@@ -42,6 +42,12 @@ class EmbeddedGraph:
     When omitted it is derived: true-true segments originate themselves,
     and the two opposite segment pairs at a crossing inherit the edge
     joining their far endpoints.
+
+    The constructor validates every field in full; the parser and
+    from_face_cycles build through it, so every drawing read from a file
+    or built from face cycles is checked whole.  ChordEdit is the one
+    other path: it copies a drawing built here, checks each chord it adds
+    locally, and hands back the result without a second full check.
     """
 
     __slots__ = (
@@ -387,6 +393,103 @@ def _vertex_kinds(rotation: Mapping, crossings: set) -> dict:
     if not crossings <= rotation.keys():
         raise EmbedError(f"crossing {min(crossings - rotation.keys())} names no vertex")
     return {v: CROSSING if v in crossings else TRUE for v in rotation}
+
+
+# ---------------------------------------------------------------------------
+# Chord edits
+
+class ChordEdit:
+    """New edges drawn as chords across the faces of a validated drawing.
+
+    `split(face, i, j)` joins the owners of face[i] and face[j] by a new
+    segment (origin None) across the face, which becomes two faces, and
+    returns them.  The chord's darts are numbered past every dart so far
+    and enter the rotations of its ends just before face[i] and face[j].
+    Each split checks only what it changes: the face is a face of the
+    edit, i < j are corners of it that are not consecutive either way,
+    and the ends are two distinct true vertices.  So no crossing's
+    rotation or origins change, and one segment and one face are added
+    to a connected drawing: every invariant the constructor checks, V-E+F
+    and connectivity carry over from the base.  `finish()` therefore
+    returns the edited drawing without validating it again, its face
+    cache filled from the faces of the edit.
+    """
+
+    def __init__(self, base: EmbeddedGraph):
+        self._base = base
+        self._rotation = dict(base.rotation)
+        self._lists: dict = {}  # the rotation, as a list, of each chord end
+        self._twin = dict(base.twin)
+        self.owner = dict(base.owner)
+        self._origin = dict(base.segment_origin)
+        self._first_new = self._next = max(self._twin, default=-1) + 1
+        # each face under its first dart: a base face starts at its
+        # smallest, a piece at the dart of the chord that made it
+        self._faces = {f[0]: f for f in base.faces()}
+
+    def split(self, face: tuple, i: int, j: int) -> tuple:
+        faces, owner = self._faces, self.owner
+        if not face or faces.get(face[0]) != face:
+            raise EmbedError(f"{face} is not a face of the edit (never one, or split already)")
+        k = len(face)
+        if not 0 <= i < j < k:
+            raise EmbedError(f"corners {i}, {j} are not in order on a face of size {k}")
+        if j - i < 2 or k - (j - i) < 2:
+            raise EmbedError(f"corners {i}, {j} are consecutive on a face of size {k}")
+        u, v = owner[face[i]], owner[face[j]]
+        kinds = self._base.vertex_kind
+        for w in (u, v):
+            if kinds[w] != TRUE:
+                raise EmbedError(f"chord end {w} is a crossing vertex")
+        if u == v:
+            raise EmbedError(f"chord joins vertex {u} to itself")
+        a = self._next
+        b = a + 1
+        self._next = a + 2
+        for w, at, d in ((u, face[i], a), (v, face[j], b)):
+            rot = self._lists.get(w)
+            if rot is None:
+                rot = self._lists[w] = list(self._rotation[w])
+            rot.insert(rot.index(at), d)
+        self._twin[a] = b
+        self._twin[b] = a
+        owner[a] = u
+        owner[b] = v
+        self._origin[a, b] = None
+        del faces[face[0]]
+        p, q = (a,) + face[j:] + face[:i], (b,) + face[i:j]
+        faces[a] = p
+        faces[b] = q
+        return p, q
+
+    def finish(self) -> EmbeddedGraph:
+        """The edited drawing, its faces cached in faces()'s form and
+        order; the edit ends here."""
+        if not self._faces:
+            raise EmbedError("the edit is finished already")
+        base = self._base
+        rotation = self._rotation
+        for w, rot in self._lists.items():
+            rotation[w] = tuple(rot)
+        faces = {}
+        for d, f in self._faces.items():
+            if d >= self._first_new:
+                # a piece starts at its chord's dart; turn it to its smallest
+                d = min(f)
+                k = f.index(d)
+                f = f[k:] + f[:k]
+            faces[d] = f
+        self._faces = {}
+        e = EmbeddedGraph.__new__(EmbeddedGraph)
+        e.rotation = rotation
+        e.twin = self._twin
+        e.owner = self.owner
+        e.vertex_kind = dict(base.vertex_kind)
+        e.surface = base.surface
+        e.segment_origin = self._origin
+        e._faces = [faces[d] for d in sorted(faces)]
+        e._new_darts = None
+        return e
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from totalcolor.embedding import (
     CROSSING,
     EmbeddedGraph,
     dump_embedding,
+    check_two_cell,
     euler_characteristic,
     parse_embedding,
     seg_key,
@@ -35,6 +36,7 @@ from totalcolor.gen import (
 from totalcolor.ruletable import MatchContext
 
 from helpers import (
+    GENERATED_DRAWINGS,
     c6_plane,
     complete_graph,
     embed,
@@ -299,21 +301,21 @@ def test_each_face_tested_once(monkeypatch):
 
 def test_zero_insertion_op_builds_and_traces_one_drawing(monkeypatch):
     # counted, not timed: the drawing op (parse, G*, discharge, claims,
-    # report) builds and traces a drawing with no insertion once; G* is
-    # the parsed object itself.  A drawing that gets insertions builds
-    # and traces its G* as a second drawing.
+    # report) validates and traces one drawing in full, the parsed one.
+    # With no insertion G* is the parsed object itself; with insertions G*
+    # is a chord edit of it, checked locally and handed its faces.
     counts = Counter()
-    init, faces = EmbeddedGraph.__init__, EmbeddedGraph.faces
+    validate, faces = EmbeddedGraph._validate_structure, EmbeddedGraph.faces
 
-    def counted_init(self, *args, **kwargs):
-        counts["built"] += 1
-        init(self, *args, **kwargs)
+    def counted_validate(self):
+        counts["validated"] += 1
+        validate(self)
 
     def counted_faces(self):
         counts["traced"] += self._faces is None
         return faces(self)
 
-    monkeypatch.setattr(EmbeddedGraph, "__init__", counted_init)
+    monkeypatch.setattr(EmbeddedGraph, "_validate_structure", counted_validate)
     monkeypatch.setattr(EmbeddedGraph, "faces", counted_faces)
 
     def op(e):
@@ -328,10 +330,10 @@ def test_zero_insertion_op_builds_and_traces_one_drawing(monkeypatch):
 
     a, seen = op(gen_planar_triangulation(300, seed=1)[1])
     assert a.insertions == [] and a.star is a.base
-    assert seen == {"built": 1, "traced": 1}
+    assert seen == {"validated": 1, "traced": 1}
     a, seen = op(crossed_grid(8, 6)[0])
     assert a.insertions and a.star is not a.base
-    assert seen == {"built": 2, "traced": 2}
+    assert seen == {"validated": 1, "traced": 1}
 
 
 def _reparsed_g_star(e):
@@ -359,6 +361,39 @@ AUGMENTED_GRAPHS = st.one_of(
     st.sampled_from(all_configs()).map(lambda cfg: cfg.build()),
     _BASE_DRAWINGS.map(_reparsed_g_star),
 )
+
+
+def assert_star_passes_a_full_rebuild(a):
+    # G* is a chord edit of its base, checked locally: the full
+    # constructor must accept it, trace the faces it was handed, and derive
+    # the same owners and origins
+    star = a.star
+    seeded = star._faces
+    assert seeded is not None
+    fresh = EmbeddedGraph(
+        star.rotation, star.twin, star.vertex_kind, star.surface, star.segment_origin
+    )
+    check_two_cell(fresh)
+    assert fresh.faces() == seeded
+    assert fresh.owner == star.owner
+    assert fresh.segment_origin == star.segment_origin
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    GENERATED_DRAWINGS.map(lambda e: build_g_star(e, true_graph_of(e))),
+    _BASE_DRAWINGS.map(_reparsed_g_star),
+))
+def test_generated_g_star_passes_a_full_rebuild(a):
+    assert_star_passes_a_full_rebuild(a)
+
+
+@pytest.mark.parametrize("cfg", all_configs(), ids=lambda cfg: cfg.name)
+def test_catalog_g_star_passes_a_full_rebuild(cfg):
+    built = cfg.build()
+    a = build_g_star(built.star, built.g)
+    assert a.insertions
+    assert_star_passes_a_full_rebuild(a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -346,6 +346,15 @@ def test_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("verb, name", [("faces", "drawing.emb"), ("color", "graph.el")])
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, verb, name):
+    p = tmp_path / name
+    p.write_bytes(b"\xff\xfe0 1\n")
+    code, out, err = run(capsys, [verb, str(p)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {p}: not UTF-8 text\n"
+
+
 def test_malformed_file_names_line(capsys, tmp_path):
     p = tmp_path / "mangled.el"
     p.write_text("0 1\nbroken line here\n")

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totalcolor.embedding import (
+    ChordEdit,
     EmbeddedGraph,
     EmbedError,
     charge_sum_identity,
@@ -398,3 +399,84 @@ def test_generated_drawing_round_trip(e, augmented):
     assert back.vertex_kind == e.vertex_kind
     assert back.segment_origin == e.segment_origin
     assert back.surface == e.surface
+
+
+# -- chord edits ---------------------------------------------------------------
+
+
+def face_of_size(e, k):
+    return next(f for f in e.faces() if len(f) == k)
+
+
+def test_chord_edit_splits_a_face_and_leaves_its_base_alone():
+    e = from_face_cycles([(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)], "plane")
+    text = dump_embedding(e)
+    edit = ChordEdit(e)
+    face = e.faces()[0]
+    p, q = edit.split(face, 0, 3)
+    star = edit.finish()
+    assert dump_embedding(e) == text
+    assert (len(p), len(q)) == (4, 4)
+    assert star.segment_origin[p[0], q[0]] is None
+    assert star.faces() == EmbeddedGraph(
+        star.rotation, star.twin, star.vertex_kind, star.surface, star.segment_origin
+    ).faces()
+    assert euler_characteristic(star) == 2
+
+
+@pytest.mark.parametrize(
+    "i, j, wanted",
+    [
+        (0, 1, "corners 0, 1 are consecutive on a face of size 6"),
+        (0, 5, "corners 0, 5 are consecutive on a face of size 6"),
+        (3, 1, "corners 3, 1 are not in order on a face of size 6"),
+        (-1, 2, "corners -1, 2 are not in order on a face of size 6"),
+        (2, 6, "corners 2, 6 are not in order on a face of size 6"),
+    ],
+)
+def test_chord_edit_rejects_corners_out_of_order_or_consecutive(i, j, wanted):
+    e = from_face_cycles([(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)], "plane")
+    with pytest.raises(EmbedError, match=wanted):
+        ChordEdit(e).split(e.faces()[0], i, j)
+
+
+def test_chord_edit_rejects_an_end_at_a_crossing():
+    # the central 4-face of the hexagon alternates true 2, crossing 7,
+    # true 5, crossing 6
+    e = from_face_cycles(
+        [(0, 1, 6), (1, 2, 6), (2, 3, 7), (3, 4, 7), (4, 5, 7), (5, 0, 6),
+         (2, 7, 5, 6), (0, 5, 4, 3, 2, 1)],
+        "plane",
+        crossing_vertices={6, 7},
+    )
+    face = face_of_size(e, 4)
+    i, j = [k for k, d in enumerate(face) if e.owner[d] in (6, 7)]
+    with pytest.raises(EmbedError, match="chord end [67] is a crossing vertex"):
+        ChordEdit(e).split(face, i, j)
+
+
+def test_chord_edit_rejects_both_ends_at_one_vertex():
+    # a path 0-1-2 in the plane: its one face passes vertex 1 twice
+    e = from_face_cycles([(0, 1, 2, 1)], "plane")
+    (face,) = e.faces()
+    i, j = [k for k, d in enumerate(face) if e.owner[d] == 1]
+    with pytest.raises(EmbedError, match="chord joins vertex 1 to itself"):
+        ChordEdit(e).split(face, i, j)
+
+
+def test_chord_edit_rejects_a_face_split_already_or_never_one():
+    e = from_face_cycles([(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)], "plane")
+    edit = ChordEdit(e)
+    face = e.faces()[0]
+    turned = face[1:] + face[:1]
+    for bad in (turned, (), (99, 100, 101, 102)):
+        with pytest.raises(EmbedError, match="is not a face of the edit"):
+            edit.split(bad, 0, 2)
+    edit.split(face, 0, 3)
+    with pytest.raises(EmbedError, match="is not a face of the edit"):
+        edit.split(face, 0, 2)
+    edit.finish()
+    with pytest.raises(EmbedError, match="the edit is finished already"):
+        edit.finish()
+    with pytest.raises(EmbedError, match="is not a face of the edit"):
+        edit.split(e.faces()[1], 0, 3)
