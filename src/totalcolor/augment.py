@@ -3,9 +3,12 @@ carries two non-consecutive true boundary vertices of small original degree.
 
 Each insertion is a chord across one face: two fresh darts are spliced into
 the endpoint rotations so that the host face splits into exactly two faces.
-The resulting embedded graph may contain parallel segments, but only between
-pairs already joined once; all such extra segments are new edges (origin
-None), since the input graphs are simple.
+embedding.ChordEdit draws the chords and checks each one locally; this
+module keeps the policy: which faces are eligible, the order in which they
+are split, and the insertion log.  The resulting embedded graph may contain
+parallel segments, but only between pairs already joined once; all such
+extra segments are new edges (origin None), since the input graphs are
+simple.
 
 Termination: every insertion adds 2 darts and 1 face, so the quantity
 (total darts) - 3*(faces) drops by 1 each step, and it is bounded below by

@@ -404,10 +404,6 @@ def test_generated_drawing_round_trip(e, augmented):
 # -- chord edits ---------------------------------------------------------------
 
 
-def face_of_size(e, k):
-    return next(f for f in e.faces() if len(f) == k)
-
-
 def test_chord_edit_splits_a_face_and_leaves_its_base_alone():
     e = from_face_cycles([(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)], "plane")
     text = dump_embedding(e)
@@ -449,7 +445,7 @@ def test_chord_edit_rejects_an_end_at_a_crossing():
         "plane",
         crossing_vertices={6, 7},
     )
-    face = face_of_size(e, 4)
+    face = next(f for f in e.faces() if len(f) == 4)
     i, j = [k for k, d in enumerate(face) if e.owner[d] in (6, 7)]
     with pytest.raises(EmbedError, match="chord end [67] is a crossing vertex"):
         ChordEdit(e).split(face, i, j)
