@@ -19,8 +19,8 @@ from totalcolor.discharge import check_claims, discharge, final_report
 from totalcolor.embedding import (
     CROSSING,
     EmbeddedGraph,
-    dump_embedding,
     check_two_cell,
+    dump_embedding,
     euler_characteristic,
     parse_embedding,
     seg_key,
