@@ -903,6 +903,130 @@ def test_solve_cascade_stalls_only_below_delta_plus_2():
 
 
 # ---------------------------------------------------------------------------
+# the extension kernel against its reference
+#
+# reference_extend is the extension step as it read before its one-pass
+# rewrite: two color censuses, two unions for a free color and a walk of
+# v's row to recolor it.  It also counts the branch each call ends in.
+
+
+def reference_colors_at(g, c, x):
+    """The colors on x's edges, plus x's own color if it has one."""
+    ec = c.edge_color
+    seen = {ec.get((x, w) if x <= w else (w, x)) for w in g.neighbors(x)}
+    seen.add(c.vertex_color.get(x))
+    seen.discard(None)
+    return seen
+
+
+def reference_free_color(kappa, *used):
+    taken = set().union(*used)
+    for c in range(1, kappa + 1):
+        if c not in taken:
+            return c
+    return None
+
+
+def reference_recolor_vertex(g, c, v, kappa):
+    used = set()
+    ec, vc = c.edge_color, c.vertex_color
+    for w in g.neighbors(v):
+        color = ec.get((v, w) if v <= w else (w, v))
+        if color is not None:
+            used.add(color)
+            used.add(vc[w])
+    color = reference_free_color(kappa, used)
+    if color is None:
+        raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")
+    c.vertex_color[v] = color
+
+
+def reference_extend(g, uv, w, c, kappa, branches):
+    u, v = uv
+    used_u, used_v = reference_colors_at(g, c, u), reference_colors_at(g, c, v)
+    du, dv = len(used_u), len(used_v)
+    if (w is None and 2 * dv > kappa - 1) or (w is not None and du < dv):
+        u, v, used_u, used_v = v, u, used_v, used_u
+    c.kappa = kappa
+    used_v.discard(c.vertex_color.pop(v, None))
+    uvk = edge_key(u, v)
+    theta = reference_free_color(kappa, used_u, used_v)
+    if theta is not None:
+        branches["free"] += 1
+        c.edge_color[uvk] = theta
+        reference_recolor_vertex(g, c, v, kappa)
+        return c
+    if w is None:
+        raise ColoringError("edge color cannot run out: deg sums leave slack")
+    wvk = edge_key(w, v)
+    uwk = edge_key(u, w)
+    pivot = c.edge_color[wvk]
+    c.edge_color[uvk] = pivot
+    del c.edge_color[wvk]
+    fresh = reference_free_color(
+        kappa, reference_colors_at(g, c, w), reference_colors_at(g, c, v)
+    )
+    if fresh is not None:
+        branches["slide"] += 1
+        c.edge_color[wvk] = fresh
+        reference_recolor_vertex(g, c, v, kappa)
+        return c
+    c.edge_color[wvk] = pivot
+    del c.edge_color[uvk]
+    used_w_full = reference_colors_at(g, c, w)
+    alpha = reference_free_color(kappa, used_u, used_w_full)
+    if alpha is None:
+        branches["certificate"] += 1
+        return P3Certificate(
+            edge=uvk,
+            apex=w,
+            kappa=kappa,
+            u_used=frozenset(used_u),
+            v_used=frozenset(used_v),
+            w_used=frozenset(used_w_full),
+        )
+    branches["swap"] += 1
+    c.edge_color[uvk] = c.edge_color[uwk]
+    c.edge_color[uwk] = alpha
+    reference_recolor_vertex(g, c, v, kappa)
+    return c
+
+
+def test_extend_matches_the_reference_kernel():
+    # every connected graph on at most 6 vertices, kappa = Delta + 1..3,
+    # every P1 or P3 edge in both orientations and every apex, up to 8
+    # colorings of g - uv each
+    branches, instances, calls = Counter(), 0, 0
+    for n in range(2, 7):
+        for g in enum_graphs(n, connected=True):
+            for kappa in range(g.max_degree() + 1, g.max_degree() + 4):
+                for u, v in g.edges():
+                    kind = peel_kind(g, u, v, kappa)
+                    apexes = (None,) if kind == "P1" else g.common_neighbors(u, v)
+                    if kind is None or not apexes:
+                        continue
+                    instances += 1
+                    rng = random.Random(instances)
+                    colorings, _ = _proper_colorings(delete_edge(g, (u, v)), kappa, 8, rng)
+                    for c in colorings:
+                        for uv in ((u, v), (v, u)):
+                            for w in apexes:
+                                mine, ref = c.copy(), c.copy()
+                                out = coloring._extend(g, uv, w, mine, kappa)
+                                want = reference_extend(g, uv, w, ref, kappa, branches)
+                                calls += 1
+                                assert mine == ref
+                                if isinstance(want, P3Certificate):
+                                    assert isinstance(out, P3Certificate)
+                                    assert vars(out) == vars(want)
+                                else:
+                                    assert out is mine
+                                    assert (out.as_text(), out.kappa) == (want.as_text(), want.kappa)
+    assert set(branches) == {"free", "slide", "swap", "certificate"}
+    assert calls == sum(branches.values())
+
+
+# ---------------------------------------------------------------------------
 # solve_tcc
 
 
