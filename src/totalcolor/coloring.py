@@ -125,15 +125,6 @@ def _paint(c: TotalColoring, els: list, colors: list) -> TotalColoring:
     return c
 
 
-def colors_at(g: SimpleGraph, c: TotalColoring, x) -> set:
-    """The colors on x's edges, plus x's own color if it has one."""
-    ec = c.edge_color
-    seen = {ec.get((x, w) if x <= w else (w, x)) for w in g.neighbors(x)}
-    seen.add(c.vertex_color.get(x))
-    seen.discard(None)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Verification
 
@@ -295,7 +286,10 @@ def greedy_total(g: SimpleGraph) -> TotalColoring:
     """First-fit in element order (vertices, then edges), always proper:
     the first coloring `_search` finds in that order when each element
     tries 1..(its conflicts + 1), which its earlier neighbors never use up,
-    so the search never backtracks.  The palette is what first-fit needs."""
+    so the search never backtracks.  The palette is what first-fit needs.
+    An edgeless graph is colored directly: every vertex gets color 1."""
+    if not g.num_edges():
+        return TotalColoring(1 if g.vertices else 0, dict.fromkeys(g.vertices, 1))
     els, nbrs = conflict_lists(g)
     colors = next(_search(nbrs, range(len(els)), lambda assigned, r: range(1, len(nbrs[r]) + 2)))
     return _paint(TotalColoring(max(colors, default=0)), els, colors)
@@ -311,20 +305,6 @@ def _free_color(kappa: int, *used) -> int | None:
         if c not in taken:
             return c
     return None
-
-
-def _recolor_vertex(g: SimpleGraph, c: TotalColoring, v, kappa: int) -> None:
-    used = set()
-    ec, vc = c.edge_color, c.vertex_color
-    for w in g.neighbors(v):
-        color = ec.get((v, w) if v <= w else (w, v))
-        if color is not None:
-            used.add(color)
-            used.add(vc[w])
-    color = _free_color(kappa, used)
-    if color is None:
-        raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")
-    c.vertex_color[v] = color
 
 
 def peel_kind(g: SimpleGraph, u, v, kappa: int) -> str | None:
@@ -414,56 +394,77 @@ def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
     edges count.  Picks the low end v, erases it, colors uv, recolors v.
     Works in place: c becomes the extended coloring, which is returned.
     A returned P3Certificate leaves c with the same colored edges, v's
-    color erased."""
+    color erased.
+
+    Cost: one pass over each end's row, and over the apex's row when the
+    free-color branch fails; every color is the lowest one missing from
+    sets those passes fill, found by one scan of 1..kappa.  Vertex colors
+    of neighbors are read only at the end being recolored."""
     u, v = uv
-    used_u, used_v = colors_at(g, c, u), colors_at(g, c, v)
+    ec, vc, adj = c.edge_color, c.vertex_color, g.adj
+    # the color of each end's edges, row by row, None where uncolored
+    on_u = [ec.get((u, x) if u <= x else (x, u)) for x in adj[u]]
+    on_v = [ec.get((v, x) if v <= x else (x, v)) for x in adj[v]]
     # c is proper, so an end shows one color per colored edge plus its
     # own: as many colors as its degree with uv counted
-    du, dv = len(used_u), len(used_v)
+    du = len(on_u) - on_u.count(None) + (u in vc)
+    dv = len(on_v) - on_v.count(None) + (v in vc)
     if (w is None and 2 * dv > kappa - 1) or (w is not None and du < dv):
-        u, v, used_u, used_v = v, u, used_v, used_u
+        u, v, on_u, on_v = v, u, on_v, on_u
     c.kappa = kappa
-    used_v.discard(c.vertex_color.pop(v, None))
-    uvk = edge_key(u, v)
-    theta = _free_color(kappa, used_u, used_v)
-    if theta is not None:
-        c.edge_color[uvk] = theta
-        _recolor_vertex(g, c, v, kappa)
-        return c
-    if w is None:
-        raise ColoringError("edge color cannot run out: deg sums leave slack")
-
-    # the palette splits between u and v, so wv's color is fresh at u:
-    # slide it onto uv and recolor wv
-    wvk = edge_key(w, v)
-    uwk = edge_key(u, w)
-    pivot = c.edge_color[wvk]
-    c.edge_color[uvk] = pivot
-    del c.edge_color[wvk]
-    fresh = _free_color(kappa, colors_at(g, c, w), colors_at(g, c, v))
-    if fresh is not None:
-        c.edge_color[wvk] = fresh
-        _recolor_vertex(g, c, v, kappa)
-        return c
-
-    # undo the slide; swap through uw instead
-    c.edge_color[wvk] = pivot
-    del c.edge_color[uvk]
-    used_w_full = colors_at(g, c, w)
-    alpha = _free_color(kappa, used_u, used_w_full)
-    if alpha is None:
-        return P3Certificate(
-            edge=uvk,
-            apex=w,
-            kappa=kappa,
-            u_used=frozenset(used_u),
-            v_used=frozenset(used_v),
-            w_used=frozenset(used_w_full),
-        )
-    c.edge_color[uvk] = c.edge_color[uwk]
-    c.edge_color[uwk] = alpha
-    _recolor_vertex(g, c, v, kappa)
-    return c
+    vc.pop(v, None)
+    used_u, used_v = set(on_u), set(on_v)  # a None in them is no color
+    used_u.add(vc.get(u))
+    uvk = (u, v) if u <= v else (v, u)
+    for theta in range(1, kappa + 1):
+        if theta not in used_u and theta not in used_v:
+            ec[uvk] = theta
+            break
+    else:
+        if w is None:
+            raise ColoringError("edge color cannot run out: deg sums leave slack")
+        # the palette splits between u and v, so wv's color is fresh at u:
+        # slide it onto uv and recolor wv with a color missing at w and v
+        # (used_w still holds wv's old color, but so does used_v)
+        wvk = (w, v) if w <= v else (v, w)
+        uwk = (u, w) if u <= w else (w, u)
+        used_w = {ec.get((w, x) if w <= x else (x, w)) for x in adj[w]}
+        used_w.add(vc.get(w))
+        pivot = ec[uvk] = ec.pop(wvk)
+        for fresh in range(1, kappa + 1):
+            if fresh not in used_w and fresh not in used_v:
+                ec[wvk] = fresh
+                used_v.add(fresh)
+                break
+        else:
+            # undo the slide; swap through uw instead
+            ec[wvk] = pivot
+            del ec[uvk]
+            for alpha in range(1, kappa + 1):
+                if alpha not in used_u and alpha not in used_w:
+                    break
+            else:
+                return P3Certificate(
+                    edge=uvk,
+                    apex=w,
+                    kappa=kappa,
+                    u_used=frozenset(used_u - {None}),
+                    v_used=frozenset(used_v - {None}),
+                    w_used=frozenset(used_w - {None}),
+                )
+            ec[uvk] = ec[uwk]
+            ec[uwk] = alpha
+    # recolor v: every color on its colored edges and at their far ends
+    used_v.add(ec[uvk])
+    used_v.add(vc[u])
+    for x, color in zip(adj[v], on_v):
+        if color is not None:
+            used_v.add(vc[x])
+    for color in range(1, kappa + 1):
+        if color not in used_v:
+            vc[v] = color
+            return c
+    raise ColoringError("vertex recoloring cannot fail: 2*deg(v) <= kappa-1")
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +550,12 @@ def _peel(g: SimpleGraph, kappa: int, limit: int) -> tuple:
     p1, p3, queued = [], [], set()
 
     def offer(e):
+        if e in queued:  # queued as P1, and P1 until peeled
+            return
         kind = _peel_rule(len(adj[e[0]]), len(adj[e[1]]), kappa)
         if kind == "P3":
             heappush(p3, e)
-        elif kind == "P1" and e not in queued:
+        elif kind == "P1":
             queued.add(e)
             heappush(p1, e)
 

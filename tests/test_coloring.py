@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from totalcolor import coloring
@@ -17,7 +17,6 @@ from totalcolor.coloring import (
     ColoringError,
     P3Certificate,
     TotalColoring,
-    colors_at,
     coloring_from_text,
     conflict_lists,
     edge_key,
@@ -573,12 +572,18 @@ def reference_first_fit(g):
 
 @settings(max_examples=300, deadline=None)
 @given(graphs_on_range())
+# edgeless graphs on 1-5 vertices, with gaps in the ids
+@example(build_graph([], vertices=[3]))
+@example(build_graph([], vertices=[0, 2]))
+@example(build_graph([], vertices=[1, 4, 9]))
+@example(build_graph([], vertices=[0, 2, 3, 7]))
+@example(build_graph([], vertices=[2, 5, 6, 10, 11]))
 def test_greedy_matches_the_reference_first_fit(g):
     assert greedy_total(g) == reference_first_fit(g)
 
 
 # ---------------------------------------------------------------------------
-# conflict lists and the color census around a vertex
+# conflict lists
 
 
 def test_conflict_lists_match_brute_oracle():
@@ -589,24 +594,6 @@ def test_conflict_lists_match_brute_oracle():
         assert els == total_elements(g)
         for i, x in enumerate(els):
             assert nbrs[i] == [j for j, y in enumerate(els) if elements_conflict(g, x, y)]
-
-
-def test_color_usage_census_and_bounds():
-    g = complete_graph(4)
-    c = greedy_total(g)
-    for v in g.vertices:
-        on_edges = {c.edge_color[edge_key(v, w)] for w in g.neighbors(v)}
-        assert colors_at(g, c, v) == on_edges | {c.vertex_color[v]}
-        assert len(colors_at(g, c, v)) == g.degree(v) + 1
-
-
-def test_color_usage_on_erased_vertex():
-    g = path_graph(3)
-    c = greedy_total(g)
-    del c.vertex_color[1]
-    assert colors_at(g, c, 1) == {c.edge_color[(0, 1)], c.edge_color[(1, 2)]}
-    del c.edge_color[(0, 1)]
-    assert colors_at(g, c, 1) == {c.edge_color[(1, 2)]}
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +979,26 @@ def reference_extend(g, uv, w, c, kappa, branches):
     return c
 
 
+def test_color_usage_census_and_bounds():
+    # on a proper coloring the census holds one color per colored edge
+    # plus the vertex's own, the count the kernel takes without the set
+    g = complete_graph(4)
+    c = greedy_total(g)
+    for v in g.vertices:
+        on_edges = {c.edge_color[edge_key(v, w)] for w in g.neighbors(v)}
+        assert reference_colors_at(g, c, v) == on_edges | {c.vertex_color[v]}
+        assert len(reference_colors_at(g, c, v)) == g.degree(v) + 1
+
+
+def test_color_usage_on_erased_vertex():
+    g = path_graph(3)
+    c = greedy_total(g)
+    del c.vertex_color[1]
+    assert reference_colors_at(g, c, 1) == {c.edge_color[(0, 1)], c.edge_color[(1, 2)]}
+    del c.edge_color[(0, 1)]
+    assert reference_colors_at(g, c, 1) == {c.edge_color[(1, 2)]}
+
+
 def test_extend_matches_the_reference_kernel():
     # every connected graph on at most 6 vertices, kappa = Delta + 1..3,
     # every P1 or P3 edge in both orientations and every apex, up to 8
@@ -1075,6 +1082,23 @@ def test_peel_drops_a_p3_candidate_whose_apex_edge_is_peeled():
     assert (steps, core) == _rescan_peel(g, 5, 99)
 
 
+def test_peel_rules_each_edge_a_bounded_number_of_times(monkeypatch):
+    # an edge queued as P1 stays P1 until peeled, so re-offering it after
+    # a peel at one of its ends asks the rule nothing
+    calls = Counter()
+
+    def counted(du, dv, kappa):
+        calls["rule"] += 1
+        return rule(du, dv, kappa)
+
+    rule = coloring._peel_rule
+    monkeypatch.setattr(coloring, "_peel_rule", counted)
+    for g in (gen_high_degree_P(12, 240, seed=1009), gen_high_degree_P(12, 2000, seed=1)):
+        calls.clear()
+        solve_tcc(g)
+        assert 0 < calls["rule"] < 2 * g.num_edges()
+
+
 def test_solve_makes_a_constant_number_of_whole_graph_passes(monkeypatch):
     # counted, not timed: calls that cost O(m) each (listing the edges,
     # deleting an edge, copying a coloring) must not grow with the
@@ -1090,6 +1114,7 @@ def test_solve_makes_a_constant_number_of_whole_graph_passes(monkeypatch):
 
     graphs = [gen_high_degree_P(12, 240), gen_high_degree_P(12, 2000)]
     monkeypatch.setattr(SimpleGraph, "edges", counted("edges", SimpleGraph.edges))
+    monkeypatch.setattr(coloring, "conflict_lists", counted("conflict_lists", conflict_lists))
     monkeypatch.setattr(coloring, "delete_edge", counted("delete_edge", delete_edge))
     monkeypatch.setattr(TotalColoring, "copy", counted("copy", TotalColoring.copy))
     seen = []
@@ -1098,10 +1123,10 @@ def test_solve_makes_a_constant_number_of_whole_graph_passes(monkeypatch):
         res = solve_tcc(g)
         assert sum("extended across" in t for t in res.trace) > len(g.vertices)
         seen.append(dict(counts))
-    # one edge list each for the worklist and the core's elements; the
-    # final verify lists no edges on a proper coloring; no edge deletion
-    # and no coloring copy
-    assert seen == [{"edges": 2}] * 2
+    # one edge list for the worklist; the edgeless core is colored
+    # without listing elements or conflicts; the final verify lists no
+    # edges on a proper coloring; no edge deletion and no coloring copy
+    assert seen == [{"edges": 1}] * 2
 
 
 def test_solve_k4():
