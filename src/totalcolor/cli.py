@@ -293,9 +293,6 @@ def _cmd_check_p(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = GenSpec(args.family, tuple(args.params), seed=args.seed)
-    if args.json_path is not None:
-        # fail before the corpus is written, so a bad path leaves nothing behind
-        _probe_writable(args.json_path)
     try:
         manifest = write_corpus([spec], args.out)
     except GenError as exc:
@@ -394,6 +391,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad verbs/flags and 0 on --help
         return int(exc.code or 0)
     try:
+        # fail before any work on a path that cannot be written, so a bad
+        # path prints no report and leaves nothing behind
+        for path in (args.json_path, getattr(args, "dot", None)):
+            if path is not None:
+                _probe_writable(path)
         return args.fn(args)
     except SystemExit as exc:  # unreadable files
         print(str(exc), file=sys.stderr)

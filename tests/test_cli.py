@@ -452,8 +452,8 @@ def test_unwritable_output_path_exits_2(capsys, k4_file, grid_file, tmp_path, fl
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
     path = str(blocker) if verb == "gen" else str(blocker / "x.out")
-    code, _, err = run(capsys, [verb, *target, option, path])
-    assert code == 2
+    code, out, err = run(capsys, [verb, *target, option, path])
+    assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
