@@ -544,8 +544,9 @@ def _peel(g: SimpleGraph, kappa: int, limit: int) -> tuple:
 
     Set rows and a heap of candidates per kind replace the rescans: a peel
     re-offers only the edges at its ends.  Degrees only fall, so a P1 edge
-    stays P1 until peeled.  A P3 entry is checked when popped; one that
-    fails never passes again, as degree sums fall and triangles vanish."""
+    stays P1 until peeled, and re-offering one already queued asks the
+    rule nothing.  A P3 entry is checked when popped; one that fails never
+    passes again, as degree sums fall and triangles vanish."""
     adj = {v: set(row) for v, row in g.adj.items()}
     p1, p3, queued = [], [], set()
 
@@ -591,8 +592,9 @@ def solve_tcc(g: SimpleGraph, kappa: int | None = None, budget: int = 32) -> Sol
     it went.
 
     Cost: O(deg(u) + deg(v) + log m) per peel step uv, one build of the
-    core, and per extension only the rows at uv's ends (and apex), colored
-    in place; the core search and the final verify see the whole graph."""
+    core, and per extension one pass over the rows at uv's ends (and
+    apex), colored in place; the core search and the final verify see the
+    whole graph, and an edgeless core is colored without a search."""
     delta = g.max_degree()
     if kappa is None:
         kappa = delta + 2
