@@ -427,10 +427,10 @@ def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
         # slide it onto uv and recolor wv with a color missing at w and v
         # (used_w still holds wv's old color, but so does used_v)
         wvk = (w, v) if w <= v else (v, w)
-        uwk = (u, w) if u <= w else (w, u)
         used_w = {ec.get((w, x) if w <= x else (x, w)) for x in adj[w]}
         used_w.add(vc.get(w))
-        pivot = ec[uvk] = ec.pop(wvk)
+        pivot = ec.pop(wvk)
+        ec[uvk] = pivot
         for fresh in range(1, kappa + 1):
             if fresh not in used_w and fresh not in used_v:
                 ec[wvk] = fresh
@@ -452,6 +452,7 @@ def _extend(g: SimpleGraph, uv: tuple, w, c: TotalColoring, kappa: int):
                     v_used=frozenset(used_v - {None}),
                     w_used=frozenset(used_w - {None}),
                 )
+            uwk = (u, w) if u <= w else (w, u)
             ec[uvk] = ec[uwk]
             ec[uwk] = alpha
     # recolor v: every color on its colored edges and at their far ends
