@@ -32,10 +32,10 @@ from .graphs import find_k4s
 from .ruletable import (
     MatchContext,
     RuleTable,
-    _class_matches,
     default_rules,
     guarded_crossing,
     receiver_matches,
+    receiver_view,
     resolve_threshold,
     sender_matches,
 )
@@ -234,43 +234,16 @@ def apply_r3(a: AugmentedGraph, ledger: ChargeLedger) -> None:
 
 class _ReceiverClass:
     """The rules one receiver class admits, in table order (rule b is bit
-    b of a mask), with each pattern test's answers memoized under the
-    little that the test reads."""
+    b of a mask), with each side's masks memoized under the arguments its
+    pattern tests take besides the rule and the receiver's class."""
 
     __slots__ = ("rules", "senders", "views", "corners")
 
     def __init__(self, c, resolved):
-        self.rules = [(rule, m) for rule, m in resolved if _class_matches(rule.receiver, c)]
-        self.senders = ({}, {})  # [via a new edge][sender class id] -> mask
-        self.views: dict = {}  # anchored receiver view -> mask
-        # only a faces pattern as long as the rotation reads the corners
-        self.corners = any(
-            rule.receiver.faces is not None and len(rule.receiver.faces) == c.d2
-            for rule, _ in self.rules
-        )
-
-    def sender_mask(self, ctx, s, r_dart) -> int:
-        return sum(
-            1 << b
-            for b, (rule, m) in enumerate(self.rules)
-            if sender_matches(rule.sender, ctx, s, r_dart, m)
-        )
-
-    def receiver_mask(self, ctx, r, r_dart) -> int:
-        return sum(
-            1 << b
-            for b, (rule, _) in enumerate(self.rules)
-            if receiver_matches(rule.receiver, ctx, r, r_dart)
-        )
-
-
-def _face_views(ctx: MatchContext) -> list:
-    """Each face as one small int per distinct (size, new, bigs, smalls)."""
-    seen: dict = {}
-    return [
-        seen.setdefault(v, len(seen))
-        for v in zip(ctx.face_size, ctx.face_new, ctx.face_bigs, ctx.face_smalls)
-    ]
+        self.rules = [(rule, m) for rule, m in resolved if rule.receiver.admits(c)]
+        self.senders = ({}, {})  # [via a new edge][id of the sender's class] -> mask
+        self.views: dict = {}  # receiver_view -> mask
+        self.corners = any(rule.receiver.reads_corners(c.d2) for rule, _ in self.rules)
 
 
 def apply_rule_table(
@@ -281,29 +254,17 @@ def apply_rule_table(
     defect and raises DischargeError; the guarded-crossing exclusion (when
     the table enables it) reroutes matched transfers to `ledger.skipped`.
 
-    A receiver is tried only against the rules whose receiver class fields
-    admit its VertexClass, in table order: an excluded rule fails
+    A receiver is tried only against the rules whose receiver end admits
+    its VertexClass, in table order: an excluded rule fails
     `receiver_matches` on every dart of the receiver.  Within a class each
-    pattern test runs once per distinct input it reads, and its answer is
-    reused for every dart that shares that input:
-      * the sender side reads the sender's class, the rule's resolved
-        threshold (fixed per call) and whether the connecting dart is new,
-        so it is memoized under (sender class, dart is new);
-      * the receiver side reads the receiver's class (fixed by the entry),
-        its count of crossing neighbours, for a crossing the size class of
-        the end opposite the dart, and the corner faces in forward order
-        from the dart.  A face token reads a face only through its size,
-        new-edge flag, big and small counts (face_share included), so the
-        corners enter the view as those four values, and only when some
-        rule of the class has a faces pattern as long as the rotation;
-        otherwise no rule of the class reads them, and all darts of a
-        true vertex, a hub's included, share one view.  A receiver's
-        corners are listed at its first sender hit, so a receiver that no
-        sender side admits reads none.
-    Equal keys give equal answers, so the hits, their order, the
+    pattern test is memoized under the arguments it takes besides the rule
+    and the class: `sender_matches` under (sender class, dart is new), and
+    `receiver_matches` under the dart's `receiver_view`, which is built
+    only at a dart some sender side admits and lists corners only when a
+    rule of the class reads them, so all darts of a hub share one view.  A
+    test reads nothing but its arguments, so the hits, their order, the
     DischargeError and the guard routing are those of testing every rule
-    on every dart; `sender_matches` and `receiver_matches` run once per
-    memo miss."""
+    on every dart."""
     if table is None:
         table = default_rules()
     ctx = ledger.ctx
@@ -315,7 +276,6 @@ def apply_rule_table(
     for rule in table.rules:
         m = rule.sender.min_degree
         resolved.append((rule, None if m is None else resolve_threshold(m, ledger.delta)))
-    face_view = None  # listed when a receiver first reads its corners
     # classes are shared per distinct class, so their ids key the memos
     by_class: dict = {}  # id(VertexClass) -> _ReceiverClass
     for r in star.vertices():
@@ -323,37 +283,35 @@ def apply_rule_table(
         entry = by_class.get(id(c))
         if entry is None:
             entry = by_class[id(c)] = _ReceiverClass(c, resolved)
-        if not entry.rules:
+        rules = entry.rules
+        if not rules:
             continue
-        rot = star.rotation[r]
-        crossing = c.kind == CROSSING
-        nbrs = ctx.crossing_nbrs[r]
-        word = None  # the corner faces' views, listed at the first sender hit
-        for i, r_dart in enumerate(rot):
+        for i, r_dart in enumerate(star.rotation[r]):
             s = owner[twin[r_dart]]
-            senders = entry.senders[r_dart in new]
-            key = id(cls[s])
-            smask = senders.get(key)
+            sc = cls[s]
+            via_new = r_dart in new
+            senders = entry.senders[via_new]
+            smask = senders.get(id(sc))
             if smask is None:
-                smask = senders[key] = entry.sender_mask(ctx, s, r_dart)
+                smask = senders[id(sc)] = sum(
+                    1 << b
+                    for b, (rule, m) in enumerate(rules)
+                    if sender_matches(rule.sender, sc, via_new, m)
+                )
             if not smask:
                 continue
-            if entry.corners and word is None:
-                if face_view is None:
-                    face_view = _face_views(ctx)
-                word = [face_view[fi] for fi in ctx.corner[r]]
-            view = (
-                nbrs,
-                cls[owner[twin[rot[(i + 2) % 4]]]].size_class if crossing else None,
-                None if word is None else tuple(word[i + 1:] + word[:i + 1]),
-            )
+            view = receiver_view(ctx, r, i, entry.corners)
             rmask = entry.views.get(view)
             if rmask is None:
-                rmask = entry.views[view] = entry.receiver_mask(ctx, r, r_dart)
+                rmask = entry.views[view] = sum(
+                    1 << b
+                    for b, (rule, _) in enumerate(rules)
+                    if receiver_matches(rule.receiver, c, view)
+                )
             hit = smask & rmask
             if not hit:
                 continue
-            hits = [rule for b, (rule, _) in enumerate(entry.rules) if hit >> b & 1]
+            hits = [rule for b, (rule, _) in enumerate(rules) if hit >> b & 1]
             if len(hits) > 1:
                 ids = ", ".join(rule.id for rule in hits)
                 raise DischargeError(

@@ -20,7 +20,7 @@ pin `size` (int or "k+"), `new_edge` (boundary contains a new edge),
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 
@@ -34,6 +34,11 @@ class RuleError(ValueError):
     """Malformed rule table, or two rules firing on one ordered pair."""
 
 
+def share_terms(size: int, smalls: int) -> tuple:
+    """A face's share per small occurrence, as (numerator, denominator)."""
+    return 2 * size - 6, smalls
+
+
 @dataclass(frozen=True)
 class FaceToken:
     size: int | None = None
@@ -43,22 +48,25 @@ class FaceToken:
     max_bigs: int | None = None
     min_share: Fraction | None = None
 
-    def matches(self, ctx: "MatchContext", fi: int) -> bool:
-        if self.size is not None and ctx.face_size[fi] != self.size:
-            return False
-        if self.min_size is not None and ctx.face_size[fi] < self.min_size:
-            return False
-        if self.new_edge is not None and ctx.face_new[fi] != self.new_edge:
-            return False
-        if self.min_bigs is not None and ctx.face_bigs[fi] < self.min_bigs:
-            return False
-        if self.max_bigs is not None and ctx.face_bigs[fi] > self.max_bigs:
-            return False
-        if self.min_share is not None:
-            share = ctx.face_share(fi)
-            if share is not None and share < self.min_share:
-                return False
-        return True
+    def __post_init__(self):
+        if self.min_share is not None:  # matches compares it exactly, as a Fraction
+            object.__setattr__(self, "min_share", Fraction(self.min_share))
+
+    def matches(self, view: tuple) -> bool:
+        """Whether a face with view (size, new, bigs, smalls) passes; a face
+        with no small occurrence passes any min_share."""
+        size, new, bigs, smalls = view
+        m = self.min_share
+        num, den = share_terms(size, smalls)
+        return (
+            (self.size is None or size == self.size)
+            and (self.min_size is None or size >= self.min_size)
+            and (self.new_edge is None or new == self.new_edge)
+            and (self.min_bigs is None or bigs >= self.min_bigs)
+            and (self.max_bigs is None or bigs <= self.max_bigs)
+            # num/den >= m over positive denominators, with no Fraction made
+            and (m is None or not den or num * m.denominator >= m.numerator * den)
+        )
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,20 @@ class EndPattern:
     opposite_end_small: bool | None = None
     faces: tuple | None = None  # tuple[FaceToken], anchored at the connecting edge
 
-    def __post_init__(self):
-        # tables parsed and tables built in code both pass here, so a bad
-        # threshold fails before any dart is examined
-        if self.min_degree is not None:
-            resolve_threshold(self.min_degree, 0)
+    def admits(self, c) -> bool:
+        """Whether VertexClass c has every class field this end pins."""
+        return (
+            (self.kind is None or c.kind == self.kind)
+            and (self.d1 is None or c.d1 == self.d1)
+            and (self.d2 is None or c.d2 == self.d2)
+            and (self.size_class is None or c.size_class == self.size_class)
+            and (self.new_incident is None or c.new_incident == self.new_incident)
+        )
+
+    def reads_corners(self, k: int) -> bool:
+        """Whether this end reads the corners of a receiver with k darts: a
+        faces pattern matches only when it is as long as the rotation."""
+        return self.faces is not None and len(self.faces) == k
 
 
 @dataclass(frozen=True)
@@ -88,11 +105,43 @@ class LocalRule:
     receiver: EndPattern
     amount: Fraction
 
+    def __post_init__(self):
+        # tables parsed and tables built in code both pass here, so a bad
+        # rule fails before any dart is examined
+        try:
+            object.__setattr__(self, "amount", Fraction(self.amount))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise RuleError(f"rule {self.id}: bad amount") from None
+        if self.amount not in AMOUNT_MENU:
+            raise RuleError(
+                f"rule {self.id}: amount {self.amount} outside the menu "
+                f"{[str(x) for x in AMOUNT_MENU]}"
+            )
+        for where, p in (("sender", self.sender), ("receiver", self.receiver)):
+            stray = {f.name for f in fields(p) if getattr(p, f.name) is not None}
+            stray -= _END_KEYS[where].keys()
+            if stray:
+                raise RuleError(f"unknown {where} pattern keys: {sorted(stray)}")
+        if self.sender.min_degree is not None:
+            resolve_threshold(self.sender.min_degree, 0)  # raises on a bad one
+
 
 @dataclass
 class RuleTable:
     rules: list = field(default_factory=list)
     exclusions: tuple = ()
+
+    def __post_init__(self):
+        ids = set()
+        for rule in self.rules:
+            if not isinstance(rule.id, str) or not rule.id or rule.id in ids:
+                raise RuleError(f"missing or duplicate rule id {rule.id!r}")
+            ids.add(rule.id)
+        for i, name in enumerate(self.exclusions):
+            if name != "guarded-crossing":
+                raise RuleError(f"unknown exclusion {name!r}")
+            if name in self.exclusions[:i]:
+                raise RuleError(f"repeated exclusion {name!r}")
 
 
 class _Corners(dict):
@@ -118,10 +167,11 @@ class MatchContext:
 
     Cost: one pass over each face's dart tuple (its new-edge flag and big
     count; its size is the tuple's length), one dict entry per dart for
-    its face, and one step per crossing dart.  A vertex's corner list
-    (`corner[v]`) is made only when something reads it: R3's (5,5)
-    candidates, rule-table receivers that a sender side admits in a class
-    with a faces pattern as long as the rotation, and guarded_crossing's
+    its face, and one step per crossing dart.  A face's view
+    (`face_view(fi)`) is read off these lists on demand, and a vertex's
+    corner list (`corner[v]`) is made only when something reads it: R3's
+    (5,5) candidates, rule-table receivers at darts that a sender side
+    admits, in a class that reads corners, and guarded_crossing's
     receivers."""
 
     def __init__(self, a: AugmentedGraph):
@@ -149,10 +199,12 @@ class MatchContext:
     def face_share(self, fi: int) -> Fraction | None:
         """Per-small-occurrence redistribution share; None when the face has
         no small occurrences (nothing to receive, so every bound holds)."""
-        smalls = self.face_smalls[fi]
-        if smalls == 0:
-            return None
-        return Fraction(2 * self.face_size[fi] - 6, smalls)
+        num, den = share_terms(self.face_size[fi], self.face_smalls[fi])
+        return Fraction(num, den) if den else None
+
+    def face_view(self, fi: int) -> tuple:
+        """What a face token reads of face fi: (size, new, bigs, smalls)."""
+        return self.face_size[fi], self.face_new[fi], self.face_bigs[fi], self.face_smalls[fi]
 
 
 _THRESHOLDS = {"delta": 0, "delta-1": 1, "delta-2": 2}
@@ -167,61 +219,53 @@ def resolve_threshold(value, delta: int) -> int:
     raise RuleError(f"bad degree threshold {value!r}")
 
 
-def _class_matches(p: EndPattern, c) -> bool:
-    """The class fields either end of a rule may pin."""
-    return (
-        (p.kind is None or c.kind == p.kind)
-        and (p.d1 is None or c.d1 == p.d1)
-        and (p.d2 is None or c.d2 == p.d2)
-        and (p.size_class is None or c.size_class == p.size_class)
-        and (p.new_incident is None or c.new_incident == p.new_incident)
-    )
-
-
-def sender_matches(p: EndPattern, ctx: MatchContext, s, r_dart: int, min_degree) -> bool:
-    """min_degree is p.min_degree resolved against the ledger's delta, or None."""
-    c = ctx.a.classification[s]
-    if not _class_matches(p, c):
+def sender_matches(p: EndPattern, c, via_new: bool, min_degree) -> bool:
+    """Whether a sender of VertexClass c, across a dart that is new or not,
+    passes p; min_degree is p.min_degree resolved against the ledger's
+    delta, or None."""
+    if not p.admits(c):
         return False
     if min_degree is not None:
         # degree thresholds refer to the original graph for true vertices
         degree = c.d1 if c.kind == TRUE else c.d2
         if degree < min_degree:
             return False
-    if p.via_new_edge is not None and ctx.star.is_new(r_dart) != p.via_new_edge:
-        return False
-    return True
+    return p.via_new_edge is None or via_new == p.via_new_edge
 
 
-def receiver_matches(p: EndPattern, ctx: MatchContext, r, r_dart: int) -> bool:
-    c = ctx.a.classification[r]
-    if not _class_matches(p, c):
+def receiver_view(ctx: MatchContext, r, i: int, corners: bool) -> tuple:
+    """What a receiver pattern reads at r's rotation dart i besides r's
+    class: r's count of crossing neighbours; at a crossing the size class
+    of the end opposite dart i, else None; and, when `corners`, the views
+    of r's corners in forward order from corner i+1, else None."""
+    star, cls = ctx.star, ctx.a.classification
+    opposite = None
+    if cls[r].kind == CROSSING:
+        opposite = cls[star.other_end(star.rotation[r][(i + 2) % 4])].size_class
+    faces = None
+    if corners:
+        cf = ctx.corner[r]
+        faces = tuple(map(ctx.face_view, cf[i + 1:] + cf[:i + 1]))
+    return ctx.crossing_nbrs[r], opposite, faces
+
+
+def receiver_matches(p: EndPattern, c, view: tuple) -> bool:
+    """Whether a receiver of VertexClass c passes p, given receiver_view at
+    the connecting dart, with corners if p reads them; a faces pattern may
+    match them forward or mirrored."""
+    nbrs, opposite, corners = view
+    if not p.admits(c):
         return False
-    if p.num_crossing_neighbors is not None and ctx.crossing_nbrs[r] != p.num_crossing_neighbors:
+    if p.num_crossing_neighbors is not None and nbrs != p.num_crossing_neighbors:
         return False
-    rot = ctx.star.rotation[r]
-    k = len(rot)
-    i = rot.index(r_dart)
     if p.opposite_end_small is not None:
-        if c.kind != CROSSING:
-            return False
-        w = ctx.star.other_end(rot[(i + 2) % 4])
-        small = ctx.a.classification[w].size_class == "small"
-        if small != p.opposite_end_small:
+        if c.kind != CROSSING or (opposite == "small") != p.opposite_end_small:
             return False
     if p.faces is not None:
-        if len(p.faces) != k:
+        if not p.reads_corners(c.d2):
             return False
-        cf = ctx.corner[r]
-        forward = [cf[(i + 1 + t) % k] for t in range(k)]
-        if not _tokens_match(p.faces, ctx, forward):
-            if not _tokens_match(p.faces, ctx, list(reversed(forward))):
-                return False
+        return any(all(map(FaceToken.matches, p.faces, v)) for v in (corners, corners[::-1]))
     return True
-
-
-def _tokens_match(tokens, ctx, face_ids) -> bool:
-    return all(tok.matches(ctx, fi) for tok, fi in zip(tokens, face_ids))
 
 
 def guarded_crossing(ctx: MatchContext, s, r, r_dart: int) -> bool:
@@ -330,7 +374,7 @@ _RULE_KEYS = {
     "id": lambda v: isinstance(v, str),
     "sender": lambda v: True,  # checked as a pattern
     "receiver": lambda v: True,
-    "amount": lambda v: True,  # checked against the menu
+    "amount": lambda v: True,  # checked by LocalRule
 }
 
 
@@ -341,21 +385,21 @@ def _parse_face_token(v) -> FaceToken:
             raise RuleError(f"bad face token {v!r}")
         return FaceToken(*bound)
     _checked(v, _TOKEN_KEYS, "face token")
-    size, share = v.get("size"), v.get("min_share")
+    size = v.get("size")
     return FaceToken(
         *((None, None) if size is None else _size_bound(size)),
         new_edge=v.get("new_edge"),
         min_bigs=v.get("min_bigs"),
         max_bigs=v.get("max_bigs"),
-        min_share=None if share is None else Fraction(share),
+        min_share=v.get("min_share"),
     )
 
 
 def _parse_end(d, where: str) -> EndPattern:
-    fields = dict(_checked(d, _END_KEYS[where], f"{where} pattern"))
-    if fields.get("faces") is not None:
-        fields["faces"] = tuple(_parse_face_token(t) for t in fields["faces"])
-    return EndPattern(**fields)
+    kw = dict(_checked(d, _END_KEYS[where], f"{where} pattern"))
+    if kw.get("faces") is not None:
+        kw["faces"] = tuple(_parse_face_token(t) for t in kw["faces"])
+    return EndPattern(**kw)
 
 
 def rule_table_from_dict(data: dict) -> RuleTable:
@@ -363,36 +407,17 @@ def rule_table_from_dict(data: dict) -> RuleTable:
         raise RuleError("rule table must be an object with a 'rules' list")
     _checked(data, {"rules": _is_list, "exclusions": _is_list}, "rule table")
     rules = []
-    seen = set()
     for entry in data["rules"]:
         rid = _checked(entry, _RULE_KEYS, "rule").get("id")
-        if not rid or rid in seen:
-            raise RuleError(f"missing or duplicate rule id {rid!r}")
-        seen.add(rid)
-        try:
-            amount = Fraction(entry["amount"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
-            raise RuleError(f"rule {rid}: bad amount") from None
-        if amount not in AMOUNT_MENU:
-            raise RuleError(
-                f"rule {rid}: amount {amount} outside the menu "
-                f"{[str(x) for x in AMOUNT_MENU]}"
-            )
         rules.append(
             LocalRule(
                 id=rid,
                 sender=_parse_end(entry.get("sender", {}), "sender"),
                 receiver=_parse_end(entry.get("receiver", {}), "receiver"),
-                amount=amount,
+                amount=entry.get("amount"),
             )
         )
-    exclusions = tuple(data.get("exclusions") or ())
-    for i, name in enumerate(exclusions):
-        if name != "guarded-crossing":
-            raise RuleError(f"unknown exclusion {name!r}")
-        if name in exclusions[:i]:
-            raise RuleError(f"repeated exclusion {name!r}")
-    return RuleTable(rules=rules, exclusions=exclusions)
+    return RuleTable(rules=rules, exclusions=tuple(data.get("exclusions") or ()))
 
 
 def parse_rule_table(text: str) -> RuleTable:
@@ -607,9 +632,6 @@ DEFAULT_TABLE_DICT = {
     ],
     "exclusions": ["guarded-crossing"],
 }
-
-DEFAULT_TABLE_JSON = json.dumps(DEFAULT_TABLE_DICT, indent=2)
-
 
 @cache
 def default_rules() -> RuleTable:

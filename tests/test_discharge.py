@@ -16,6 +16,7 @@ import totalcolor.discharge as discharge_module
 import totalcolor.ruletable as ruletable_module
 from totalcolor.augment import AugmentedGraph, VertexClass, augment_report, build_g_star
 from totalcolor.configs import all_configs, assemble, get_config
+from totalcolor.embedding import CROSSING, EmbeddedGraph
 from totalcolor.discharge import (
     POOL,
     DischargeError,
@@ -44,10 +45,10 @@ from totalcolor.graphs import build_graph
 from totalcolor.ruletable import (
     MatchContext,
     RuleTable,
-    _class_matches,
     default_rules,
     guarded_crossing,
     receiver_matches,
+    receiver_view,
     resolve_threshold,
     rule_table_from_dict,
     sender_matches,
@@ -392,23 +393,55 @@ def test_discharge_is_deterministic():
     assert t1 == t2
 
 
+def _reference_face_views(a):
+    """(size, new, bigs, smalls) of every face, recounted from its darts."""
+    star, cls = a.star, a.classification
+    views = []
+    for f in star.faces():
+        bigs = sum(cls[star.owner[d]].size_class == "big" for d in f)
+        views.append((len(f), any(star.is_new(d) for d in f), bigs, len(f) - bigs))
+    return views
+
+
+def _reference_views(a):
+    """receiver_view with corners at every dart, recounted from G*: each
+    receiver dart (r, i) -> (crossing neighbours, opposite, corners)."""
+    star, cls = a.star, a.classification
+    face_views = _reference_face_views(a)
+    corners = _reference_corners(star)
+    views = {}
+    for r, rot in star.rotation.items():
+        k = len(rot)
+        nbrs = sum(star.vertex_kind[star.other_end(d)] == CROSSING for d in rot)
+        for i in range(k):
+            opposite = None
+            if cls[r].kind == CROSSING:
+                opposite = cls[star.other_end(rot[(i + 2) % 4])].size_class
+            faces = tuple(face_views[corners[r][(i + 1 + t) % k]] for t in range(k))
+            views[r, i] = (nbrs, opposite, faces)
+    return views
+
+
 def _every_rule_on_every_dart(a, ledger, table):
-    """The rule table without the receiver-class index: every rule is tried
-    on every dart, each threshold resolved where it is tested."""
-    ctx, star = ledger.ctx, a.star
+    """The rule table without the receiver-class index or its memos: every
+    rule is tried on every dart against the dart's full view, recounted,
+    each threshold resolved where it is tested."""
+    star, cls = a.star, a.classification
+    ctx = ledger.ctx
+    views = _reference_views(a)
 
     def threshold(rule):
         m = rule.sender.min_degree
         return None if m is None else resolve_threshold(m, ledger.delta)
 
     for r in star.vertices():
-        for r_dart in star.rotation[r]:
+        for i, r_dart in enumerate(star.rotation[r]):
             s = star.other_end(r_dart)
             hits = [
                 rule
                 for rule in table.rules
-                if sender_matches(rule.sender, ctx, s, r_dart, threshold(rule))
-                and receiver_matches(rule.receiver, ctx, r, r_dart)
+                if sender_matches(rule.sender, cls[s], star.is_new(r_dart), threshold(rule))
+                and receiver_matches(rule.receiver, cls[r], views[r, i])
             ]
             if len(hits) > 1:
                 ids = ", ".join(rule.id for rule in hits)
@@ -565,15 +598,24 @@ def test_a_sender_side_is_tested_once_per_class_pair(monkeypatch, table):
     a = build_g_star(e, true_graph_of(e))
     star, cls = a.star, a.classification
     rule_of = {id(rule.sender): rule.id for rule in table.rules}
+    ledger = make_ledger(a)
+    receiver = []  # the receiver the rule table is at
+    vertices = EmbeddedGraph.vertices
+
+    def walked(self):
+        for r in vertices(self):
+            receiver[:] = [r]
+            yield r
+
     calls = []
 
-    def counted(p, ctx, s, r_dart, min_degree):
-        r = star.owner[r_dart]
-        calls.append((rule_of[id(p)], cls[r], cls[s], star.is_new(r_dart)))
-        return sender_matches(p, ctx, s, r_dart, min_degree)
+    def counted(p, c, via_new, min_degree):
+        calls.append((rule_of[id(p)], cls[receiver[0]], c, via_new))
+        return sender_matches(p, c, via_new, min_degree)
 
+    monkeypatch.setattr(EmbeddedGraph, "vertices", walked)
     monkeypatch.setattr(discharge_module, "sender_matches", counted)
-    apply_rule_table(a, make_ledger(a), table)
+    apply_rule_table(a, ledger, table)
     darts = sum(map(len, star.rotation.values()))
     assert 0 < len(calls) < darts
     assert len(calls) == len(set(calls))
@@ -1224,6 +1266,16 @@ def test_corners_match_an_eager_recount(corpus_and_catalog):
         assert dict(ctx.corner) == want
 
 
+def test_views_match_a_recount_from_the_darts():
+    for a in seeded_g_stars():
+        ctx = MatchContext(a)
+        want = _reference_face_views(a)
+        assert [ctx.face_view(fi) for fi in range(len(ctx.faces))] == want
+        for (r, i), view in _reference_views(a).items():
+            assert receiver_view(ctx, r, i, True) == view
+            assert receiver_view(ctx, r, i, False) == view[:2] + (None,)
+
+
 def test_a_discharge_lists_corners_only_where_they_are_read():
     a = g_star_of(gen_planar_triangulation(300, seed=1)[1])
     ledger = discharge(a)
@@ -1236,12 +1288,12 @@ def test_a_discharge_lists_corners_only_where_they_are_read():
         # r's class admits a rule whose faces span its rotation, and a
         # sender side of some rule its class admits holds at one of its darts
         c = cls[r]
-        rules = [rule for rule in table.rules if _class_matches(rule.receiver, c)]
+        rules = [rule for rule in table.rules if rule.receiver.admits(c)]
         if not any(len(rule.receiver.faces or ()) == c.d2 for rule in rules):
             return False
         return any(
             sender_matches(
-                rule.sender, ctx, star.other_end(d), d,
+                rule.sender, cls[star.other_end(d)], star.is_new(d),
                 resolve_threshold(rule.sender.min_degree, ledger.delta),
             )
             for d in star.rotation[r]

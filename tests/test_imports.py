@@ -247,7 +247,6 @@ def test_only_embedding_py_writes_into_a_drawing():
 # (importer, source module, name), each with the reason it crosses over;
 # the set may shrink but not grow
 PRIVATE_IMPORTS = {
-    ("discharge", "ruletable", "_class_matches"): "the rule table groups rules by receiver class",
     ("reduce", "coloring", "_is_proper"): "an extension check tests properness without a listing",
     ("reduce", "coloring", "_search"): "the extension harness enumerates colorings with it",
 }

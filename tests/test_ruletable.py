@@ -4,15 +4,19 @@ from __future__ import annotations
 import json
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from totalcolor.augment import VertexClass
 from totalcolor.configs import assemble, get_config
 from totalcolor.ruletable import (
+    _END_KEYS,
     AMOUNT_MENU,
     DEFAULT_TABLE_DICT,
-    DEFAULT_TABLE_JSON,
     EndPattern,
     FaceToken,
     LocalRule,
@@ -23,6 +27,7 @@ from totalcolor.ruletable import (
     guarded_crossing,
     parse_rule_table,
     receiver_matches,
+    receiver_view,
     resolve_threshold,
     rule_table_from_dict,
     sender_matches,
@@ -273,6 +278,58 @@ def test_code_built_table_rejects_a_bad_threshold_before_any_dart():
         assert EndPattern(min_degree=good).min_degree == good
 
 
+def test_code_built_tables_get_the_checks_parsed_tables_get():
+    # stray fields at both ends, an amount off the menu and an unknown
+    # exclusion: a table that once ran and reported conservation
+    with pytest.raises(RuleError):
+        RuleTable(
+            [
+                LocalRule(
+                    "odd",
+                    EndPattern(faces=(FaceToken(size=3),)),
+                    EndPattern(kind="true", d1=5, min_degree=99, via_new_edge=True),
+                    Fraction(5, 7),
+                )
+            ],
+            exclusions=("nonsense",),
+        )
+    sender, receiver, third = EndPattern(kind="true"), EndPattern(d1=5), Fraction(1, 3)
+    one = LocalRule("odd", sender, receiver, third)
+    faults = {
+        "rule odd: amount 5/7 outside the menu ['1/6', '1/3', '1/2', '2/3']": lambda: LocalRule(
+            "odd", sender, receiver, Fraction(5, 7)
+        ),
+        "rule odd: bad amount": lambda: LocalRule("odd", sender, receiver, "half"),
+        "unknown sender pattern keys: ['faces']": lambda: LocalRule(
+            "odd", EndPattern(faces=(FaceToken(size=3),)), receiver, third
+        ),
+        "unknown receiver pattern keys: ['min_degree', 'via_new_edge']": lambda: LocalRule(
+            "odd", sender, EndPattern(d1=5, min_degree=99, via_new_edge=True), third
+        ),
+        "missing or duplicate rule id 'odd'": lambda: RuleTable([one, one]),
+        "missing or duplicate rule id ''": lambda: RuleTable([LocalRule("", sender, receiver, third)]),
+        "missing or duplicate rule id 5": lambda: RuleTable([LocalRule(5, sender, receiver, third)]),
+        "unknown exclusion 'nonsense'": lambda: RuleTable([one], exclusions=("nonsense",)),
+        "repeated exclusion 'guarded-crossing'": lambda: RuleTable(
+            [one], exclusions=("guarded-crossing",) * 2
+        ),
+    }
+    for text, build in faults.items():
+        with pytest.raises(RuleError) as info:
+            build()
+        assert str(info.value) == text
+    # one list says which end reads which field, and it names every field
+    assert {f.name for f in fields(EndPattern)} == (
+        _END_KEYS["sender"].keys() | _END_KEYS["receiver"].keys()
+    )
+    assert RuleTable([one], exclusions=("guarded-crossing",)).rules == [one]
+    # an amount is read as the parser reads it, as an exact Fraction
+    for amount in ("1/3", Fraction(1, 3)):
+        assert LocalRule("odd", sender, receiver, amount) == one
+    half = LocalRule("odd", sender, receiver, 0.5).amount
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
 def test_random_menu_amounts_always_parse():
     rng = random.Random(20240817)
     menu = ["1/6", "1/3", "1/2", "2/3"]
@@ -314,11 +371,12 @@ def test_default_table_shape():
 
 
 def test_default_json_matches_dict():
-    t = parse_rule_table(DEFAULT_TABLE_JSON)
+    text = json.dumps(DEFAULT_TABLE_DICT, indent=2)
+    t = parse_rule_table(text)
     u = rule_table_from_dict(DEFAULT_TABLE_DICT)
     assert [r.id for r in t.rules] == [r.id for r in u.rules]
     assert t.rules == u.rules
-    assert json.loads(DEFAULT_TABLE_JSON)["exclusions"] == ["guarded-crossing"]
+    assert json.loads(text)["exclusions"] == ["guarded-crossing"]
 
 
 # -- token and pattern matching on real drawings ------------------------------
@@ -334,17 +392,17 @@ def test_face_tokens_against_sizes():
     ctx = quad_ctx()
     tri = ctx.face_size.index(3)
     quad = ctx.face_size.index(4)
-    assert FaceToken(size=3).matches(ctx, tri)
-    assert not FaceToken(size=3).matches(ctx, quad)
-    assert FaceToken(min_size=4).matches(ctx, quad)
-    assert not FaceToken(min_size=4).matches(ctx, tri)
-    assert FaceToken(min_size=3).matches(ctx, tri)
+    assert FaceToken(size=3).matches(ctx.face_view(tri))
+    assert not FaceToken(size=3).matches(ctx.face_view(quad))
+    assert FaceToken(min_size=4).matches(ctx.face_view(quad))
+    assert not FaceToken(min_size=4).matches(ctx.face_view(tri))
+    assert FaceToken(min_size=3).matches(ctx.face_view(tri))
     # no big vertices anywhere in this drawing
-    assert FaceToken(max_bigs=0).matches(ctx, quad)
-    assert not FaceToken(min_bigs=1).matches(ctx, quad)
+    assert FaceToken(max_bigs=0).matches(ctx.face_view(quad))
+    assert not FaceToken(min_bigs=1).matches(ctx.face_view(quad))
     # no new edges either
-    assert FaceToken(new_edge=False).matches(ctx, tri)
-    assert not FaceToken(new_edge=True).matches(ctx, tri)
+    assert FaceToken(new_edge=False).matches(ctx.face_view(tri))
+    assert not FaceToken(new_edge=True).matches(ctx.face_view(tri))
 
 
 def test_face_share_and_min_share():
@@ -353,8 +411,8 @@ def test_face_share_and_min_share():
     quad = ctx.face_size.index(4)
     assert ctx.face_share(tri) == 0
     assert ctx.face_share(quad) == Fraction(1, 2)  # 2 units over 4 smalls
-    assert FaceToken(min_share=Fraction(1, 2)).matches(ctx, quad)
-    assert not FaceToken(min_share=Fraction(2, 3)).matches(ctx, quad)
+    assert FaceToken(min_share=Fraction(1, 2)).matches(ctx.face_view(quad))
+    assert not FaceToken(min_share=Fraction(2, 3)).matches(ctx.face_view(quad))
 
 
 def all_big_quad():
@@ -376,15 +434,21 @@ def test_min_share_is_vacuous_without_small_occurrences():
         if ctx.face_size[i] == 4 and ctx.face_smalls[i] == 0
     ]
     assert ctx.face_share(fi) is None
-    assert FaceToken(min_share=Fraction(2, 3)).matches(ctx, fi)
-    assert FaceToken(min_share=Fraction(99, 6) / 6).matches(ctx, fi)
+    assert FaceToken(min_share=Fraction(2, 3)).matches(ctx.face_view(fi))
+    assert FaceToken(min_share=Fraction(99, 6) / 6).matches(ctx.face_view(fi))
 
 
 def sends(p, ctx, s, r_dart, delta):
-    """sender_matches with p's threshold resolved against delta, as the
-    rule table resolves it."""
+    """sender_matches on sender s across r_dart, with p's threshold
+    resolved against delta, as the rule table resolves it."""
     m = None if p.min_degree is None else resolve_threshold(p.min_degree, delta)
-    return sender_matches(p, ctx, s, r_dart, m)
+    return sender_matches(p, ctx.a.classification[s], ctx.star.is_new(r_dart), m)
+
+
+def receives(p, ctx, r, r_dart):
+    """receiver_matches on receiver r at r_dart, given r's full view."""
+    view = receiver_view(ctx, r, ctx.star.rotation[r].index(r_dart), True)
+    return receiver_matches(p, ctx.a.classification[r], view)
 
 
 def test_sender_degree_thresholds_use_original_degree():
@@ -408,32 +472,32 @@ def test_anchored_view_and_mirror():
     star = ctx.star
     # at vertex 1 the corners read (3, 3, 4) starting beyond the edge to 0
     d0 = dart_towards(star, 1, 0)
-    assert receiver_matches(EndPattern(faces=(FaceToken(size=3),) * 2 + (FaceToken(size=4),)), ctx, 1, d0)
+    assert receives(EndPattern(faces=(FaceToken(size=3),) * 2 + (FaceToken(size=4),)), ctx, 1, d0)
     # same pattern reversed matches through the mirror pass
-    assert receiver_matches(EndPattern(faces=(FaceToken(size=4),) + (FaceToken(size=3),) * 2), ctx, 1, d0)
+    assert receives(EndPattern(faces=(FaceToken(size=4),) + (FaceToken(size=3),) * 2), ctx, 1, d0)
     # the rotationally-shifted pattern is a different shape and must fail
-    assert not receiver_matches(
+    assert not receives(
         EndPattern(faces=(FaceToken(size=3), FaceToken(size=4), FaceToken(size=3))),
         ctx, 1, d0,
     )
     # anchored at the crossing-ward edge the 4-face sits mid-view
     dx = dart_towards(star, 1, 4)
-    assert receiver_matches(
+    assert receives(
         EndPattern(faces=(FaceToken(size=3), FaceToken(size=4), FaceToken(size=3))),
         ctx, 1, dx,
     )
     # a pattern of the wrong arity never matches
-    assert not receiver_matches(EndPattern(faces=(FaceToken(size=3),) * 2), ctx, 1, d0)
+    assert not receives(EndPattern(faces=(FaceToken(size=3),) * 2), ctx, 1, d0)
 
 
 def test_receiver_census_fields():
     ctx = quad_ctx()
     star = ctx.star
     d0 = dart_towards(star, 1, 0)
-    assert receiver_matches(EndPattern(num_crossing_neighbors=1), ctx, 1, d0)
-    assert not receiver_matches(EndPattern(num_crossing_neighbors=0), ctx, 1, d0)
-    assert receiver_matches(EndPattern(kind="true", d1=3, d2=3), ctx, 1, d0)
-    assert not receiver_matches(EndPattern(size_class="big"), ctx, 1, d0)
+    assert receives(EndPattern(num_crossing_neighbors=1), ctx, 1, d0)
+    assert not receives(EndPattern(num_crossing_neighbors=0), ctx, 1, d0)
+    assert receives(EndPattern(kind="true", d1=3, d2=3), ctx, 1, d0)
+    assert not receives(EndPattern(size_class="big"), ctx, 1, d0)
 
 
 def test_opposite_end_small_needs_a_crossing_receiver():
@@ -441,11 +505,98 @@ def test_opposite_end_small_needs_a_crossing_receiver():
     star = ctx.star
     # receiver 4 is the crossing; opposite the dart from 0 sits vertex 2
     dx = dart_towards(star, 4, 0)
-    assert receiver_matches(EndPattern(opposite_end_small=True), ctx, 4, dx)
-    assert not receiver_matches(EndPattern(opposite_end_small=False), ctx, 4, dx)
+    assert receives(EndPattern(opposite_end_small=True), ctx, 4, dx)
+    assert not receives(EndPattern(opposite_end_small=False), ctx, 4, dx)
     # on a true receiver the field can never match
     dt = dart_towards(star, 1, 0)
-    assert not receiver_matches(EndPattern(opposite_end_small=True), ctx, 1, dt)
+    assert not receives(EndPattern(opposite_end_small=True), ctx, 1, dt)
+
+
+def test_receiver_matches_reads_only_the_class_and_the_view():
+    c = VertexClass(d1=3, d2=3, kind="true", size_class="small", new_incident=False)
+    views = {k: (k, False, 0, k) for k in (3, 4, 5)}
+    view = (1, None, (views[3], views[4], views[5]))
+    tok = {k: FaceToken(size=k) for k in (3, 4, 5)}
+
+    def faces(*sizes):
+        return EndPattern(faces=tuple(tok[k] for k in sizes))
+
+    assert receiver_matches(faces(3, 4, 5), c, view)
+    # the mirror of the forward corners matches too, a rotation does not
+    assert receiver_matches(faces(5, 4, 3), c, view)
+    assert not receiver_matches(faces(4, 5, 3), c, view)
+    assert not receiver_matches(faces(3, 5, 4), c, (1, None, (views[3], views[4], views[4])))
+    # a pattern of the wrong arity never matches, with or without corners
+    for sizes in ((3, 4), (3, 4, 5, 3)):
+        assert not receiver_matches(faces(*sizes), c, view)
+        assert not receiver_matches(faces(*sizes), c, (1, None, None))
+    assert receiver_matches(EndPattern(num_crossing_neighbors=1), c, view)
+    assert not receiver_matches(EndPattern(num_crossing_neighbors=2), c, view)
+    # the opposite end's size class counts only at a crossing
+    x = VertexClass(d1=None, d2=4, kind="crossing", size_class="small", new_incident=False)
+    small, big = EndPattern(opposite_end_small=True), EndPattern(opposite_end_small=False)
+    assert receiver_matches(small, x, (0, "small", None))
+    assert not receiver_matches(small, x, (0, "big", None))
+    assert receiver_matches(big, x, (0, "big", None))
+    assert not receiver_matches(small, c, (1, "small", None))
+    assert not receiver_matches(EndPattern(kind="crossing"), c, view)
+
+
+def _reference_token_match(tok, view):
+    """FaceToken.matches as the drawing-bound matcher wrote it, with the
+    share built as a Fraction."""
+    size, new, bigs, smalls = view
+    if tok.size is not None and size != tok.size:
+        return False
+    if tok.min_size is not None and size < tok.min_size:
+        return False
+    if tok.new_edge is not None and new != tok.new_edge:
+        return False
+    if tok.min_bigs is not None and bigs < tok.min_bigs:
+        return False
+    if tok.max_bigs is not None and bigs > tok.max_bigs:
+        return False
+    if tok.min_share is not None and smalls:
+        if Fraction(2 * size - 6, smalls) < tok.min_share:
+            return False
+    return True
+
+
+def _counts(hi):
+    return st.none() | st.integers(0, hi)
+
+
+FACE_TOKENS = st.builds(
+    FaceToken,
+    size=_counts(8),
+    min_size=_counts(8),
+    new_edge=st.none() | st.booleans(),
+    min_bigs=_counts(5),
+    max_bigs=_counts(5),
+    min_share=st.none() | st.fractions(min_value=-2, max_value=3, max_denominator=7),
+)
+FACE_VIEWS = st.tuples(st.integers(3, 9), st.booleans(), st.integers(0, 9), st.integers(0, 9))
+
+
+@example(FaceToken(min_share=Fraction(3)), (4, False, 4, 0))
+@example(FaceToken(min_share=Fraction(2, 3)), (4, True, 1, 3))
+@example(FaceToken(min_share=Fraction(1, 2)), (4, False, 0, 4))
+@example(FaceToken(min_share=Fraction(-1, 3)), (3, False, 0, 3))
+@given(FACE_TOKENS, FACE_VIEWS)
+def test_face_token_matches_the_fraction_reference(tok, view):
+    assert tok.matches(view) == _reference_token_match(tok, view)
+
+
+@example(1 / 3, (4, False, 0, 6))
+@example(0.1, (4, False, 0, 20))
+@example(1, (5, False, 0, 4))
+@given(st.floats(-2, 3) | st.integers(-2, 3), FACE_VIEWS)
+def test_a_min_share_given_as_a_number_compares_exactly(share, view):
+    # a Fraction compares with a float exactly, so a token built in code
+    # with a float or an int bound reads as the bound itself would
+    size, _, _, smalls = view
+    want = not smalls or not Fraction(2 * size - 6, smalls) < share
+    assert FaceToken(min_share=share).matches(view) == want
 
 
 def test_via_new_edge():
