@@ -19,6 +19,7 @@ auditable.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -130,11 +131,19 @@ class ChargeLedger:
 
 
 def _exact_sum(xs) -> Fraction:
-    """sum(xs, Fraction(0)), adding numerators per denominator first, so
-    one Fraction is reduced per distinct denominator, not one per term."""
+    """sum(xs, Fraction(0)), reading each distinct object once, times its
+    count, and adding numerators per denominator first, so one Fraction
+    is reduced per distinct denominator, not one per term.  Charges share
+    their objects (see ChargeLedger.final and initial_charges), so a
+    G* with thousands of elements holds about a hundred distinct ones."""
+    xs = list(xs)
+    ids = list(map(id, xs))
+    count = Counter(ids)
+    value = dict(zip(ids, xs))
     by_den: dict = {}
-    for x in xs:
-        by_den[x.denominator] = by_den.get(x.denominator, 0) + x.numerator
+    for k, n in count.items():
+        x = value[k]
+        by_den[x.denominator] = by_den.get(x.denominator, 0) + x.numerator * n
     return sum((Fraction(n, d) for d, n in by_den.items()), Fraction(0))
 
 

@@ -16,6 +16,8 @@ incidences matter downstream.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, chain, compress
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 TRUE = "true"
@@ -43,11 +45,16 @@ class EmbeddedGraph:
     and the two opposite segment pairs at a crossing inherit the edge
     joining their far endpoints.
 
-    The constructor validates every field in full; the parser and
-    from_face_cycles build through it, so every drawing read from a file
-    or built from face cycles is checked whole.  ChordEdit is the one
-    other path: it copies a drawing built here, checks each chord it adds
-    locally, and hands back the result without a second full check.
+    The constructor validates every field; the parser and from_face_cycles
+    build through it, so every drawing read from a file or built from face
+    cycles is checked whole.  Given origins, which the parser supplies,
+    get the full check and are stored as ascending pairs.  Derived origins
+    cover the segments, end where their segments end and interleave at
+    every crossing by construction, so they are checked only for an edge
+    drawn more than once, the one fault a drawing can give them.  ChordEdit
+    is the one other path: it copies a drawing built here, checks each
+    chord it adds locally, and hands back the result without a second full
+    check.
     """
 
     __slots__ = (
@@ -85,12 +92,20 @@ class EmbeddedGraph:
         self._new_darts = None
         self._validate_structure()
         if segment_origin is None:
-            self.segment_origin = _derived_origins(
+            self.segment_origin = origin = _derived_origins(
                 self.rotation, self.twin, self.owner, self.vertex_kind
             )
+            # derived origins cover the segments, end where their segments
+            # end and give each crossing two distinct edges, two segments
+            # each; only an edge drawn more than once makes them wrong, and
+            # it leaves fewer distinct origins than one per segment less
+            # two per crossing
+            crossings = list(self.vertex_kind.values()).count(CROSSING)
+            if len(set(origin.values())) != len(origin) - 2 * crossings:
+                self._check_edge_counts(self._crossing_origins())
         else:
             self.segment_origin = dict(segment_origin)
-        self._validate_origins()
+            self._validate_origins()
 
     # -- structural validation ------------------------------------------
 
@@ -118,46 +133,75 @@ class EmbeddedGraph:
                         f"crossing vertex {v} has degree "
                         f"{len(self.rotation[v])}, expected 4"
                     )
-                for d in self.rotation[v]:
-                    w = self.owner[self.twin[d]]
+                ends = [owner[twin[d]] for d in self.rotation[v]]
+                for w in ends:
                     if self.vertex_kind[w] == CROSSING:
                         raise EmbedError(f"adjacent crossing vertices {v} and {w}")
+                # the two edges that cross here each join two vertices
+                for w, far in zip(ends, ends[2:]):
+                    if w == far:
+                        raise EmbedError(f"crossing {v} joins vertex {w} to itself")
+
+    def _crossing_origins(self) -> dict:
+        """The origins of each crossing's segments, in rotation order."""
+        origin, twin = self.segment_origin, self.twin
+        return {
+            x: [origin[seg_key(d, twin)] for d in self.rotation[x]]
+            for x, kind in self.vertex_kind.items()
+            if kind == CROSSING
+        }
 
     def _validate_origins(self):
+        """The full check of given origins, each stored ascending."""
         twin, owner, vertex_kind = self.twin, self.owner, self.vertex_kind
         origin = self.segment_origin
-        if origin.keys() != {(d, e) for d, e in twin.items() if d < e}:
-            raise EmbedError("segment_origin must cover exactly the segments")
-        per_edge: dict = {}
+        cover = "segment_origin must cover exactly the segments"
+        odd = []  # the segments whose origin is not the pair of their ends
         for key, edge in origin.items():
+            d, e = key
+            if d > e or twin.get(d) != e:
+                raise EmbedError(cover)
+            u, w = owner[d], owner[e]
+            if edge != ((u, w) if u < w else (w, u)):
+                odd.append(key)
+        if len(origin) != len(twin) // 2:
+            raise EmbedError(cover)
+        for key in odd:
+            edge = origin[key]
             if edge is None:
                 continue
+            u, w = edge
+            if u > w:
+                origin[key] = edge = (w, u)
             for d in key:
                 v = owner[d]
                 if vertex_kind[v] == TRUE and v not in edge:
                     raise EmbedError(f"segment {key} ends at {v}, off its origin {edge}")
-            per_edge.setdefault(edge, []).append(key)
-        for edge, segs in per_edge.items():
-            if len(segs) > 2:
-                raise EmbedError(f"edge {edge} crosses twice")
-            if len(segs) == 2:
-                for key in segs:
-                    kinds = {vertex_kind[owner[d]] for d in key}
-                    if CROSSING not in kinds:
-                        raise EmbedError(
-                            f"edge {edge} has a parallel uncrossed segment"
-                        )
-        for x, kind in vertex_kind.items():
-            if kind != CROSSING:
-                continue
-            rot = self.rotation[x]
-            o = [origin[seg_key(d, twin)] for d in rot]
+        at_crossings = self._crossing_origins()
+        self._check_edge_counts(at_crossings)
+        for x, o in at_crossings.items():
             if any(e is None for e in o):
                 raise EmbedError(f"segment at crossing {x} lacks an origin edge")
             if o[0] != o[2] or o[1] != o[3] or o[0] == o[1]:
                 raise EmbedError(
                     f"origins at crossing {x} must interleave two edges, got {o}"
                 )
+
+    def _check_edge_counts(self, at_crossings: dict) -> None:
+        """Reject the first edge, in origin order, that more than two
+        segments draw, or two of which one joins two true vertices: an
+        edge is drawn in two pieces only where it crosses another, once.
+        at_crossings holds the origins of each crossing's segments."""
+        drawn = Counter(self.segment_origin.values())
+        drawn.pop(None, None)
+        if max(drawn.values(), default=0) < 2:
+            return
+        crossed = Counter(chain.from_iterable(at_crossings.values()))
+        for edge, n in drawn.items():
+            if n > 2:
+                raise EmbedError(f"edge {edge} crosses twice")
+            if n == 2 and crossed[edge] != 2:
+                raise EmbedError(f"edge {edge} has a parallel uncrossed segment")
 
     # -- queries ----------------------------------------------------------
 
@@ -232,13 +276,18 @@ def _derived_origins(
     segment in segment order, then the four segments at each crossing.  A
     crossing not of degree 4 gets none; the constructor rejects it."""
     origins: dict = {}
-    for d, e in sorted((d, e) for d, e in twin.items() if d < e):
+    for d, e in sorted(compress(twin.items(), map(lt, twin, twin.values()))):
         u, w = owner[d], owner[e]
-        if vertex_kind[u] == TRUE and vertex_kind[w] == TRUE:
-            origins[d, e] = (u, w) if u < w else (w, u)
-    for x, kind in vertex_kind.items():
+        origins[d, e] = (u, w) if u < w else (w, u)
+    crossings = [x for x, kind in vertex_kind.items() if kind == CROSSING]
+    # the segments at crossings move behind the true-true ones; one that
+    # joins two crossings, which the constructor rejects, leaves once
+    for x in crossings:
+        for d in rotation[x]:
+            origins.pop(seg_key(d, twin), None)
+    for x in crossings:
         rot = rotation[x]
-        if kind != CROSSING or len(rot) != 4:
+        if len(rot) != 4:
             continue
         for d, opp in ((rot[0], rot[2]), (rot[1], rot[3])):
             a = owner[twin[d]]
@@ -347,45 +396,71 @@ def from_face_cycles(
 
 def _face_rotation(face_cycles: Sequence[Sequence[int]]) -> tuple:
     """(rotation, twin) of the drawing whose oriented faces are
-    `face_cycles`, numbering darts in the order of the faces' sides."""
-    dart_of: dict = {}
-    # the next dart along the same face; a face's darts are numbered in a row
-    face_next: list = []
+    `face_cycles`, numbering darts 0, 1, ... in the order of the faces'
+    sides.  Each list below is indexed by dart."""
+    sizes = list(map(len, face_cycles))
+    if min(sizes, default=2) < 2:
+        _side_error(face_cycles)
+    tail = list(chain.from_iterable(face_cycles))
+    n = len(tail)
+    # one int object per dart, shared by every map below and the result
+    darts = list(range(n))
+    # the next dart along the same face; a face's darts are numbered in a
+    # row, so the last one's next is the face's first
+    face_next = darts[1:] + darts[:1]
+    first = 0
+    for end in accumulate(sizes):
+        face_next[end - 1] = darts[first]
+        first = end
+    head = list(map(tail.__getitem__, face_next))
+    dart_of = dict(zip(zip(tail, head), darts))
+    # one reverse lookup per side; a side (v, v) finds itself
+    reverse = list(map(dart_of.get, zip(head, tail)))
+    if len(dart_of) != n or None in reverse or any(map(int.__eq__, reverse, darts)):
+        _side_error(face_cycles)
+    del dart_of, head
+    twin = dict(zip(darts, reverse))
+    # the rotation successor of a dart leaving v is the dart that follows
+    # its twin around the face on the twin's left: it leaves v too
+    succ = list(map(face_next.__getitem__, reverse))
+    del reverse, face_next
+    # each vertex's least dart, in ascending order: walking the darts
+    # backwards, the last one written under a vertex is its least
+    starts = sorted(dict(zip(reversed(tail), reversed(darts))).values())
+    rotation: dict = {}
+    for start in starts:
+        cycle = [start]
+        d = succ[start]
+        while d != start:
+            cycle.append(d)
+            d = succ[d]
+        rotation[tail[start]] = tuple(cycle)
+    if sum(map(len, rotation.values())) != n:
+        degree = Counter(tail)
+        for v, cycle in rotation.items():
+            if len(cycle) != degree[v]:
+                raise EmbedError(f"corners at vertex {v} do not close into one rotation")
+    return rotation, twin
+
+
+def _side_error(face_cycles: Sequence[Sequence[int]]) -> None:
+    """Raise for the first face cycle, in order, that is too short, repeats
+    a vertex consecutively or repeats a directed side, or else for the
+    first side with no reverse side."""
+    sides: dict = {}  # a dict, to keep the sides in order
     for cyc in face_cycles:
         if len(cyc) < 2:
             raise EmbedError(f"face cycle {cyc} too short")
-        first = len(dart_of)
         for side in zip(cyc, cyc[1:] + cyc[:1]):
             if side[0] == side[1]:
                 raise EmbedError(f"face cycle {cyc} repeats vertex {side[0]} consecutively")
-            if side in dart_of:
+            if side in sides:
                 raise EmbedError(f"directed side ({side[0]},{side[1]}) used twice")
-            dart_of[side] = len(dart_of)
-        face_next.extend(range(first + 1, len(dart_of)))
-        face_next.append(first)
-    twin = {}
-    for (u, w), d in dart_of.items():
-        e = dart_of.get((w, u))
-        if e is None:
+            sides[side] = None
+    for u, w in sides:
+        if (w, u) not in sides:
             raise EmbedError(f"side ({u},{w}) has no reverse side")
-        twin[d] = e
-    # the rotation successor of a dart leaving v is the dart that follows
-    # its twin around the face on the twin's left: it leaves v too
-    degree = Counter(u for u, _ in dart_of)
-    rotation: dict = {}
-    for start, (v, _) in enumerate(dart_of):
-        if v in rotation:
-            continue
-        # darts are numbered in ascending order, so start is v's least
-        cycle = [start]
-        d = face_next[twin[start]]
-        while d != start:
-            cycle.append(d)
-            d = face_next[twin[d]]
-        if len(cycle) != degree[v]:
-            raise EmbedError(f"corners at vertex {v} do not close into one rotation")
-        rotation[v] = tuple(cycle)
-    return rotation, twin
+    raise AssertionError("every side is sound")
 
 
 def _vertex_kinds(rotation: Mapping, crossings: set) -> dict:
@@ -579,13 +654,14 @@ def dump_embedding(e: EmbeddedGraph) -> str:
     if cross:
         lines.append("crossings:")
         lines.append(" ".join(map(str, cross)))
-    segments = e.segments()
-    texts = [f"{a} {b}" for a, b in segments]
+    # each segment and its origin in one read, in segment order
+    items = sorted(e.segment_origin.items())
+    texts = [f"{a} {b}" for (a, b), _ in items]
     lines.append("twins:")
     lines.extend(texts)
     lines.append("origins:")
-    origin = e.segment_origin
-    for key, text in zip(segments, texts):
-        edge = origin[key]
-        lines.append(f"{text} -> new" if edge is None else f"{text} -> {edge[0]} {edge[1]}")
+    lines.extend(
+        f"{text} -> new" if edge is None else f"{text} -> {edge[0]} {edge[1]}"
+        for text, (_, edge) in zip(texts, items)
+    )
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from itertools import accumulate, combinations
 from math import isqrt
 
 from .embedding import EmbeddedGraph, dump_embedding, from_face_cycles
-from .graphs import SimpleGraph, build_graph, dump_edge_list, edge_key
+from .graphs import SimpleGraph, dump_edge_list, edge_key, graph_of_edge_set
 
 
 class GenError(ValueError):
@@ -101,13 +101,13 @@ def gen_planar_triangulation(size: int, seed: int = 0) -> tuple:
 def true_graph_of(e: EmbeddedGraph) -> SimpleGraph:
     """Recover the abstract graph a drawing depicts: one edge per distinct
     segment origin.  Rejects drawings that still carry new (origin-less)
-    segments, which have no single underlying graph."""
-    edges = set()
-    for origin in e.segment_origin.values():
-        if origin is None:
-            raise GenError("base drawing carries unresolved new segments")
-        edges.add(origin)
-    return build_graph(edges, vertices=e.true_vertices())
+    segments, which have no single underlying graph.  The constructor
+    stores each origin as an ascending pair of true vertices, so the
+    distinct origins are distinct edges."""
+    edges = set(e.segment_origin.values())
+    if None in edges:
+        raise GenError("base drawing carries unresolved new segments")
+    return graph_of_edge_set(edges, e.true_vertices())
 
 
 def _chord_candidates(face: tuple, edges: set, crossings: set) -> list:

@@ -85,6 +85,17 @@ def build_graph(edge_list: Iterable[tuple], vertices: Iterable = ()) -> SimpleGr
     return SimpleGraph({v: tuple(sorted(adj[v])) for v in sorted(adj)})
 
 
+def graph_of_edge_set(edges: Iterable[tuple], vertices: Iterable) -> SimpleGraph:
+    """build_graph without its loop and duplicate tests, for edges that are
+    distinct pairs (u, w) with u < w, such as a drawing's distinct segment
+    origins, over ascending vertices that hold every end."""
+    adj: dict = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    return SimpleGraph({v: tuple(sorted(row)) for v, row in adj.items()})
+
+
 def delete_edge(g: SimpleGraph, e: tuple) -> SimpleGraph:
     """Remove one edge; both endpoints stay, even if now isolated."""
     u, v = e

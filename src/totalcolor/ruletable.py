@@ -49,6 +49,11 @@ class FaceToken:
     min_share: Fraction | None = None
 
     def __post_init__(self):
+        # tokens parsed and tokens built in code both pass here
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not _TOKEN_FIELDS[f.name](value):
+                raise RuleError(f"bad {f.name} in face token: {value!r}")
         if self.min_share is not None:  # matches compares it exactly, as a Fraction
             object.__setattr__(self, "min_share", Fraction(self.min_share))
 
@@ -81,6 +86,15 @@ class EndPattern:
     num_crossing_neighbors: int | None = None
     opposite_end_small: bool | None = None
     faces: tuple | None = None  # tuple[FaceToken], anchored at the connecting edge
+
+    def __post_init__(self):
+        # a faces entry built in code may be a size, read as the parser
+        # reads one, or a FaceToken
+        if self.faces is not None:
+            if not _is_list(self.faces):
+                raise RuleError(f"bad faces in end pattern: {self.faces!r}")
+            tokens = tuple(t if isinstance(t, FaceToken) else _size_token(t) for t in self.faces)
+            object.__setattr__(self, "faces", tokens)
 
     def admits(self, c) -> bool:
         """Whether VertexClass c has every class field this end pins."""
@@ -347,6 +361,8 @@ _TOKEN_KEYS = {
     "max_bigs": _is_count,
     "min_share": _is_fraction,
 }
+# a FaceToken holds a "k+" size as its min_size
+_TOKEN_FIELDS = {**_TOKEN_KEYS, "size": _is_count, "min_size": _is_count}
 
 # the class keys fit either end of a rule; the rest only the end named
 _CLASS_KEYS = {
@@ -378,12 +394,17 @@ _RULE_KEYS = {
 }
 
 
+def _size_token(v) -> FaceToken:
+    """The token of a size, an int or "k+"."""
+    bound = _size_bound(v)
+    if bound is None:
+        raise RuleError(f"bad face token {v!r}")
+    return FaceToken(*bound)
+
+
 def _parse_face_token(v) -> FaceToken:
     if not isinstance(v, dict):
-        bound = _size_bound(v)
-        if bound is None:
-            raise RuleError(f"bad face token {v!r}")
-        return FaceToken(*bound)
+        return _size_token(v)
     _checked(v, _TOKEN_KEYS, "face token")
     size = v.get("size")
     return FaceToken(

@@ -663,6 +663,18 @@ def test_exact_sum_equals_fraction_sum(xs):
     assert discharge_module._exact_sum(xs) == sum(xs, Fraction(0))
 
 
+@given(
+    st.lists(st.fractions(max_denominator=12), min_size=1, max_size=6),
+    st.lists(st.integers(0, 5), max_size=40),
+)
+def test_exact_sum_counts_each_occurrence_of_a_shared_object(pool, picks):
+    # charges share their objects, and equal values may still be distinct
+    # objects: every occurrence counts
+    xs = [pool[i % len(pool)] for i in picks] + [Fraction(x) for x in pool]
+    assert discharge_module._exact_sum(xs) == sum(xs, Fraction(0))
+    assert discharge_module._exact_sum(iter(xs)) == sum(xs, Fraction(0))
+
+
 def test_full_pipeline_conserves_everywhere():
     instances = [
         wrapped_quad(),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from totalcolor.augment import VertexClass
 from totalcolor.configs import assemble, get_config
+from totalcolor.discharge import discharge
 from totalcolor.ruletable import (
     _END_KEYS,
     AMOUNT_MENU,
@@ -328,6 +329,35 @@ def test_code_built_tables_get_the_checks_parsed_tables_get():
         assert LocalRule("odd", sender, receiver, amount) == one
     half = LocalRule("odd", sender, receiver, 0.5).amount
     assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+def test_code_built_face_tokens_get_the_checks_parsed_tokens_get():
+    faults = {
+        # "3+" is the parser's spelling of min_size=3, not a size
+        "bad size in face token: '3+'": lambda: FaceToken(size="3+"),
+        "bad min_size in face token: -1": lambda: FaceToken(min_size=-1),
+        "bad new_edge in face token: 1": lambda: FaceToken(new_edge=1),
+        "bad max_bigs in face token: 1.5": lambda: FaceToken(max_bigs=1.5),
+        "bad min_share in face token: [1]": lambda: FaceToken(min_share=[1]),
+        "bad face token 'x'": lambda: EndPattern(faces=(3, "x")),
+        "bad face token {'size': 3}": lambda: EndPattern(faces=(3, {"size": 3})),
+        "bad faces in end pattern: 5": lambda: EndPattern(faces=5),
+    }
+    for text, build in faults.items():
+        with pytest.raises(RuleError) as info:
+            build()
+        assert str(info.value) == text
+    # a size reads as the parser reads it; it once raised AttributeError at
+    # the first dart a sender side admitted
+    assert EndPattern(faces=[3, "4+"]).faces == (FaceToken(size=3), FaceToken(min_size=4))
+    a = get_config("five-wheel").build()
+
+    def sent(faces):
+        receiver = EndPattern(kind="true", faces=faces)
+        table = RuleTable([LocalRule("five", EndPattern(kind="true"), receiver, Fraction(1, 6))])
+        return [t for t in discharge(a, table).transfers if t.rule == "five"]
+
+    assert sent((3,) * 5) == sent((FaceToken(size=3),) * 5) != []
 
 
 def test_random_menu_amounts_always_parse():
