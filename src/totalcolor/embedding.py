@@ -400,7 +400,7 @@ def _face_rotation(face_cycles: Sequence[Sequence[int]]) -> tuple:
     sides.  Each list below is indexed by dart."""
     sizes = list(map(len, face_cycles))
     if min(sizes, default=2) < 2:
-        _side_error(face_cycles)
+        _face_cycle_error(face_cycles)
     tail = list(chain.from_iterable(face_cycles))
     n = len(tail)
     # one int object per dart, shared by every map below and the result
@@ -417,7 +417,7 @@ def _face_rotation(face_cycles: Sequence[Sequence[int]]) -> tuple:
     # one reverse lookup per side; a side (v, v) finds itself
     reverse = list(map(dart_of.get, zip(head, tail)))
     if len(dart_of) != n or None in reverse or any(map(int.__eq__, reverse, darts)):
-        _side_error(face_cycles)
+        _face_cycle_error(face_cycles)
     del dart_of, head
     twin = dict(zip(darts, reverse))
     # the rotation successor of a dart leaving v is the dart that follows
@@ -443,7 +443,7 @@ def _face_rotation(face_cycles: Sequence[Sequence[int]]) -> tuple:
     return rotation, twin
 
 
-def _side_error(face_cycles: Sequence[Sequence[int]]) -> None:
+def _face_cycle_error(face_cycles: Sequence[Sequence[int]]) -> None:
     """Raise for the first face cycle, in order, that is too short, repeats
     a vertex consecutively or repeats a directed side, or else for the
     first side with no reverse side."""
