@@ -157,13 +157,16 @@ class EmbeddedGraph:
         origin = self.segment_origin
         cover = "segment_origin must cover exactly the segments"
         odd = []  # the segments whose origin is not the pair of their ends
-        for key, edge in origin.items():
-            d, e = key
-            if d > e or twin.get(d) != e:
-                raise EmbedError(cover)
-            u, w = owner[d], owner[e]
-            if edge != ((u, w) if u < w else (w, u)):
-                odd.append(key)
+        try:
+            for key, edge in origin.items():
+                d, e = key
+                if d > e or twin.get(d) != e:
+                    raise EmbedError(cover)
+                u, w = owner[d], owner[e]
+                if edge != ((u, w) if u < w else (w, u)):
+                    odd.append(key)
+        except (TypeError, ValueError):  # a key that is no pair of darts
+            raise EmbedError(cover) from None
         if len(origin) != len(twin) // 2:
             raise EmbedError(cover)
         for key in odd:

@@ -77,30 +77,35 @@ def _given_origin_faults():
     twice = from_face_cycles(TWICE_DRAWN, "plane")  # 4 drawn as a true vertex
     dropped = dict(quad.segment_origin)
     dropped.popitem()
-    return {
-        "segment_origin must cover exactly the segments": lambda: EmbeddedGraph(
-            quad.rotation, quad.twin, quad.vertex_kind, "plane", dropped
-        ),
-        "segment (2, 10) ends at 0, off its origin (1, 3)": _rebuilt(
+    tripled = dict(quad.segment_origin)
+    tripled[(0, 14, 1)] = tripled.pop((0, 14))
+    cover = "segment_origin must cover exactly the segments"
+    return [
+        (cover, lambda: EmbeddedGraph(quad.rotation, quad.twin, quad.vertex_kind, "plane", dropped)),
+        # a key that is no pair of darts
+        (cover, lambda: EmbeddedGraph(quad.rotation, quad.twin, quad.vertex_kind, "plane", tripled)),
+        ("segment (2, 10) ends at 0, off its origin (1, 3)", _rebuilt(
             quad, {(0, 4): (1, 3), (2, 4): (1, 3), (1, 4): (0, 2), (3, 4): (0, 2)}
-        ),
-        "edge (0, 2) crosses twice": _rebuilt(
+        )),
+        ("edge (0, 2) crosses twice", _rebuilt(
             twice,
             {(0, 4): (0, 2), (2, 4): (0, 2), (1, 4): (1, 3), (3, 4): (1, 3)},
             {**twice.vertex_kind, 4: "crossing"},
-        ),
-        "edge (0, 1) has a parallel uncrossed segment": lambda: EmbeddedGraph(
+        )),
+        ("edge (0, 1) has a parallel uncrossed segment", lambda: EmbeddedGraph(
             {0: (0, 3), 1: (1, 2)}, {0: 1, 1: 0, 2: 3, 3: 2}, {0: "true", 1: "true"},
             "plane", {(0, 1): (0, 1), (2, 3): (0, 1)},
+        )),
+        ("segment at crossing 4 lacks an origin edge", _rebuilt(quad, {(1, 4): None})),
+        (
+            "origins at crossing 4 must interleave two edges, got [(0, 2), (1, 3), (2, 5), (1, 3)]",
+            _rebuilt(quad, {(2, 4): (2, 5)}),
         ),
-        "segment at crossing 4 lacks an origin edge": _rebuilt(quad, {(1, 4): None}),
-        "origins at crossing 4 must interleave two edges, got "
-        "[(0, 2), (1, 3), (2, 5), (1, 3)]": _rebuilt(quad, {(2, 4): (2, 5)}),
-    }
+    ]
 
 
 def test_given_origin_error_texts():
-    for wanted, build in _given_origin_faults().items():
+    for wanted, build in _given_origin_faults():
         with pytest.raises(EmbedError) as info:
             build()
         assert str(info.value) == wanted
