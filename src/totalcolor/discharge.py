@@ -137,9 +137,8 @@ def _exact_sum(xs) -> Fraction:
     their objects (see ChargeLedger.final and initial_charges), so a
     G* with thousands of elements holds about a hundred distinct ones."""
     xs = list(xs)
-    ids = list(map(id, xs))
-    count = Counter(ids)
-    value = dict(zip(ids, xs))
+    count = Counter(map(id, xs))
+    value = dict(zip(map(id, xs), xs))
     by_den: dict = {}
     for k, n in count.items():
         x = value[k]
