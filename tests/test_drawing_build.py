@@ -153,6 +153,14 @@ def test_given_origins_are_stored_ascending():
     assert true_graph_of(e) == g
 
 
+def test_a_loop_origin_is_rejected():
+    # both halves of 0-2 through crossing 4 named a loop at 0
+    quad, _ = quad_with_crossing()
+    with pytest.raises(EmbedError) as info:
+        _rebuilt(quad, {(0, 4): (0, 0), (2, 4): (0, 0)})()
+    assert str(info.value) == "segment (4, 8) ends at 2, off its origin (0, 0)"
+
+
 # vertex 0 drawn through crossing 3 back to itself, across edge 1-2
 LOOP_THROUGH_A_CROSSING = (
     "surface: plane\nrotation:\n0: 0 2\n1: 4\n2: 6\n3: 1 5 3 7\ncrossings:\n3\n"
